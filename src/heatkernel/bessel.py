@@ -161,7 +161,8 @@ class BesselCombo:
     arg: str
 
     def __post_init__(self):
-        assert self.arg in ("t", "2t")
+        if self.arg not in ("t", "2t"):
+            raise ValueError(f"Bessel argument must be 't' or '2t', got {self.arg!r}")
 
     def coeff(self, j: int) -> Poly:
         return self.terms.get(abs(j), Poly(T))

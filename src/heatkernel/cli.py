@@ -182,6 +182,7 @@ def make_parser() -> _Parser:
 
 def cmd_kernel(args) -> int:
     params = build_params(args)
+    ensure_regular(params, args.window)
     formula = assemble_kernel(params, args.n, args.m)
     if args.format == "text":
         _emit([f"# heatkernel {__version__}", formula.to_text()])
@@ -274,6 +275,7 @@ def cmd_verify(args) -> int:
     ts = _parse_float_list(args.t)
 
     if args.mode == "pde":
+        ensure_regular(params, args.window)
         if args.range is not None:
             pairs = [(n, m) for n in range(-args.range, args.range + 1)
                      for m in range(-args.range, args.range + 1)]

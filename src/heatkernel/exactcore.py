@@ -6,16 +6,18 @@ enters a computation here.  All values are immutable after construction and
 every operation is a pure function, so objects can be shared freely between
 threads.
 
-Polynomials are dense lists of coefficients tagged with a variable name.
-Coefficients are usually ``Fraction`` but may themselves be ``Poly`` in a
-different variable (e.g. a polynomial in ``n`` whose coefficients are
-polynomials in ``r1``); all operations only ever combine coefficients of the
-same inner variable, so the nesting stays consistent.
+Polynomials are dense lists of ``Fraction`` coefficients tagged with a
+variable name; binary operations require the same variable on both sides.
+``poly_gcd`` runs the heuristic gcd of Char, Geddes & Gonnet (J. Symb.
+Comput. 7, 1989) on primitive integer parts, accepts its candidate only after
+exact trial division, and falls back to the Euclidean algorithm
+(``poly_gcd_euclid``), which stays as the reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 Rational = Fraction
@@ -74,7 +76,7 @@ class Poly:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Iterable = ()):
-        cs = [c if not _is_scalar(c) else Fraction(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "var", var)
@@ -158,9 +160,7 @@ class Poly:
             return self.scale(Fraction(other))
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.var != other.var:
-            # a poly in another variable acts as a scalar on the coefficients
-            return self.scale(other)
+        self._check(other)
         if not self.coeffs or not other.coeffs:
             return Poly(self.var)
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -176,7 +176,7 @@ class Poly:
         return self.__mul__(other)
 
     def scale(self, c) -> "Poly":
-        """Multiply every coefficient by a ring element."""
+        """Multiply every coefficient by a rational."""
         if not c:
             return Poly(self.var)
         return Poly(self.var, [a * c for a in self.coeffs])
@@ -251,10 +251,6 @@ class Poly:
 
     __call__ = subs
 
-    def map_coeffs(self, fn, var: str | None = None) -> "Poly":
-        """Apply fn to every coefficient (e.g. substitute an inner variable)."""
-        return Poly(var if var is not None else self.var, [fn(c) for c in self.coeffs])
-
     def to_strings(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
 
@@ -274,7 +270,78 @@ class Poly:
         return " + ".join(parts)
 
 
+def primitive_coeffs(p: Poly) -> list[int]:
+    """Integer coefficients of a nonzero p (lowest degree first), scaled by a
+    rational constant to content 1."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    content = gcd(*ints)
+    return [v // content for v in ints]
+
+
+def eval_int(coeffs: list[int], x: int) -> int:
+    """Horner evaluation of an integer coefficient list (lowest degree first)."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _divides(g: list[int], a: list[int]) -> bool:
+    """Whether g divides a in Z[x], by trial division (lowest degree first)."""
+    rem = list(a)
+    dg, lead = len(g) - 1, g[-1]
+    for i in range(len(rem) - 1, dg - 1, -1):
+        q, r = divmod(rem[i], lead)
+        if r:
+            return False
+        if q:
+            for k in range(dg + 1):
+                rem[i - dg + k] -= q * g[k]
+    return not any(rem[:dg])
+
+
+def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
+    """GCDHEU on primitive integer polynomials of positive degree.
+
+    The symmetric base-xi digits of gcd(a(xi), b(xi)) are the coefficients of
+    a candidate; with xi >= 2 min(|a|, |b|) + 2 its primitive part is the gcd
+    as soon as it divides both inputs.  None when six points all fail.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        gamma = gcd(eval_int(a, xi), eval_int(b, xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        content = gcd(*digits)
+        g = [d // content for d in digits]
+        if _divides(g, a) and _divides(g, b):
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Fraction coefficients.
+
+    Nonconstant inputs go through the heuristic gcd on their primitive
+    integer parts; the Euclidean reference decides the rest and whatever the
+    heuristic gives up on.
+    """
+    a._check(b)
+    if a.degree > 0 and b.degree > 0:
+        g = _gcd_heuristic(primitive_coeffs(a), primitive_coeffs(b))
+        if g is not None:
+            return Poly(a.var, [Fraction(c, g[-1]) for c in g])
+    return poly_gcd_euclid(a, b)
+
+
+def poly_gcd_euclid(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Fraction coefficients (Euclidean algorithm)."""
     a._check(b)
     while not b.is_zero():

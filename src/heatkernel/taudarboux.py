@@ -10,9 +10,14 @@ exponential in the parameters) which is pulled out of the determinant
 column by column and cancels against the normalization, leaving a clean
 polynomial.
 
-The first Darboux parameter r_1 is kept as a formal variable through the
-Wronskian so that the operator's diagonal (which involves a derivative in
-r_1 of log tau) is computed symbolically and only then specialized.
+All parameters are numeric.  At an integer site the Wronskian is a K x K
+matrix of rationals (K = R + S), so one Gaussian elimination over dual
+numbers (value, d/dr_1) gives tau(n) and its r_1-derivative together: the
+r_1-derivative of every column is the same Taylor coefficient one index
+lower.  The Q and P* coefficients at a site are the null vector of the
+Wronskian with one more difference row, normalized to c_K = 1.  Polynomials
+in n are Newton-interpolated from sites where the determinant does not
+vanish, up to a degree bound read off the entries.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial, lcm, prod
 
 from .exactcore import (
     LaurentPoly,
@@ -27,11 +33,12 @@ from .exactcore import (
     PolyFraction,
     RationalFunc,
     ZeroDenominator,
+    eval_int,
+    primitive_coeffs,
     rat,
 )
 
 N = "n"
-R1 = "r1"
 
 #: default half-width of the tau regularity window
 REG_WINDOW = 512
@@ -92,31 +99,12 @@ _VALIDATED: dict[ParamVector, int] = {}
 
 
 @dataclass(frozen=True)
-class QuasiPolynomial:
-    """Polynomial in n (coefficients polynomial in the formal r_1) times an
-    optional character factor (-1)^n c, with c = exp(sum (-2)^i r_i) carried
-    formally and never evaluated.  The factor is present iff `char` is set."""
+class SchurComponent:
+    """Polynomial part of S^eps_j(n; r); `char` is set when a character
+    factor (-1)^n c, c = exp(sum (-2)^i r_i), was extracted (eps = -1)."""
 
     poly: Poly
     char: bool = False
-
-    def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
-        if self.char != other.char:
-            raise ValueError("cannot add quasipolynomials with different characters")
-        return QuasiPolynomial(self.poly + other.poly, self.char)
-
-    def __mul__(self, other):
-        if isinstance(other, QuasiPolynomial):
-            if self.char and other.char:
-                raise ValueError("product would carry c^2; outside this type")
-            return QuasiPolynomial(self.poly * other.poly, self.char or other.char)
-        return QuasiPolynomial(self.poly * other, self.char)
-
-    __rmul__ = __mul__
-
-
-def _r1_const(c) -> Poly:
-    return Poly.const(R1, c)
 
 
 def _binomial_poly(k: int) -> Poly:
@@ -124,175 +112,225 @@ def _binomial_poly(k: int) -> Poly:
     out = Poly.const(N, 1)
     for i in range(k):
         out = out * Poly(N, [-i, 1])
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    return out.scale(Fraction(1, fact))
+    return out.scale(Fraction(1, factorial(k)))
 
 
-def _exp_series_coeffs(gs: list, count: int) -> list:
+def _exp_series_coeffs(gs: list, count: int) -> list[Fraction]:
     """Coefficients of exp(sum_a g_a z^a) up to z^{count-1}.
 
-    gs[a] is the coefficient of z^a (gs[0] ignored); entries may be rational
-    or polynomial in r_1.  Uses E_l = (1/l) sum a g_a E_{l-a}.
+    gs[a] is the coefficient of z^a (gs[0] ignored).  Uses
+    E_l = (1/l) sum a g_a E_{l-a}.
     """
-    E = [_r1_const(1)]
+    E = [Fraction(1)]
     for l in range(1, count):
-        acc = Poly(R1)
-        for a in range(1, min(l, len(gs) - 1) + 1):
-            g = gs[a]
-            if g:
-                acc = acc + (a * g) * E[l - a]
-        E.append(acc.scale(Fraction(1, l)) if isinstance(acc, Poly) else Fraction(acc, l))
+        acc = sum((a * gs[a] * E[l - a] for a in range(1, min(l, len(gs) - 1) + 1)),
+                  Fraction(0))
+        E.append(acc / l)
     return E
 
 
-def schur_component(epsilon: int, j: int, params: ParamVector) -> QuasiPolynomial:
+def schur_component(epsilon: int, j: int, params: ParamVector) -> SchurComponent:
     """Taylor coefficient S^eps_j(n; r): (1/j!) d^j/dz^j of
     (1+z)^n exp(sum r_i z^i) at z = eps - 1.
 
-    r_1 stays a formal variable; r_2..r_M enter numerically.  For eps = -1
-    the character flag is set and the returned polynomial is the part left
-    after extracting (-1)^n c.
+    For eps = -1 the character flag is set and the returned polynomial is
+    the part left after extracting (-1)^n c.
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    M = params.M
+    r = params.r
     if epsilon == 1:
         # expansion variable is z itself
-        gs: list = [None] + [Poly(R1, [0, 1]) if i == 1 else _r1_const(params.r[i - 1])
-                             for i in range(1, M + 1)]
-        sign = 1
+        gs = [None, *r]
     else:
         # expand around z = -2 in s = z + 2:
         # (1+z)^n = (-1)^n (1-s)^n,  exp part contributes c * exp(g(s))
-        gs = [None]
-        for a in range(1, M + 1):
-            acc = Poly(R1)
-            for i in range(a, M + 1):
-                binom = 1
-                for l in range(a):
-                    binom = binom * (i - l) // (l + 1)
-                coef = Fraction(binom) * Fraction(-2) ** (i - a)
-                term = Poly(R1, [0, coef]) if i == 1 else _r1_const(coef * params.r[i - 1])
-                acc = acc + term
-            gs.append(acc)
-        sign = -1
+        gs = [None] + [sum(comb(i, a) * (-2) ** (i - a) * r[i - 1]
+                           for i in range(a, len(r) + 1))
+                       for a in range(1, len(r) + 1)]
     E = _exp_series_coeffs(gs, j + 1)
     total = Poly(N)
     for k in range(j + 1):
-        c = E[j - k]
-        if not c:
-            continue
-        coeff = c if sign == 1 else c.scale(Fraction((-1) ** k)) if isinstance(c, Poly) else Fraction((-1) ** k) * c
-        total = total + _binomial_poly(k).scale(coeff)
-    return QuasiPolynomial(poly=total, char=(epsilon == -1))
+        if E[j - k]:
+            total = total + _binomial_poly(k).scale(epsilon ** k * E[j - k])
+    return SchurComponent(poly=total, char=(epsilon == -1))
 
 
-def _phi(j: int, params: ParamVector) -> Poly:
-    """phi_j(n; r) = S^1_{2j-1}(n + j - 1; r), polynomial in n over r_1-polys."""
-    return schur_component(1, 2 * j - 1, params).poly.shift(j - 1)
+@lru_cache(maxsize=64)
+def _columns(params: ParamVector) -> tuple:
+    """The Wronskian columns phi_1..phi_R, then the reduced psi_1..psi_S.
+
+    phi_j(n) = S^1_{2j-1}(n + j - 1) and psi_j likewise with S^{-1}; the
+    r_1-derivative of S^eps_j is S^eps_{j-1}, also for the reduced psi.  Each
+    entry is (tilde, column, derivative, scale): integer coefficient lists
+    (lowest degree first) of the column and its derivative times the common
+    scale; tilde marks the psi columns, on which differences act through the
+    (-1)^n factor.
+    """
+    out = []
+    for eps, count in ((1, params.R), (-1, params.S)):
+        for j in range(1, count + 1):
+            f = schur_component(eps, 2 * j - 1, params).poly.shift(j - 1)
+            df = schur_component(eps, 2 * j - 2, params).poly.shift(j - 1)
+            scale = lcm(*(c.denominator for c in f.coeffs + df.coeffs))
+            out.append((eps == -1,
+                        tuple(c.numerator * (scale // c.denominator) for c in f.coeffs),
+                        tuple(c.numerator * (scale // c.denominator) for c in df.coeffs),
+                        scale))
+    return tuple(out)
 
 
-def _psi_reduced(j: int, params: ParamVector) -> Poly:
-    """Polynomial part of psi_j(n; r) = S^{-1}_{2j-1}(n + j - 1; r)."""
-    return schur_component(-1, 2 * j - 1, params).poly.shift(j - 1)
+def _degree_bound(params: ParamVector) -> int:
+    """Bound on the degree in n of tau, d tau/d r_1 and every K x K minor of
+    the Wronskian with K + 1 rows.
+
+    Row i of a phi column has degree at most deg phi - i, and the phi columns
+    of each term of the determinant sit in distinct rows.
+    """
+    R = params.R
+    return sum(max(len(f), len(df)) - 1 for _, f, df, _ in _columns(params)) \
+        - R * (R - 1) // 2
 
 
-def _delta(p: Poly) -> Poly:
-    return p.shift(1) - p
+def _wronskian(params: ParamVector, n: int, starred: bool = False,
+               deriv: bool = False) -> list[list[int]]:
+    """Rows 0..K of the Wronskian at site n, column by column.
 
-
-def _delta_tilde(p: Poly) -> Poly:
-    # forward difference acting through a (-1)^n factor
-    return -(p.shift(1) + p)
-
-
-def _delta_star(p: Poly) -> Poly:
-    return p.shift(-1) - p
-
-
-def _delta_tilde_star(p: Poly) -> Poly:
-    return -(p.shift(-1) + p)
-
-
-def exact_det(rows: list) -> object:
-    """Determinant over any commutative ring, by memoized Laplace expansion."""
-    size = len(rows)
-    if size == 0:
-        return Fraction(1)
-    memo: dict = {}
-
-    def rec(cols: tuple) -> object:
-        if not cols:
-            return Fraction(1)
-        if cols in memo:
-            return memo[cols]
-        r = size - len(cols)
-        total = None
-        for idx, c in enumerate(cols):
-            e = rows[r][c]
-            if not e:
-                continue
-            sub = rec(cols[:idx] + cols[idx + 1:])
-            term = e * sub
-            if idx % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            total = Fraction(0)
-        memo[cols] = total
-        return total
-
-    return rec(tuple(range(size)))
-
-
-def _column_chains(params: ParamVector, depth: int, starred: bool) -> list[list[Poly]]:
-    """Iterated differences of the Wronskian columns, to the given depth.
-
-    Column order: phi_1..phi_R then the reduced psi_1..psi_S.  Starred
-    chains shift every function by R+S sites and use the adjoint difference.
+    Entry [c][i] is step^i f_c(n) on the scaled column f_c (its r_1-derivative
+    if deriv), with step = Delta or Delta~.  Starred columns are shifted by K
+    sites and use the adjoint differences, which read the values backwards.
     """
     K = params.order
-    cols = []
-    for j in range(1, params.R + 1):
-        cols.append(("phi", _phi(j, params)))
-    for j in range(1, params.S + 1):
-        cols.append(("psi", _psi_reduced(j, params)))
-    chains = []
-    for kind, p in cols:
-        if starred:
-            p = p.shift(K)
-            step = _delta_star if kind == "phi" else _delta_tilde_star
-        else:
-            step = _delta if kind == "phi" else _delta_tilde
-        chain = [p]
-        for _ in range(depth):
-            chain.append(step(chain[-1]))
-        chains.append(chain)
-    return chains
+    sites = [n + K - l if starred else n + l for l in range(K + 1)]
+    out = []
+    for tilde, f, df, _ in _columns(params):
+        vals = [eval_int(df if deriv else f, x) for x in sites]
+        entries = []
+        for _ in range(K + 1):
+            entries.append(vals[0])
+            vals = [-(b + a) if tilde else b - a for a, b in zip(vals, vals[1:])]
+        out.append(entries)
+    return out
 
 
-def _sub_r1(p: Poly, value: Fraction) -> Poly:
-    return p.map_coeffs(lambda c: c.subs(value) if isinstance(c, Poly) else c)
+def _dual_det(a: list, da: list):
+    """(det a, derivative of det along da) for integer matrices, or None when
+    det a = 0.
+
+    Fraction-free (Bareiss) elimination over the dual integers a + eps da,
+    eps^2 = 0, pivoting on the value part.  Every entry it forms is a minor,
+    so each division is exact, also in the derivative part.
+    """
+    m = [list(zip(ra, rd)) for ra, rd in zip(a, da)]
+    size = len(m)
+    sign, prev, dprev = 1, 1, 0
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col][0]), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        head = m[col]
+        p, dp = head[col]
+        for row in m[col + 1:]:
+            h, dh = row[col]
+            for k in range(col + 1, size):
+                (x, dx), (y, dy) = row[k], head[k]
+                v = (p * x - h * y) // prev
+                row[k] = (v, (p * dx + dp * x - h * dy - dh * y - v * dprev) // prev)
+        prev, dprev = p, dp
+    return sign * prev, sign * dprev
 
 
-def _d_r1(p: Poly) -> Poly:
-    return p.map_coeffs(lambda c: c.derivative() if isinstance(c, Poly) else Fraction(0))
+def _solve(a: list, b: list):
+    """(det a, x) with a x = b over the rationals; None when det a = 0."""
+    size = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        head = m[col]
+        det *= head[col]
+        for row in m[col + 1:]:
+            if row[col]:
+                f = row[col] / head[col]
+                for k in range(col + 1, size + 1):
+                    row[k] -= f * head[k]
+    x = [Fraction(0)] * size
+    for r in reversed(range(size)):
+        row = m[r]
+        x[r] = (row[size] - sum(row[j] * x[j] for j in range(r + 1, size))) / row[r]
+    return det, x
+
+
+def _site_solve(params: ParamVector, n: int, starred: bool):
+    """(det, (c_0..c_K)) at site n: sum_i c_i step^i annihilates every
+    column there, c_K = 1, and det is the scaled K x K Wronskian; None where
+    that Wronskian is singular."""
+    K = params.order
+    cols = _wronskian(params, n, starred)
+    solved = _solve([c[:K] for c in cols], [-c[K] for c in cols])
+    if solved is None:
+        return None
+    det, x = solved
+    return det, (*x, Fraction(1))
+
+
+@lru_cache(maxsize=4096)
+def _delta_coeffs(params: ParamVector, n: int, starred: bool) -> tuple[Fraction, ...]:
+    """Coefficients c_i(n) of Q = sum_i c_i(n) Delta^i, or of
+    P* = sum_i c_i(n) (Delta*)^i when starred, at one site."""
+    solved = _site_solve(params, n, starred)
+    if solved is None:
+        raise SingularTau(n)
+    return solved[1]
+
+
+def _sample(params: ParamVector, at) -> tuple[list[int], list]:
+    """at(n) at the first _degree_bound + 1 sites n >= 0 where it is not None.
+
+    A nonzero polynomial of degree <= bound vanishes at no more than bound
+    sites, so 2 bound + 1 candidates suffice unless it is identically zero.
+    """
+    bound = _degree_bound(params)
+    sites, values = [], []
+    for n in range(2 * bound + 1):
+        value = at(n)
+        if value is not None:
+            sites.append(n)
+            values.append(value)
+            if len(sites) > bound:
+                return sites, values
+    raise SingularTau(0, "tau is identically zero")
+
+
+def _interpolate(xs: list[int], ys: list[Fraction]) -> Poly:
+    """The polynomial in n of degree < len(xs) through (xs[k], ys[k]),
+    by Newton's divided differences."""
+    coef = [Fraction(y) for y in ys]
+    for level in range(1, len(xs)):
+        for k in range(len(xs) - 1, level - 1, -1):
+            coef[k] = (coef[k] - coef[k - 1]) / (xs[k] - xs[k - level])
+    out = Poly(N)
+    for k in reversed(range(len(xs))):
+        out = out * Poly(N, [-xs[k], 1]) + coef[k]
+    return out
 
 
 @dataclass(frozen=True)
 class TauFunction:
-    """The Wronskian tau, pure polynomial in n after character cancellation.
-
-    `poly2` keeps r_1 formal (coefficients are polynomials in r_1); `polyn`
-    and `dpolyn` are tau and its r_1-derivative with r_1 specialized.
-    """
+    """The Wronskian tau, pure polynomial in n after character cancellation;
+    `dpolyn` is its derivative in r_1 (the other r_i held fixed)."""
 
     params: ParamVector
-    poly2: Poly
     polyn: Poly
     dpolyn: Poly
 
@@ -317,20 +355,24 @@ def tau_build(params: ParamVector) -> TauFunction:
 
     Each psi column's (-1)^n c factor is extracted before taking the
     determinant; the normalization (-1)^{nS} exp(-S sum (-2)^i r_i) cancels
-    it exactly, so the result is a genuine polynomial in n.
+    it exactly, so the result is a genuine polynomial in n.  One elimination
+    per site over dual numbers gives tau and its r_1 derivative together.
     """
     K = params.order
-    chains = _column_chains(params, K - 1 if K else 0, starred=False)
-    rows = [[chains[c][i] for c in range(K)] for i in range(K)]
-    det = exact_det(rows) if K else _r1_const(1)
-    if not isinstance(det, Poly) or det.var != N:
-        det = Poly.const(N, det)
-    r1 = params.r[0]
+    scale = prod(s for *_, s in _columns(params))
+
+    def at(n):
+        vals = _dual_det([c[:K] for c in _wronskian(params, n)],
+                         [d[:K] for d in _wronskian(params, n, deriv=True)])
+        if vals is None:
+            return None
+        return Fraction(vals[0], scale), Fraction(vals[1], scale)
+
+    sites, values = _sample(params, at)
     return TauFunction(
         params=params,
-        poly2=det,
-        polyn=_sub_r1(det, r1),
-        dpolyn=_sub_r1(_d_r1(det), r1),
+        polyn=_interpolate(sites, [v for v, _ in values]),
+        dpolyn=_interpolate(sites, [d for _, d in values]),
     )
 
 
@@ -338,16 +380,15 @@ def ensure_regular(params: ParamVector, window: int = REG_WINDOW) -> TauFunction
     """Validate tau(n) != 0 for every integer |n| <= window.
 
     The admissible parameter region has no closed description; this window
-    check is the pragmatic substitute.  Successful validation is recorded on
-    the parameter vector.
+    check is the pragmatic substitute.  The scan runs over tau's primitive
+    integer form.  Successful validation is recorded on the parameter vector.
     """
     tau = tau_build(params)
     if params.is_validated(window):
         return tau
-    if tau.polyn.is_zero():
-        raise SingularTau(0, "tau is identically zero")
+    coeffs = primitive_coeffs(tau.polyn)
     for n in range(-window, window + 1):
-        if tau.value(n) == 0:
+        if eval_int(coeffs, n) == 0:
             raise SingularTau(n)
     _VALIDATED[params] = max(window, _VALIDATED.get(params, 0))
     return tau
@@ -496,7 +537,7 @@ def operator_build(params: ParamVector, window: int = REG_WINDOW) -> BandOperato
     Lambda + (-2 + d/dr1 log(tau(n+1)/tau(n))) Id
            + (tau(n-1) tau(n+1) / tau(n)^2) Lambda^{-1}.
 
-    The r_1 derivative is taken on the formal tau and specialized afterwards.
+    d/dr1 tau is TauFunction.dpolyn.
     """
     tau = ensure_regular(params, window)
     t0, d0 = tau.polyn, tau.dpolyn
@@ -508,48 +549,13 @@ def operator_build(params: ParamVector, window: int = REG_WINDOW) -> BandOperato
     return BandOperator({1: 1, 0: diag, -1: sub})
 
 
-@lru_cache(maxsize=None)
-def _q_delta_coeffs(params: ParamVector) -> tuple[PolyFraction, ...]:
-    """Coefficients c_i(n) of Q = sum_i c_i(n) Delta^i from the Wronskian ratio."""
-    K = params.order
-    if K == 0:
-        return (PolyFraction.const(N, 1),)
-    r1 = params.r[0]
-    chains = _column_chains(params, K, starred=False)
-    num_chains = [[_sub_r1(p, r1) for p in chain] for chain in chains]
-    den = exact_det([[num_chains[c][i] for c in range(K)] for i in range(K)])
-    out = []
-    for i in range(K + 1):
-        rows = [r for r in range(K + 1) if r != i]
-        minor = exact_det([[num_chains[c][r] for c in range(K)] for r in rows])
-        sign = (-1) ** (i + K)
-        out.append(PolyFraction(sign * _as_n_poly(minor), _as_n_poly(den)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _pstar_delta_coeffs(params: ParamVector) -> tuple[PolyFraction, ...]:
-    """Coefficients d_i(n) of P* = sum_i d_i(n) (Delta*)^i, from the starred ratio."""
-    K = params.order
-    if K == 0:
-        return (PolyFraction.const(N, 1),)
-    r1 = params.r[0]
-    chains = _column_chains(params, K, starred=True)
-    num_chains = [[_sub_r1(p, r1) for p in chain] for chain in chains]
-    den = exact_det([[num_chains[c][i] for c in range(K)] for i in range(K)])
-    out = []
-    for i in range(K + 1):
-        rows = [r for r in range(K + 1) if r != i]
-        minor = exact_det([[num_chains[c][r] for c in range(K)] for r in rows])
-        sign = (-1) ** (i + K)
-        out.append(PolyFraction(sign * _as_n_poly(minor), _as_n_poly(den)))
-    return tuple(out)
-
-
-def _as_n_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly.const(N, value)
+def _interpolated_coeffs(params: ParamVector, starred: bool) -> list[PolyFraction]:
+    """c_i(n) as rational functions: c_i det and det are polynomials in n,
+    interpolated from the site solves."""
+    sites, solved = _sample(params, lambda n: _site_solve(params, n, starred))
+    den = _interpolate(sites, [det for det, _ in solved])
+    return [PolyFraction(_interpolate(sites, [det * cs[i] for det, cs in solved]), den)
+            for i in range(params.order + 1)]
 
 
 def qp_build(params: ParamVector, window: int = REG_WINDOW) -> tuple[BandOperator, BandOperator]:
@@ -560,14 +566,14 @@ def qp_build(params: ParamVector, window: int = REG_WINDOW) -> tuple[BandOperato
     P Q = (Lambda - Id)^{2R} (Lambda + Id)^{2S} identically in n.
     """
     ensure_regular(params, window)
-    delta = BandOperator({1: 1, 0: -1})
-    delta_star = BandOperator({-1: 1, 0: -1})
-    Q = BandOperator({})
-    for i, c in enumerate(_q_delta_coeffs(params)):
-        Q = Q + BandOperator({0: c}) * (delta ** i)
-    Pstar = BandOperator({})
-    for i, c in enumerate(_pstar_delta_coeffs(params)):
-        Pstar = Pstar + BandOperator({0: c}) * (delta_star ** i)
+    factors = []
+    for starred, step in ((False, BandOperator({1: 1, 0: -1})),
+                          (True, BandOperator({-1: 1, 0: -1}))):
+        out = BandOperator({})
+        for i, c in enumerate(_interpolated_coeffs(params, starred)):
+            out = out + BandOperator({0: c}) * (step ** i)
+        factors.append(out)
+    Q, Pstar = factors
     return Q, Pstar.adjoint()
 
 
@@ -588,6 +594,17 @@ def _denominator_x(R: int, S: int) -> LaurentPoly:
     return (LaurentPoly("x", {1: 1, 0: -1}) ** R) * (LaurentPoly("x", {1: 1, 0: 1}) ** S)
 
 
+def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> RationalFunc:
+    """x^exp sum_i c_i(site) (x-1)^i / ((x-1)^R (x+1)^S), with the Q (or P*)
+    coefficients c_i at the site."""
+    num = LaurentPoly("x")
+    xm1 = LaurentPoly("x", {1: 1, 0: -1})
+    for i, ci in enumerate(_delta_coeffs(params, site, starred)):
+        if ci:
+            num = num + (xm1 ** i) * ci
+    return RationalFunc(num.shift_exp(exp), _denominator_x(params.R, params.S))
+
+
 def wave_p(params: ParamVector, n: int, window: int = REG_WINDOW) -> WaveFunction:
     """p_n(x): Q applied to the sequence k -> x^k, taken at k = n, divided by
     (x-1)^R (x+1)^S.
@@ -596,17 +613,7 @@ def wave_p(params: ParamVector, n: int, window: int = REG_WINDOW) -> WaveFunctio
     is x^n sum_i c_i(n) (x-1)^i with the cached Q coefficients.
     """
     ensure_regular(params, window)
-    num = LaurentPoly("x")
-    xm1 = LaurentPoly("x", {1: 1, 0: -1})
-    for i, c in enumerate(_q_delta_coeffs(params)):
-        try:
-            ci = c.subs(Fraction(n))
-        except ZeroDenominator as exc:
-            raise SingularTau(n) from exc
-        if ci:
-            num = num + (xm1 ** i) * ci
-    num = num.shift_exp(n)
-    return WaveFunction(site=n, value=RationalFunc(num, _denominator_x(params.R, params.S)))
+    return WaveFunction(site=n, value=_wave(params, n, False, n))
 
 
 def wave_p_star(params: ParamVector, n: int, window: int = REG_WINDOW) -> WaveFunction:
@@ -626,17 +633,7 @@ def wave_p_star_via_adjoint(params: ParamVector, n: int, window: int = REG_WINDO
     (Delta*)^i acts on inverse powers as multiplication by (x-1)^i.
     """
     ensure_regular(params, window)
-    num = LaurentPoly("x")
-    xm1 = LaurentPoly("x", {1: 1, 0: -1})
-    for i, c in enumerate(_pstar_delta_coeffs(params)):
-        try:
-            ci = c.subs(Fraction(n - 1))
-        except ZeroDenominator as exc:
-            raise SingularTau(n - 1) from exc
-        if ci:
-            num = num + (xm1 ** i) * ci
-    num = num.shift_exp(-n)
-    return WaveFunction(site=n, value=RationalFunc(num, _denominator_x(params.R, params.S)))
+    return WaveFunction(site=n, value=_wave(params, n - 1, True, -n))
 
 
 def darboux_one_step(delta, window: int = REG_WINDOW) -> BandOperator:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import SEED
 from heatkernel.bessel import (
+    BesselCombo,
     NonpositiveArgument,
     NotOddPolynomial,
     alpha_table,
@@ -155,6 +156,12 @@ def test_tail_resum_rejects_even_weight():
         tail_resum(Poly("j", [0, 1, 1]), 0)
     with pytest.raises(NotOddPolynomial):
         tail_resum(Poly("j", [1]), 0)
+
+
+def test_bessel_combo_rejects_unknown_argument():
+    assert BesselCombo(terms={}, arg="2t").arg == "2t"
+    with pytest.raises(ValueError):
+        BesselCombo(terms={}, arg="3t")
 
 
 def test_generating_function_partial_sums():

@@ -1,10 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import heatkernel
 from heatkernel.cli import main
+
+# subprocesses import the same heatkernel as this test process
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(heatkernel.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(capsys, argv):
@@ -131,20 +138,32 @@ def test_singular_exit_code(capsys):
     assert code == 2
 
 
+def test_window_flag_honoured_by_kernel_and_pde(capsys):
+    # tau = n + 600 vanishes at n = -600: outside the default window, inside 700
+    flags = ["--R", "1", "--S", "0", "--r", "600", "--window", "700"]
+    for argv in (["kernel", *flags, "--n", "0", "--m", "0"],
+                 ["verify", "--mode", "pde", *flags]):
+        assert main(argv) == 2
+        assert "n = -600" in capsys.readouterr().err
+    code, _ = run_cli(capsys, ["kernel", "--R", "1", "--S", "0", "--r", "600",
+                               "--n", "0", "--m", "0"])
+    assert code == 0
+
+
 def test_usage_exit_codes():
     proc = subprocess.run(
         [sys.executable, "-m", "heatkernel.cli", "kernel", "--R", "1", "--n", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 64
     proc = subprocess.run(
         [sys.executable, "-m", "heatkernel.cli", "kernel", "--R", "1", "--S", "0",
          "--r", "0.5", "--n", "0", "--m", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 64
     assert "rational" in proc.stderr
     proc = subprocess.run(
         [sys.executable, "-m", "heatkernel.cli", "frobnicate"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 64
 
 

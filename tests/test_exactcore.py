@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SEED, solve_exact, two_step_gamma, two_step_tau, two_step_wave
+from heatkernel import exactcore
 from heatkernel.exactcore import (
     DivisionByZeroPolynomial,
     LaurentPoly,
@@ -17,6 +19,7 @@ from heatkernel.exactcore import (
     ZeroDenominator,
     coefficient,
     poly_gcd,
+    poly_gcd_euclid,
     rat,
     rat_str,
     series_at_zero,
@@ -98,6 +101,33 @@ def test_poly_gcd():
     a = Poly("w", [-1, 0, 1])           # (w-1)(w+1)
     b = Poly("w", [-1, 1]) * Poly("w", [2, 1])
     assert poly_gcd(a, b) == Poly("w", [-1, 1])
+
+
+_coeff = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+_poly = st.lists(_coeff, max_size=6).map(lambda cs: Poly("w", cs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_poly, _poly, _poly, _coeff, _coeff)
+def test_poly_gcd_matches_euclidean_reference(common, u, v, ca, cb):
+    # a planted common factor under rational content; zero and constant
+    # inputs come from the empty and one-term draws
+    a, b = (common * u).scale(ca), (common * v).scale(cb)
+    g = poly_gcd(a, b)
+    assert g == poly_gcd_euclid(a, b)
+    if not g.is_zero():
+        assert g.leading == 1
+        assert (a % g).is_zero() and (b % g).is_zero()
+
+
+def test_poly_gcd_fallback_path(monkeypatch):
+    cases = [(Poly("w", [-1, 0, 1]), Poly("w", [-1, 1]) * Poly("w", [2, 1])),
+             (Poly("w", [F(1, 3), F(2, 5), 7]) * Poly("w", [1, 1]),
+              Poly("w", [F(-4, 9), 0, 1]) * Poly("w", [1, 1]) ** 2)]
+    expected = [poly_gcd(a, b) for a, b in cases]
+    monkeypatch.setattr(exactcore, "_gcd_heuristic", lambda a, b: None)
+    for (a, b), want in zip(cases, expected):
+        assert poly_gcd(a, b) == want == poly_gcd_euclid(a, b)
 
 
 def test_geometric_series():

@@ -8,7 +8,6 @@ from heatkernel.exactcore import LaurentPoly, Poly, PolyFraction, RationalFunc
 from heatkernel.taudarboux import (
     BandOperator,
     ParamVector,
-    QuasiPolynomial,
     SingularTau,
     darboux_one_step,
     ensure_regular,
@@ -22,13 +21,6 @@ from heatkernel.taudarboux import (
     wave_p_star,
     wave_p_star_via_adjoint,
 )
-
-R1 = Poly("r1", [0, 1])
-
-
-def lift(c):
-    return Poly("r1", [c]) if not isinstance(c, Poly) else c
-
 
 def test_param_vector_padding_and_validation():
     pv = ParamVector(1, 1, [F(1, 4)])
@@ -47,9 +39,10 @@ def test_schur_component_constant():
 
 
 def test_schur_component_linear():
-    s = schur_component(1, 1, PARAMS[(1, 1)])
-    assert s.poly.coeff(1) == 1
-    assert lift(s.poly.coeff(0)) == R1
+    # S^1_1(n; r) = n + r_1
+    pv = PARAMS[(1, 1)]
+    s = schur_component(1, 1, pv)
+    assert s.poly == Poly("n", [pv.r[0], 1]) and not s.char
 
 
 def test_schur_component_character_branch():
@@ -58,8 +51,7 @@ def test_schur_component_character_branch():
     s = schur_component(-1, 1, pv)
     assert s.char
     beta = -4 * pv.r[1] + 12 * pv.r[2]
-    assert s.poly.coeff(1) == -1
-    assert lift(s.poly.coeff(0)) == R1 + beta
+    assert s.poly == Poly("n", [pv.r[0] + beta, -1])
 
 
 def test_schur_against_shifted_elementary_schur():
@@ -78,19 +70,29 @@ def test_schur_against_shifted_elementary_schur():
                 for a in range(1, min(l, 4) + 1):
                     acc += a * shifted[a - 1] * E[l - a]
                 E.append(acc / l)
-            got = s.subs(n)
-            got = got.subs(pv.r[0]) if isinstance(got, Poly) else got
-            assert got == E[j], (j, n)
+            assert s.subs(n) == E[j], (j, n)
 
 
-def test_quasipolynomial_algebra_guards():
-    a = QuasiPolynomial(Poly("n", [1, 1]), char=True)
-    b = QuasiPolynomial(Poly("n", [2]), char=False)
-    assert (a * b).char
-    with pytest.raises(ValueError):
-        a * a
-    with pytest.raises(ValueError):
-        a + b
+def test_tau_r1_derivative_matches_interpolation_in_r1():
+    # tau(n) is a polynomial in r_1 of degree <= R^2 + S^2; rebuild it from
+    # tau_build at other rational r_1 values and differentiate at r_1
+    for key in [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]:
+        params = PARAMS[key]
+        rest = params.r[1:]
+        deg = params.R ** 2 + params.S ** 2
+        r1s = [params.r[0] + F(k, 3) for k in range(-(deg // 2), deg - deg // 2 + 1)]
+        taus = [tau_build(ParamVector(params.R, params.S, (r1, *rest))) for r1 in r1s]
+        dtau = tau_build(params).dpolyn
+        for n in range(-3, 4):
+            # Lagrange interpolant of tau(n) in r_1, differentiated at r_1
+            in_r1 = Poly("r")
+            for a, (xa, t) in enumerate(zip(r1s, taus)):
+                basis = Poly.const("r", t.value(n))
+                for b, xb in enumerate(r1s):
+                    if b != a:
+                        basis = basis * Poly("r", [-xb, 1]).scale(1 / (xa - xb))
+                in_r1 = in_r1 + basis
+            assert dtau.subs(F(n)) == in_r1.derivative().subs(params.r[0]), (key, n)
 
 
 def test_tau_trivial_and_one_step():
