@@ -76,7 +76,7 @@ class Poly:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "var", var)
@@ -270,11 +270,18 @@ class Poly:
         return " + ".join(parts)
 
 
+def integer_coeffs(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(ints, den): den is the least common denominator of the coefficients
+    and ints are the coefficients times den, in the same order."""
+    coeffs = list(coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def primitive_coeffs(p: Poly) -> list[int]:
     """Integer coefficients of a nonzero p (lowest degree first), scaled by a
     rational constant to content 1."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints, _ = integer_coeffs(p.coeffs)
     content = gcd(*ints)
     return [v // content for v in ints]
 
@@ -362,7 +369,8 @@ class LaurentPoly:
         clean = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c) if _is_scalar(c) else c
+                if type(c) is not Fraction and _is_scalar(c):
+                    c = Fraction(c)
                 if c:
                     clean[int(k)] = c
         object.__setattr__(self, "var", var)

@@ -10,7 +10,18 @@ The construction follows the finite reduction of the spectral integral:
   * what survives is I_k(2t) x^{-k} plus, for each parity branch eps in
     {1, 2} and slot i < T, a resummed Bessel tail attached to
     x^{-(k+eps+2i)}, paired against the exact series coefficients gamma_d
-    of p_n(x) p_m(1/x) by taking a residue.
+    of x^{m-n} p_n(x) p_m(1/x) by taking a residue.
+
+With the Q coefficients c_i at a site, p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S)
+for A_n(x) = sum_i c_i(n) (x-1)^i, so
+
+  x^{m-n} p_n(x) p_m(1/x) = (-1)^R A_n(x) B_m(x) / ((1-x)^{2R} (1+x)^{2S}),
+  B_m(x) = sum_l c_l(m) (1-x)^l x^{K-l} = x^K A_m(1/x),  K = R + S.
+
+gamma_d is therefore a bilinear form in the (integer-scaled) coefficients at
+n and m: a truncated product of two polynomials of degree K and the fixed
+integer power series of the denominator.  The resummed tails depend only on
+k = n - m and T, and are shared between sites.
 
 beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 """
@@ -18,18 +29,19 @@ beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .bessel import bessel_row, tail_resum
-from .exactcore import LaurentPoly, Poly, SeriesSegment, series_at_zero
+from .exactcore import LaurentPoly, Poly, integer_coeffs
 from .taudarboux import (
     ParamVector,
     SingularTau,
+    _delta_coeffs,
     ensure_regular,
     operator_build,
     tau_build,
-    wave_p,
 )
 
 T_VAR = "t"
@@ -60,8 +72,25 @@ class GammaSeries:
         return len(self.gammas) - 1
 
 
+def _site_numerator(params: ParamVector, site: int) -> tuple[tuple[int, ...], int]:
+    """(a, D): the coefficients in x, lowest first, of D A_site(x) =
+    D sum_i c_i(site) (x-1)^i, all integers for D the least common
+    denominator of the Q coefficients c_i(site)."""
+    ints, D = integer_coeffs(_delta_coeffs(params, site, False))
+    a = tuple(
+        sum(ints[i] * math.comb(i, p) * (-1) ** (i - p) for i in range(p, len(ints)))
+        for p in range(len(ints)))
+    return a, D
+
+
 def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
-    """Series coefficients of the wave-function product, for n - m >= 0.
+    """Series coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x), for
+    n - m >= 0.
+
+    With a = D_n A_n and b = D_m B_m integer (B_m is A_m reversed; see the
+    module docstring), gamma_d is (-1)^R / (D_n D_m) times the x^d coefficient
+    of a(x) b(x) / ((1-x)^{2R} (1+x)^{2S}).  The truncated product a b is
+    divided by each factor 1 -+ x in turn, one running sum per factor.
 
     gamma_0 always equals tau(n+1)/tau(n); that identity is asserted as a
     construction guard.
@@ -72,10 +101,19 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     for site in (n, n + 1, m, m + 1):
         if tau.value(site) == 0:
             raise SingularTau(site)
-    prod = wave_p(params, n).value * wave_p(params, m).value.inverse_var()
-    shifted = type(prod)(prod.num.shift_exp(m - n), prod.den)
-    seg: SeriesSegment = series_at_zero(shifted, J + 1)
-    gammas = tuple(seg.coefficient(d) for d in range(J + 1))
+    count = J + 1
+    a, dn = _site_numerator(params, n)
+    b, dm = _site_numerator(params, m)
+    b = b[::-1]
+    series = [0] * count
+    for p, ap in enumerate(a[:count]):
+        for q, bq in enumerate(b[:count - p]):
+            series[p + q] += ap * bq
+    for sign in (1,) * (2 * params.R) + (-1,) * (2 * params.S):
+        for d in range(1, count):       # divide by 1 - sign x
+            series[d] += sign * series[d - 1]
+    scale = -dn * dm if params.R % 2 else dn * dm
+    gammas = tuple(Fraction(c, scale) for c in series)
     if gammas[0] != tau.ratio(n + 1, n):
         raise InternalInconsistency(
             f"gamma_0 = {gammas[0]} != tau({n+1})/tau({n})")
@@ -177,10 +215,6 @@ class KernelFormula:
         )
 
 
-def _frac_text(c: Fraction) -> str:
-    return str(c)
-
-
 def _poly_text(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -190,10 +224,10 @@ def _poly_text(p: Poly) -> str:
             continue
         mag = abs(c)
         if d == 0:
-            body = _frac_text(mag)
+            body = str(mag)
         else:
             var = "t" if d == 1 else f"t^{d}"
-            body = var if mag == 1 else f"{_frac_text(mag)} {var}"
+            body = var if mag == 1 else f"{mag} {var}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -241,12 +275,32 @@ def _check_degrees(terms: dict, T: int):
                 f"beta_{j} has degree {p.degree} above the bound {bound}")
 
 
+@lru_cache(maxsize=1024)
+def _tail(first: int, i: int, T: int) -> tuple:
+    """The resummed tail attached to x^{-(first+2i)}, as (order, Poly in t)
+    pairs, for first = k + eps.
+
+    Its node grid {first + 2l : l < T} and its start order first + 2i - 1
+    depend on k + eps only, so every site pair with the same offset shares
+    it, and the eps = 2 branch at offset k is the eps = 1 branch at k + 1.
+    """
+    q = node_poly(first - 1, 1, i, T).poly
+    return tuple(tail_resum(q, first + 2 * i - 1, arg="2t").terms.items())
+
+
 def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
     """Exact closed form of the fundamental solution at sites (n, m).
 
     For n - m < 0 the kernel is assembled at the swapped pair and carried
-    back by the tau-ratio symmetry.
+    back by the tau-ratio symmetry.  Kernels are memoised; each call returns
+    its own terms and provenance dicts, so a caller cannot change the memo.
     """
+    f = _assemble(params, n, m)
+    return replace(f, terms=dict(f.terms), provenance=dict(f.provenance))
+
+
+@lru_cache(maxsize=1024)
+def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     if n - m < 0:
         return symmetry_transport(params, n, m, assemble_kernel(params, m, n))
     tau = ensure_regular(params)
@@ -259,24 +313,21 @@ def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
     if T == 0:
         terms = {k: Poly(T_VAR, [prefactor * tau.ratio(n + 1, n)])}
         return KernelFormula(params=params, n=n, m=m, terms=terms,
-                             provenance={"T": 0, "eps": [], "J": 0})
+                             provenance={"T": 0, "eps": (), "J": 0})
     J = k + 2 * T + 2
     gs = gamma_series(params, n, m, J)
     raw: dict[int, Poly] = {k: Poly.const(T_VAR, gs.gamma(0))}
     for eps in (1, 2):
         for i in range(T):
-            d = eps + 2 * i
-            q = node_poly(k, eps, i, T)
-            combo = tail_resum(q.poly, k + d - 1, arg="2t")
-            g = gs.gamma(d)
+            g = gs.gamma(eps + 2 * i)
             if not g:
                 continue
-            for j, p in combo.terms.items():
+            for j, p in _tail(k + eps, i, T):
                 raw[j] = raw.get(j, Poly(T_VAR)) + p.scale(g)
     terms = {j: p.scale(prefactor) for j, p in raw.items() if not p.is_zero()}
     _check_degrees(terms, T)
     return KernelFormula(params=params, n=n, m=m, terms=terms,
-                         provenance={"T": T, "eps": [1, 2], "J": J})
+                         provenance={"T": T, "eps": (1, 2), "J": J})
 
 
 def symmetry_transport(params: ParamVector, n: int, m: int,
@@ -320,41 +371,27 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _basis_reps(max_order: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
-    """I_j(2t) = A_j(t) I_0(2t) + B_j(t) I_1(2t) with Laurent-in-t coefficients.
-
-    Downward three-term relation: I_{j+1}(2t) = I_{j-1}(2t) - (j/t) I_j(2t).
-    """
-    one = LaurentPoly.const(1, T_VAR)
-    zero = LaurentPoly(T_VAR)
-    reps = [(one, zero), (zero, one)]
-    for j in range(1, max_order):
-        aj, bj = reps[j]
-        am, bm = reps[j - 1]
-        inv_t = LaurentPoly.term(-1, j, T_VAR)
-        reps.append((am - inv_t * aj, bm - inv_t * bj))
-    return reps[: max_order + 1]
-
-
 def combo_to_basis(terms: dict) -> tuple[LaurentPoly, LaurentPoly]:
     """Collapse {order j -> coefficient in t} onto (I_0(2t), I_1(2t)).
 
     Coefficients may be Poly or LaurentPoly in t; the result is the exact
-    pair of Laurent polynomials multiplying the basis functions.
+    pair of Laurent polynomials multiplying the basis functions.  Orders are
+    folded by I_{-j} = I_j, then removed from the top down with the
+    three-term relation I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t).
     """
-    if not terms:
-        z = LaurentPoly(T_VAR)
-        return z, z
-    reps = _basis_reps(max(abs(j) for j in terms))
-    A = LaurentPoly(T_VAR)
-    B = LaurentPoly(T_VAR)
+    rows: dict[int, dict[int, Fraction]] = {}
     for j, p in terms.items():
-        if isinstance(p, Poly):
-            p = LaurentPoly(T_VAR, dict(enumerate(p.coeffs)))
-        aj, bj = reps[abs(j)]
-        A = A + p * aj
-        B = B + p * bj
-    return A, B
+        row = rows.setdefault(abs(j), {})
+        for e, c in (enumerate(p.coeffs) if isinstance(p, Poly) else p.terms.items()):
+            row[e] = row.get(e, 0) + c
+    for j in range(max(rows, default=0), 1, -1):
+        row = rows.pop(j, {})
+        lower = rows.setdefault(j - 2, {})
+        mid = rows.setdefault(j - 1, {})
+        for e, c in row.items():
+            lower[e] = lower.get(e, 0) + c
+            mid[e - 1] = mid.get(e - 1, 0) - (j - 1) * c
+    return LaurentPoly(T_VAR, rows.get(0)), LaurentPoly(T_VAR, rows.get(1))
 
 
 def decomposition_residual(k: int, T: int, t: float,
@@ -371,13 +408,9 @@ def decomposition_residual(k: int, T: int, t: float,
         raise ValueError("decomposition needs T >= 1")
     row = bessel_row(2.0 * t, terms + 2 * T + abs(k) + 4)
     tq = Fraction(t)
-    combos = {}
-    for eps in (1, 2):
-        for i in range(T):
-            q = node_poly(k, eps, i, T)
-            combo = tail_resum(q.poly, k + eps + 2 * i - 1, arg="2t")
-            combos[(eps, i)] = sum(
-                float(p.subs(tq)) * row.unscaled(j) for j, p in combo.terms.items())
+    tails = {eps + 2 * i: sum(float(p.subs(tq)) * row.unscaled(j)
+                              for j, p in _tail(k + eps, i, T))
+             for eps in (1, 2) for i in range(T)}
     worst = 0.0
     for theta in thetas:
         x = complex(math.cos(theta), math.sin(theta))
@@ -392,9 +425,8 @@ def decomposition_residual(k: int, T: int, t: float,
                 node = k + eps + 2 * i
                 bracket -= float(node_poly(k, eps, i, T).poly.subs(Fraction(j))) * x ** (-node)
             total += row.unscaled(j) * bracket
-        for eps in (1, 2):
-            for i in range(T):
-                total += combos[(eps, i)] * x ** (-(k + eps + 2 * i))
+        for d, value in tails.items():
+            total += value * x ** (-(k + d))
         target = complex(math.e) ** (t * (x + 1 / x))
         worst = max(worst, abs(total - target))
     return worst
@@ -426,14 +458,13 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     um = assemble_kernel(params, n - 1, m)
     c0 = L.coeff_at(0, n)
     cm = L.coeff_at(-1, n)
-    res: dict[int, LaurentPoly] = {}
+    res: dict[int, Poly] = {}
 
     def add(j: int, p: Poly, scale: Fraction = Fraction(1)):
         if p.is_zero() or not scale:
             return
-        lp = LaurentPoly(T_VAR, dict(enumerate(p.coeffs))) * scale
         jj = abs(j)
-        res[jj] = res.get(jj, LaurentPoly(T_VAR)) + lp
+        res[jj] = res.get(jj, Poly(T_VAR)) + (p if scale == 1 else p.scale(scale))
 
     for j, p in f.terms.items():
         add(j, p.derivative() - 2 * p)          # (e^{-2t} beta_j)' part

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
+from operator import index
 
 from .exactcore import (
     LaurentPoly,
@@ -34,6 +35,7 @@ from .exactcore import (
     RationalFunc,
     ZeroDenominator,
     eval_int,
+    integer_coeffs,
     primitive_coeffs,
     rat,
 )
@@ -174,11 +176,9 @@ def _columns(params: ParamVector) -> tuple:
         for j in range(1, count + 1):
             f = schur_component(eps, 2 * j - 1, params).poly.shift(j - 1)
             df = schur_component(eps, 2 * j - 2, params).poly.shift(j - 1)
-            scale = lcm(*(c.denominator for c in f.coeffs + df.coeffs))
-            out.append((eps == -1,
-                        tuple(c.numerator * (scale // c.denominator) for c in f.coeffs),
-                        tuple(c.numerator * (scale // c.denominator) for c in df.coeffs),
-                        scale))
+            ints, scale = integer_coeffs(f.coeffs + df.coeffs)
+            cut = len(f.coeffs)
+            out.append((eps == -1, tuple(ints[:cut]), tuple(ints[cut:]), scale))
     return tuple(out)
 
 
@@ -334,12 +334,17 @@ class TauFunction:
     polyn: Poly
     dpolyn: Poly
 
+    def __post_init__(self):
+        # tau times its least common denominator, for integer Horner at sites
+        object.__setattr__(self, "_scaled", integer_coeffs(self.polyn.coeffs))
+
     @property
     def degree(self) -> int:
         return self.polyn.degree
 
     def value(self, n: int) -> Fraction:
-        return Fraction(self.polyn.subs(Fraction(n)))
+        ints, den = self._scaled
+        return Fraction(eval_int(ints, index(n)), den)
 
     def ratio(self, a: int, b: int) -> Fraction:
         """tau(a)/tau(b); raises SingularTau at a vanishing denominator."""

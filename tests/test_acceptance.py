@@ -41,7 +41,14 @@ from heatkernel.taudarboux import (
     tau_build,
 )
 
-PDE_CONFIGS = [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]
+PDE_CONFIGS = [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3), (4, 4)]
+
+# the higher orders of the PDE grid, with the (2,2) entry's parameters
+PDE_PARAMS = {
+    **PARAMS,
+    (3, 3): ParamVector(3, 3, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)]),
+    (4, 4): ParamVector(4, 4, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)]),
+}
 
 
 def report(number: int, label: str, ok: bool, extra: str = ""):
@@ -141,7 +148,7 @@ def test_criterion_05_pde_certification():
     ok = True
     worst = None
     for key in PDE_CONFIGS:
-        params = PARAMS[key]
+        params = PDE_PARAMS[key]
         for n in range(-3, 4):
             for m in range(-3, 4):
                 rep = pde_residual(assemble_kernel(params, n, m))
@@ -169,7 +176,7 @@ def test_criterion_06_initial_condition():
 def test_criterion_07_degree_bound():
     ok = True
     for key in PDE_CONFIGS:
-        params = PARAMS[key]
+        params = PDE_PARAMS[key]
         T = max(params.R, params.S)
         for n in range(-3, 4):
             for m in range(-3, 4):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     PARAMS,
@@ -9,8 +10,9 @@ from conftest import (
     two_step_gamma,
     two_step_kernel,
 )
+from heatkernel import kernel
 from heatkernel.bessel import bessel_i_series, bessel_row
-from heatkernel.exactcore import LaurentPoly, Poly
+from heatkernel.exactcore import LaurentPoly, Poly, RationalFunc, series_at_zero
 from heatkernel.kernel import (
     InternalInconsistency,
     ZeroNode,
@@ -24,7 +26,13 @@ from heatkernel.kernel import (
     symmetry_transport,
     _check_degrees,
 )
-from heatkernel.taudarboux import ParamVector, SingularTau, tau_build
+from heatkernel.taudarboux import (
+    ParamVector,
+    SingularTau,
+    ensure_regular,
+    tau_build,
+    wave_p,
+)
 
 
 def combos_equal(a: dict, b: dict) -> bool:
@@ -74,6 +82,45 @@ def test_gamma_series_two_step_closed_form():
         gs = gamma_series(params, n, m, 6)
         for j in range(1, 6):
             assert gs.gammas[j] == two_step_gamma(alpha, beta, n, m, j), (n, m, j)
+
+
+def wave_product_gammas(params, n, m, J):
+    """gamma_0..gamma_J through the wave functions: the series at x = 0 of
+    x^{m-n} p_n(x) p_m(1/x), built as a rational function of x."""
+    prod = wave_p(params, n).value * wave_p(params, m).value.inverse_var()
+    seg = series_at_zero(RationalFunc(prod.num.shift_exp(m - n), prod.den), J + 1)
+    return tuple(seg.coefficient(d) for d in range(J + 1))
+
+
+def test_gamma_series_matches_wave_product_series():
+    for key, params in PARAMS.items():
+        T = max(params.R, params.S)
+        if T < 1:
+            continue
+        for m in (-2, 0, 1):
+            for k in range(2 * T + 5):
+                n = m + k
+                J = k + 2 * T + 2
+                got = gamma_series(params, n, m, J).gammas
+                assert got == wave_product_gammas(params, n, m, J), (key, n, m)
+
+
+_rational = st.builds(F, st.integers(-9, 9), st.integers(2, 13))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.lists(_rational, min_size=4, max_size=4),
+       st.integers(-3, 3), st.integers(0, 8))
+def test_gamma_series_matches_wave_product_series_random(R, S, r, m, k):
+    assume(R + S >= 1)
+    params = ParamVector(R, S, r)
+    try:
+        ensure_regular(params)
+    except SingularTau:
+        assume(False)
+    J = k + 2 * max(R, S) + 2
+    got = gamma_series(params, m + k, m, J).gammas
+    assert got == wave_product_gammas(params, m + k, m, J)
 
 
 def test_gamma_series_requires_ordered_sites():
@@ -262,6 +309,33 @@ def test_pde_residual_detects_corruption():
     assert not pde_residual(bad).passed
 
 
+def basis_table(max_order):
+    """(A_j, B_j) with I_j(2t) = A_j I_0(2t) + B_j I_1(2t), built upwards by
+    I_{j+1}(2t) = I_{j-1}(2t) - (j/t) I_j(2t)."""
+    one, zero = LaurentPoly("t", {0: 1}), LaurentPoly("t")
+    reps = [(one, zero), (zero, one)]
+    for j in range(1, max_order):
+        inv_t = LaurentPoly("t", {-1: j})
+        reps.append((reps[j - 1][0] - inv_t * reps[j][0],
+                     reps[j - 1][1] - inv_t * reps[j][1]))
+    return reps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(-9, 9),
+                       st.lists(st.builds(F, st.integers(-20, 20), st.integers(1, 9)),
+                                max_size=5),
+                       max_size=6))
+def test_combo_to_basis_matches_basis_table(combo):
+    terms = {j: Poly("t", cs) for j, cs in combo.items()}
+    reps = basis_table(max([abs(j) for j in terms] + [1]))
+    A, B = LaurentPoly("t"), LaurentPoly("t")
+    for j, p in terms.items():
+        lp = LaurentPoly("t", dict(enumerate(p.coeffs)))
+        A, B = A + lp * reps[abs(j)][0], B + lp * reps[abs(j)][1]
+    assert combo_to_basis(terms) == (A, B)
+
+
 def test_combo_to_basis_recurrence():
     # t I_0(2t) - I_1(2t) - t I_2(2t) == 0
     combo = {0: LaurentPoly("t", {1: 1}), 1: LaurentPoly("t", {0: -1}),
@@ -294,3 +368,27 @@ def test_provenance_recorded():
     assert f.provenance["J"] == 2 + 2 * 1 + 2
     g = assemble_kernel(PARAMS[(1, 1)], 0, 2)
     assert g.provenance.get("transported")
+
+
+def test_memoised_kernel_cannot_be_changed_by_a_caller():
+    params = PARAMS[(2, 1)]
+    for (n, m) in [(2, 0), (0, 2)]:
+        first = assemble_kernel(params, n, m)
+        expect = dict(first.terms)
+        # nested values are immutable, so only the top-level dicts are copied
+        with pytest.raises(AttributeError):
+            first.provenance["eps"].append(3)
+        with pytest.raises(AttributeError):
+            next(iter(first.terms.values())).coeffs = ()
+        first.terms.clear()
+        first.terms[99] = Poly("t", [1])
+        first.provenance["T"] = -1
+        again = assemble_kernel(params, n, m)
+        assert again.terms == expect and 99 not in again.terms, (n, m)
+        assert again.provenance["T"] == 2 and again.provenance["eps"] == (1, 2)
+        assert pde_residual(again).passed
+
+
+def test_kernel_caches_are_bounded():
+    for cache in (kernel._assemble, kernel._tail):
+        assert cache.cache_info().maxsize is not None, cache
