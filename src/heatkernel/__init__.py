@@ -39,9 +39,7 @@ from .exactcore import (
     Rational,
     RationalFunc,
     SeriesSegment,
-    coefficient,
     rat,
-    rat_str,
     series_at_zero,
 )
 from .kernel import (

@@ -130,7 +130,7 @@ def _op_second(p: Poly) -> Poly:
     return Poly(T, [Fraction(0), Fraction(0)] + [c / 4 for c in p.coeffs])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def alpha_table(N: int) -> AlphaTable:
     """Build the resummation polynomials down to depth N (exact, cached)."""
     if N < 0:

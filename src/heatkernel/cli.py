@@ -131,7 +131,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--r", help="comma list of rational parameters r_1,r_2,...")
     p.add_argument("--alpha", help="rational alpha (sets r_1)")
     p.add_argument("--beta", help="rational beta (sets r_2 = -beta/4)")
-    p.add_argument("--window", type=int, default=512, help="tau regularity half-width")
 
 
 def make_parser() -> _Parser:
@@ -174,16 +173,12 @@ def make_parser() -> _Parser:
     v.add_argument("--W", type=int, default=200, help="lattice window half-width")
     v.add_argument("--k", type=int, default=0, help="offset k for decomp mode")
     v.add_argument("--T", type=int, default=1, help="interpolation size for decomp mode")
-    v.add_argument("--seed", type=int, default=0,
-                   help="seed recorded with the report (all modes are deterministic)")
     v.add_argument("--format", choices=["json", "text"], default="text")
     return top
 
 
 def cmd_kernel(args) -> int:
-    params = build_params(args)
-    ensure_regular(params, args.window)
-    formula = assemble_kernel(params, args.n, args.m)
+    formula = assemble_kernel(build_params(args), args.n, args.m)
     if args.format == "text":
         _emit([f"# heatkernel {__version__}", formula.to_text()])
     elif args.format == "latex":
@@ -220,7 +215,7 @@ def cmd_tau(args) -> int:
 
 def cmd_operator(args) -> int:
     params = build_params(args)
-    L = operator_build(params, args.window)
+    L = operator_build(params)
     if args.at is not None:
         lines = ["shift,value"]
         for j in sorted(L.coeffs):
@@ -259,7 +254,7 @@ def cmd_bessel(args) -> int:
 
 def _verify_report(args, passed: bool, detail: dict) -> int:
     if args.format == "json":
-        _emit([json.dumps(dict(detail, mode=args.mode, seed=args.seed,
+        _emit([json.dumps(dict(detail, mode=args.mode,
                                **{"pass": passed}), indent=2, default=str)])
     else:
         lines = [f"# heatkernel {__version__}",
@@ -275,7 +270,6 @@ def cmd_verify(args) -> int:
     ts = _parse_float_list(args.t)
 
     if args.mode == "pde":
-        ensure_regular(params, args.window)
         if args.range is not None:
             pairs = [(n, m) for n in range(-args.range, args.range + 1)
                      for m in range(-args.range, args.range + 1)]
@@ -297,7 +291,7 @@ def cmd_verify(args) -> int:
         half = args.range if args.range is not None else 4
         tol = args.tol if args.tol is not None else 1e-10
         pairs = [(n, m) for n in range(-half, half + 1) for m in range(-half, half + 1)]
-        report = compare_kernel_to_lattice(params, operator_build(params, args.window),
+        report = compare_kernel_to_lattice(params, operator_build(params),
                                            pairs, ts, W=args.W, tolerance=tol)
         detail = {"max_abs": report.max_abs, "max_rel": report.max_rel,
                   "tolerance": report.tolerance, "points": len(report.grid)}
@@ -311,7 +305,7 @@ def cmd_verify(args) -> int:
     if args.mode == "orth":
         size = (args.range if args.range is not None else 5) + 1
         tol = args.tol if args.tol is not None else 1e-10
-        tau = ensure_regular(params, args.window)
+        tau = ensure_regular(params)
         spec = QuadratureSpec(integrand="orthogonality")
 
         def entry(pair):

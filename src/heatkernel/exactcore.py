@@ -56,11 +56,6 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot coerce {type(value).__name__} to Rational")
 
 
-def rat_str(value: Fraction) -> str:
-    """Serialize a rational as 'p/q', or just 'p' when q == 1."""
-    return str(value)
-
-
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
@@ -252,7 +247,7 @@ class Poly:
     __call__ = subs
 
     def to_strings(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __repr__(self):
         if not self.coeffs:
@@ -292,6 +287,55 @@ def eval_int(coeffs: list[int], x: int) -> int:
     for c in reversed(coeffs):
         out = out * x + c
     return out
+
+
+def integer_roots(coeffs: list[int]) -> list[int]:
+    """Sorted distinct integer zeros of a nonzero integer polynomial
+    (coefficients lowest degree first).
+
+    Every real zero lies strictly inside the Cauchy bound
+    B = 1 + max_i ceil(|a_i| / |a_d|).  Between consecutive points of
+    _brackets the polynomial is monotone or the points are adjacent integers,
+    so each integer zero is one of those points.
+    """
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    if not coeffs:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    if len(coeffs) == 1:
+        return []
+    lead = abs(coeffs[-1])
+    bound = 1 + max(-(-abs(c) // lead) for c in coeffs[:-1])
+    return [x for x in _brackets(coeffs, -bound, bound) if eval_int(coeffs, x) == 0]
+
+
+def _brackets(coeffs: list[int], lo: int, hi: int) -> list[int]:
+    """Sorted integers in [lo, hi], lo and hi among them, that include the
+    floor and the ceiling of every real sign change of the polynomial there.
+
+    The points of the derivative split [lo, hi] into stretches on which the
+    polynomial is monotone; a stretch whose ends have opposite signs holds one
+    sign change, found by bisection to integer resolution.
+    """
+    if len(coeffs) < 2:
+        return [lo, hi]
+    points = _brackets([i * c for i, c in enumerate(coeffs)][1:], lo, hi)
+    found = []
+    for a, b in zip(points, points[1:]):
+        sa = eval_int(coeffs, a)
+        if b - a < 2 or sa * eval_int(coeffs, b) >= 0:
+            continue
+        while b - a > 1:
+            mid = (a + b) // 2
+            v = eval_int(coeffs, mid)
+            if not v:
+                a = b = mid
+            elif (v > 0) == (sa > 0):
+                a = mid
+            else:
+                b = mid
+        found += [a, b]
+    return sorted(set(points + found))
 
 
 def _divides(g: list[int], a: list[int]) -> bool:
@@ -745,19 +789,6 @@ def series_at_zero(f: RationalFunc, count: int) -> SeriesSegment:
             acc -= ddense[i] * out[k - i]
         out.append(acc / d0)
     return SeriesSegment(nlo, out)
-
-
-def coefficient(f, k: int) -> Fraction:
-    """Coefficient of x**k; works on both series segments and Laurent polynomials.
-
-    For a SeriesSegment the index must lie below the certified truncation.
-    coefficient(f, -1) is the residue of f dx at the origin.
-    """
-    if isinstance(f, SeriesSegment):
-        return f.coefficient(k)
-    if isinstance(f, LaurentPoly):
-        return f.coeff(k)
-    raise TypeError(f"no coefficients in {type(f).__name__}")
 
 
 class PolyFraction:

@@ -93,14 +93,11 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     divided by each factor 1 -+ x in turn, one running sum per factor.
 
     gamma_0 always equals tau(n+1)/tau(n); that identity is asserted as a
-    construction guard.
+    construction guard.  Raises SingularTau for inadmissible parameters.
     """
     if n - m < 0:
         raise ValueError("gamma_series expects n - m >= 0; transport the kernel instead")
     tau = ensure_regular(params)
-    for site in (n, n + 1, m, m + 1):
-        if tau.value(site) == 0:
-            raise SingularTau(site)
     count = J + 1
     a, dn = _site_numerator(params, n)
     b, dm = _site_numerator(params, m)
@@ -303,21 +300,14 @@ def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
 def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     if n - m < 0:
         return symmetry_transport(params, n, m, assemble_kernel(params, m, n))
-    tau = ensure_regular(params)
-    for site in (n, n + 1, m, m + 1):
-        if tau.value(site) == 0:
-            raise SingularTau(site)
     k = n - m
     T = max(params.R, params.S)
-    prefactor = tau.ratio(m, m + 1)
-    if T == 0:
-        terms = {k: Poly(T_VAR, [prefactor * tau.ratio(n + 1, n)])}
-        return KernelFormula(params=params, n=n, m=m, terms=terms,
-                             provenance={"T": 0, "eps": (), "J": 0})
-    J = k + 2 * T + 2
-    gs = gamma_series(params, n, m, J)
+    eps_branches = (1, 2) if T else ()
+    J = k + 2 * T + 2 if T else 0
+    gs = gamma_series(params, n, m, J)      # decides admissibility
+    prefactor = tau_build(params).ratio(m, m + 1)
     raw: dict[int, Poly] = {k: Poly.const(T_VAR, gs.gamma(0))}
-    for eps in (1, 2):
+    for eps in eps_branches:
         for i in range(T):
             g = gs.gamma(eps + 2 * i)
             if not g:
@@ -327,7 +317,7 @@ def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     terms = {j: p.scale(prefactor) for j, p in raw.items() if not p.is_zero()}
     _check_degrees(terms, T)
     return KernelFormula(params=params, n=n, m=m, terms=terms,
-                         provenance={"T": T, "eps": (1, 2), "J": J})
+                         provenance={"T": T, "eps": eps_branches, "J": J})
 
 
 def symmetry_transport(params: ParamVector, n: int, m: int,

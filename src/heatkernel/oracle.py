@@ -80,16 +80,6 @@ def boundary_influence(W: int, m: int, t: float) -> float:
     return row.scaled(k) * math.exp(2.0 * t)
 
 
-_PROPAGATORS: dict = {}
-
-
-def _propagator(L: BandOperator, W: int, t: float) -> np.ndarray:
-    key = (repr(sorted(L.to_json()["coeffs"], key=str)), W, float(t))
-    if key not in _PROPAGATORS:
-        _PROPAGATORS[key] = expm(t * lattice_window(L, W).matrix)
-    return _PROPAGATORS[key]
-
-
 def lattice_evolve(L: BandOperator, W: int, m: int, t: float,
                    tail_tol: float = 1e-11) -> dict:
     """exp(t L_W) delta_m on the window, with the boundary-influence bound.
@@ -108,7 +98,7 @@ def lattice_evolve(L: BandOperator, W: int, m: int, t: float,
     bound = boundary_influence(W, m, t)
     if bound > tail_tol:
         raise WindowTooSmall(f"tail bound {bound:.3e} exceeds {tail_tol:.1e}")
-    P = _propagator(L, W, t)
+    P = expm(t * lattice_window(L, W).matrix)
     return {
         "sites": list(range(-W, W + 1)),
         "values": P[:, m + W].copy(),
@@ -277,7 +267,7 @@ def compare_kernel_to_lattice(params: ParamVector, operator: BandOperator,
     for (n, m) in pairs:
         formulas[(n, m)] = assemble_kernel(params, n, m)
     for t in ts:
-        P = _propagator(operator, W, float(t))
+        P = expm(float(t) * lattice_window(operator, W).matrix)
         for (n, m) in pairs:
             grid.append((n, m, float(t)))
             closed.append(kernel_eval(formulas[(n, m)], float(t)))

@@ -22,7 +22,7 @@ vanish, up to a degree bound read off the entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -36,14 +36,11 @@ from .exactcore import (
     ZeroDenominator,
     eval_int,
     integer_coeffs,
-    primitive_coeffs,
+    integer_roots,
     rat,
 )
 
 N = "n"
-
-#: default half-width of the tau regularity window
-REG_WINDOW = 512
 
 
 class SingularTau(ArithmeticError):
@@ -90,14 +87,8 @@ class ParamVector:
     def order(self) -> int:
         return self.R + self.S
 
-    def is_validated(self, window: int = REG_WINDOW) -> bool:
-        return _VALIDATED.get(self) is not None and _VALIDATED[self] >= window
-
     def r_strings(self) -> list[str]:
         return [str(v) for v in self.r]
-
-
-_VALIDATED: dict[ParamVector, int] = {}
 
 
 @dataclass(frozen=True)
@@ -328,15 +319,22 @@ def _interpolate(xs: list[int], ys: list[Fraction]) -> Poly:
 @dataclass(frozen=True)
 class TauFunction:
     """The Wronskian tau, pure polynomial in n after character cancellation;
-    `dpolyn` is its derivative in r_1 (the other r_i held fixed)."""
+    `dpolyn` is its derivative in r_1 (the other r_i held fixed).
+
+    `zeros` are the integer sites where tau vanishes, ascending, found exactly
+    once from tau times its least common denominator (also used for integer
+    Horner at sites).  The parameters are admissible iff it is empty.
+    """
 
     params: ParamVector
     polyn: Poly
     dpolyn: Poly
+    zeros: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # tau times its least common denominator, for integer Horner at sites
-        object.__setattr__(self, "_scaled", integer_coeffs(self.polyn.coeffs))
+        scaled = integer_coeffs(self.polyn.coeffs)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "zeros", tuple(integer_roots(scaled[0])))
 
     @property
     def degree(self) -> int:
@@ -354,7 +352,7 @@ class TauFunction:
         return self.value(a) / vb
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def tau_build(params: ParamVector) -> TauFunction:
     """Discrete Wronskian of (phi_1..phi_R, psi_1..psi_S), normalized.
 
@@ -381,21 +379,16 @@ def tau_build(params: ParamVector) -> TauFunction:
     )
 
 
-def ensure_regular(params: ParamVector, window: int = REG_WINDOW) -> TauFunction:
-    """Validate tau(n) != 0 for every integer |n| <= window.
+def ensure_regular(params: ParamVector) -> TauFunction:
+    """tau for admissible parameters: tau(n) != 0 at every integer n, so the
+    operator exists on all of Z.
 
-    The admissible parameter region has no closed description; this window
-    check is the pragmatic substitute.  The scan runs over tau's primitive
-    integer form.  Successful validation is recorded on the parameter vector.
+    The verdict is exact (TauFunction.zeros) and cached with tau; otherwise
+    SingularTau names the smallest integer zero.
     """
     tau = tau_build(params)
-    if params.is_validated(window):
-        return tau
-    coeffs = primitive_coeffs(tau.polyn)
-    for n in range(-window, window + 1):
-        if eval_int(coeffs, n) == 0:
-            raise SingularTau(n)
-    _VALIDATED[params] = max(window, _VALIDATED.get(params, 0))
+    if tau.zeros:
+        raise SingularTau(tau.zeros[0])
     return tau
 
 
@@ -535,8 +528,8 @@ def free_operator() -> BandOperator:
     return BandOperator({1: 1, 0: -2, -1: 1})
 
 
-@lru_cache(maxsize=None)
-def operator_build(params: ParamVector, window: int = REG_WINDOW) -> BandOperator:
+@lru_cache(maxsize=256)
+def operator_build(params: ParamVector) -> BandOperator:
     """The tridiagonal operator carried by tau:
 
     Lambda + (-2 + d/dr1 log(tau(n+1)/tau(n))) Id
@@ -544,7 +537,7 @@ def operator_build(params: ParamVector, window: int = REG_WINDOW) -> BandOperato
 
     d/dr1 tau is TauFunction.dpolyn.
     """
-    tau = ensure_regular(params, window)
+    tau = ensure_regular(params)
     t0, d0 = tau.polyn, tau.dpolyn
     t_plus, d_plus = t0.shift(1), d0.shift(1)
     t_minus = t0.shift(-1)
@@ -563,14 +556,14 @@ def _interpolated_coeffs(params: ParamVector, starred: bool) -> list[PolyFractio
             for i in range(params.order + 1)]
 
 
-def qp_build(params: ParamVector, window: int = REG_WINDOW) -> tuple[BandOperator, BandOperator]:
+def qp_build(params: ParamVector) -> tuple[BandOperator, BandOperator]:
     """The order R+S forward-difference factors Q and P.
 
     Q comes from the Wronskian ratio with one extra column, P as the formal
     adjoint of the starred ratio P*.  Their composition satisfies
     P Q = (Lambda - Id)^{2R} (Lambda + Id)^{2S} identically in n.
     """
-    ensure_regular(params, window)
+    ensure_regular(params)
     factors = []
     for starred, step in ((False, BandOperator({1: 1, 0: -1})),
                           (True, BandOperator({-1: 1, 0: -1}))):
@@ -610,46 +603,46 @@ def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> RationalFu
     return RationalFunc(num.shift_exp(exp), _denominator_x(params.R, params.S))
 
 
-def wave_p(params: ParamVector, n: int, window: int = REG_WINDOW) -> WaveFunction:
+def wave_p(params: ParamVector, n: int) -> WaveFunction:
     """p_n(x): Q applied to the sequence k -> x^k, taken at k = n, divided by
     (x-1)^R (x+1)^S.
 
     Delta^i acts on x-powers as multiplication by (x-1)^i, so the numerator
     is x^n sum_i c_i(n) (x-1)^i with the cached Q coefficients.
     """
-    ensure_regular(params, window)
+    ensure_regular(params)
     return WaveFunction(site=n, value=_wave(params, n, False, n))
 
 
-def wave_p_star(params: ParamVector, n: int, window: int = REG_WINDOW) -> WaveFunction:
+def wave_p_star(params: ParamVector, n: int) -> WaveFunction:
     """p*_n(x) through the duality route: (tau(n-1)/tau(n)) x^{-1} p_{n-1}(1/x)."""
-    tau = ensure_regular(params, window)
+    tau = ensure_regular(params)
     factor = tau.ratio(n - 1, n)
-    p = wave_p(params, n - 1, window).value
+    p = wave_p(params, n - 1).value
     value = p.inverse_var() * factor
     value = RationalFunc(value.num.shift_exp(-1), value.den)
     return WaveFunction(site=n, value=value)
 
 
-def wave_p_star_via_adjoint(params: ParamVector, n: int, window: int = REG_WINDOW) -> WaveFunction:
+def wave_p_star_via_adjoint(params: ParamVector, n: int) -> WaveFunction:
     """p*_n(x) built independently from the starred Wronskian ratio P*.
 
     P*, with coefficients frozen at site n-1, is applied formally to x^{-n}:
     (Delta*)^i acts on inverse powers as multiplication by (x-1)^i.
     """
-    ensure_regular(params, window)
+    ensure_regular(params)
     return WaveFunction(site=n, value=_wave(params, n - 1, True, -n))
 
 
-def darboux_one_step(delta, window: int = REG_WINDOW) -> BandOperator:
+def darboux_one_step(delta) -> BandOperator:
     """One explicit Darboux step from the free operator, with tau_n = n + delta.
 
     Returns Q0 P0 for P0 = Id - (tau_{n-1}/tau_n) Lambda^{-1} and
     Q0 = Lambda - (tau_{n+1}/tau_n) Id; must agree with the tau route at
-    R = 1, S = 0, r_1 = delta.
+    R = 1, S = 0, r_1 = delta.  An integer delta is always singular.
     """
     delta = rat(delta)
-    if delta.denominator == 1 and abs(delta.numerator) <= window:
+    if delta.denominator == 1:
         raise SingularTau(int(-delta), "delta places a tau zero on the lattice")
     tau_n = Poly(N, [delta, 1])
     p0 = BandOperator({0: 1, -1: -PolyFraction(tau_n.shift(-1), tau_n)})

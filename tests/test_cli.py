@@ -138,16 +138,21 @@ def test_singular_exit_code(capsys):
     assert code == 2
 
 
-def test_window_flag_honoured_by_kernel_and_pde(capsys):
-    # tau = n + 600 vanishes at n = -600: outside the default window, inside 700
-    flags = ["--R", "1", "--S", "0", "--r", "600", "--window", "700"]
+def test_far_tau_zero_rejected_by_every_subcommand(capsys):
+    # tau = n + 600 vanishes at n = -600, however far from the sites asked for
+    flags = ["--R", "1", "--S", "0", "--r", "600"]
     for argv in (["kernel", *flags, "--n", "0", "--m", "0"],
-                 ["verify", "--mode", "pde", *flags]):
-        assert main(argv) == 2
-        assert "n = -600" in capsys.readouterr().err
-    code, _ = run_cli(capsys, ["kernel", "--R", "1", "--S", "0", "--r", "600",
-                               "--n", "0", "--m", "0"])
-    assert code == 0
+                 ["operator", *flags],
+                 *(["verify", "--mode", mode, *flags] for mode in ("pde", "orth", "oracle"))):
+        assert main(argv) == 2, argv
+        assert "tau vanishes at n = -600" in capsys.readouterr().err, argv
+    # the removed window and seed options are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", *flags, "--n", "0", "--m", "0", "--window", "700"])
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--mode", "identities", "--seed", "3"])
+    assert exc.value.code == 64
 
 
 def test_usage_exit_codes():

@@ -17,11 +17,11 @@ from heatkernel.exactcore import (
     VariableMismatch,
     ZERO_DEGREE,
     ZeroDenominator,
-    coefficient,
+    eval_int,
+    integer_roots,
     poly_gcd,
     poly_gcd_euclid,
     rat,
-    rat_str,
     series_at_zero,
 )
 
@@ -29,8 +29,8 @@ from heatkernel.exactcore import (
 def test_rational_string_round_trip():
     assert rat("3/4") == F(3, 4)
     assert rat("-7") == F(-7)
-    assert rat_str(F(3, 4)) == "3/4"
-    assert rat_str(F(5)) == "5"
+    assert str(rat("3/4")) == "3/4"
+    assert str(rat("5")) == "5"
     with pytest.raises(ValueError):
         rat("0.5")
 
@@ -173,16 +173,16 @@ def test_series_of_wave_product_against_sampled_reconstruction():
 
 def test_coefficient_access():
     f = LaurentPoly("x", {-1: 1, 0: 2})
-    assert coefficient(f, -1) == 1
-    assert coefficient(f, 5) == 0
+    assert f.coeff(-1) == 1
+    assert f.coeff(5) == 0
     g = (LaurentPoly("x", {0: 1, 1: 1})) ** 2
-    assert coefficient(g, 1) == 2
+    assert g.coeff(1) == 2
     seg = series_at_zero(
         RationalFunc(LaurentPoly.const(1), LaurentPoly("x", {1: 1, 2: -1})), 5)
-    assert coefficient(seg, -1) == 1          # residue of a simple pole
-    assert coefficient(seg, -3) == 0          # certified zero below the order
+    assert seg.coefficient(-1) == 1           # residue of a simple pole
+    assert seg.coefficient(-3) == 0           # certified zero below the order
     with pytest.raises(OutOfRange):
-        coefficient(seg, 10)
+        seg.coefficient(10)
 
 
 def test_round_trip_laurent_series():
@@ -197,7 +197,7 @@ def test_residue_linearity():
     for _ in range(20):
         f = LaurentPoly("x", {rng.randint(-4, 4): F(rng.randint(-5, 5)) for _ in range(4)})
         g = LaurentPoly("x", {rng.randint(-4, 4): F(rng.randint(-5, 5)) for _ in range(4)})
-        assert coefficient(f + g, -1) == coefficient(f, -1) + coefficient(g, -1)
+        assert (f + g).coeff(-1) == f.coeff(-1) + g.coeff(-1)
 
 
 def test_rational_func_normalization():
@@ -242,3 +242,43 @@ def test_poly_fraction_basics():
 
 def test_series_segment_equality():
     assert SeriesSegment(0, [1, 2]) == SeriesSegment(0, [F(1), F(2)])
+
+
+def _planted(roots, extra=(1,)):
+    """Integer coefficients of extra(x) prod (x - root), lowest degree first."""
+    out = list(extra)
+    for root in roots:
+        out = [a - root * b for a, b in zip([0, *out], [*out, 0])]
+    return out
+
+
+def test_integer_roots_planted():
+    big = 10 ** 12 + 7
+    cases = [
+        ([], [1, 0, 1], []),                     # x^2 + 1: no real zero
+        ([], [-1, 2], []),                       # 2x - 1: zero off the lattice
+        ([0], [2, 0, 1], [0]),
+        ([3, 3], (1,), [3]),                     # tangent double zero
+        ([3, 3, -5], (1,), [-5, 3]),
+        ([-1, -1, -1, 2, 2], (3,), [-1, 2]),
+        ([7, -7, 2, -2], (1,), [-7, -2, 2, 7]),  # +- pairs, even polynomial
+        ([big, -2], (1,), [-2, big]),
+        ([-big], [5, -3, 2], [-big]),
+        ([], (5,), []),                          # degree 0
+    ]
+    for roots, extra, expect in cases:
+        coeffs = _planted(roots, extra)
+        assert integer_roots(coeffs) == expect, (roots, extra)
+        assert integer_roots([-c for c in coeffs] + [0]) == expect  # sign, zero lead
+    with pytest.raises(ValueError):
+        integer_roots([0, 0])
+
+
+def test_integer_roots_match_scan():
+    rng = random.Random(SEED + 2)
+    for _ in range(300):
+        roots = [rng.randint(-12, 12) for _ in range(rng.randint(0, 5))]
+        extra = rng.choice([(1,), (-2,), (3, 0, 1), (1, -1, 4), (-1, 3)])
+        coeffs = _planted(roots, extra)
+        scan = [x for x in range(-40, 41) if eval_int(coeffs, x) == 0]
+        assert integer_roots(coeffs) == scan, coeffs

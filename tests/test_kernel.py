@@ -10,8 +10,8 @@ from conftest import (
     two_step_gamma,
     two_step_kernel,
 )
-from heatkernel import kernel
-from heatkernel.bessel import bessel_i_series, bessel_row
+from heatkernel import kernel, taudarboux
+from heatkernel.bessel import alpha_table, bessel_i_series, bessel_row
 from heatkernel.exactcore import LaurentPoly, Poly, RationalFunc, series_at_zero
 from heatkernel.kernel import (
     InternalInconsistency,
@@ -30,6 +30,7 @@ from heatkernel.taudarboux import (
     ParamVector,
     SingularTau,
     ensure_regular,
+    operator_build,
     tau_build,
     wave_p,
 )
@@ -390,5 +391,6 @@ def test_memoised_kernel_cannot_be_changed_by_a_caller():
 
 
 def test_kernel_caches_are_bounded():
-    for cache in (kernel._assemble, kernel._tail):
+    for cache in (kernel._assemble, kernel._tail, tau_build, operator_build, alpha_table,
+                  taudarboux._columns, taudarboux._delta_coeffs):
         assert cache.cache_info().maxsize is not None, cache

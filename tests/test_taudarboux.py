@@ -2,9 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import PARAMS, SEED, two_step_tau, two_step_wave
-from heatkernel.exactcore import LaurentPoly, Poly, PolyFraction, RationalFunc
+from heatkernel.exactcore import (
+    LaurentPoly,
+    Poly,
+    PolyFraction,
+    RationalFunc,
+    eval_int,
+    integer_coeffs,
+)
 from heatkernel.taudarboux import (
     BandOperator,
     ParamVector,
@@ -28,9 +36,11 @@ def test_param_vector_padding_and_validation():
     pv2 = ParamVector.from_alpha_beta(1, 1, F(1, 4), 1)
     assert pv2.r[0] == F(1, 4) and pv2.r[1] == F(-1, 4)
     fresh = ParamVector(1, 0, [F(13, 37)])
-    assert not fresh.is_validated()
-    ensure_regular(fresh)
-    assert fresh.is_validated()
+    assert ensure_regular(fresh) is tau_build(fresh)
+    far = ParamVector(1, 0, [600])
+    with pytest.raises(SingularTau) as err:
+        ensure_regular(far)
+    assert err.value.site == -600 and tau_build(far).zeros == (-600,)
 
 
 def test_schur_component_constant():
@@ -116,6 +126,39 @@ def test_tau_degenerate_parameters_flagged():
     with pytest.raises(SingularTau) as err:
         ensure_regular(ParamVector.from_alpha_beta(1, 1, 0, 0))
     assert err.value.site in (-1, 0)
+
+
+def _root_bound(ints: list[int]) -> int:
+    """2 max_i ceil(|a_{d-i} / a_d|^{1/i}) >= |z| for every complex zero z:
+    a bound independent of the Cauchy bound that integer_roots uses."""
+    d, lead = len(ints) - 1, abs(ints[-1])
+    best = 0
+    for i in range(1, d + 1):
+        x = 0
+        while x ** i * lead < abs(ints[d - i]):
+            x += 1
+        best = max(best, x)
+    return 2 * best
+
+
+_small_r = st.one_of(st.integers(-4, 4).map(F), st.builds(F, st.integers(-9, 9), st.integers(2, 5)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.lists(_small_r, min_size=1, max_size=4))
+def test_ensure_regular_matches_scan(R, S, r):
+    params = ParamVector(R, S, r)
+    tau = tau_build(params)
+    ints, _ = integer_coeffs(tau.polyn.coeffs)
+    bound = _root_bound(ints)
+    zeros = [n for n in range(-bound, bound + 1) if eval_int(ints, n) == 0]
+    assert tau.zeros == tuple(zeros)
+    if zeros:
+        with pytest.raises(SingularTau) as err:
+            ensure_regular(params)
+        assert err.value.site == zeros[0]
+    else:
+        assert ensure_regular(params) is tau
 
 
 def test_tau_degree_matches_interpolation():
