@@ -6,7 +6,8 @@ the symbolic pipeline stays exact end to end.  Identical invocations produce
 byte-identical output (text output carries one version header line).
 
 Exit codes: 0 success, 1 failed verification, 2 singular tau,
-3 internal-inconsistency guard, 64 usage error.
+3 internal-inconsistency guard, 64 usage error (also a lattice window --W
+too small for the sites and times asked of `verify --mode oracle`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .kernel import (
 )
 from .oracle import (
     QuadratureSpec,
+    WindowTooSmall,
     circle_quadrature,
     compare_kernel_to_lattice,
 )
@@ -375,7 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, WindowTooSmall) as exc:
         print(f"heatkernel: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SingularTau as exc:

@@ -289,6 +289,16 @@ def eval_int(coeffs: list[int], x: int) -> int:
     return out
 
 
+def eval_homogeneous(coeffs: list[int], x: int, y: int) -> int:
+    """y^d p(x/y) for p given by its integer coefficients (lowest degree
+    first), d = len(coeffs) - 1: Horner evaluation of the homogenised form."""
+    out, w = 0, 1
+    for c in reversed(coeffs):
+        out = out * x + c * w
+        w *= y
+    return out
+
+
 def integer_roots(coeffs: list[int]) -> list[int]:
     """Sorted distinct integer zeros of a nonzero integer polynomial
     (coefficients lowest degree first).
@@ -795,10 +805,11 @@ class PolyFraction:
     """Rational function of a polynomial variable (e.g. the lattice site n).
 
     Stored as num/den with Fraction coefficients, reduced by the monic gcd,
-    denominator monic.
+    denominator monic.  The integer-scaled coefficients that `subs` evaluates
+    are computed on first use.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_ints")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if _is_scalar(num):
@@ -907,11 +918,29 @@ class PolyFraction:
         """Substitute var -> var + a."""
         return PolyFraction(self.num.shift(a), self.den.shift(a))
 
+    def _integer_parts(self) -> tuple:
+        try:
+            return self._ints
+        except AttributeError:
+            ints = (integer_coeffs(self.num.coeffs), integer_coeffs(self.den.coeffs))
+            object.__setattr__(self, "_ints", ints)
+            return ints
+
     def subs(self, value: Fraction) -> Fraction:
-        d = self.den.subs(Fraction(value))
-        if d == 0:
+        """Exact value at a rational point, by integer Horner.
+
+        With num = a(var)/A and den = b(var)/B for integer polynomials a, b
+        and value = x/y, num/den = a^h(x, y) B y^deg(b) / (b^h(x, y) A
+        y^deg(a)), where p^h(x, y) = y^deg(p) p(x/y).
+        """
+        value = Fraction(value)
+        x, y = value.numerator, value.denominator
+        (a, A), (b, B) = self._integer_parts()
+        bottom = eval_homogeneous(b, x, y)
+        if bottom == 0:
             raise ZeroDenominator(f"pole at {self.var} = {value}")
-        return self.num.subs(Fraction(value)) / d
+        top = eval_homogeneous(a, x, y) * B * y ** (len(b) - 1)
+        return Fraction(top, bottom * A * y ** max(len(a) - 1, 0))
 
     __call__ = subs
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import bessel_row, tail_resum
-from .exactcore import LaurentPoly, Poly, integer_coeffs
+from .exactcore import LaurentPoly, Poly, eval_homogeneous, integer_coeffs
 from .taudarboux import (
     ParamVector,
     SingularTau,
@@ -342,8 +342,12 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
 def kernel_eval(f: KernelFormula, t: float) -> float:
     """Numeric value e^{-2t} sum_j beta_j(t) I_j(2t).
 
-    The Bessel row is evaluated in the scaled form e^{-2t} I_j(2t), so the
-    product never overflows; t = 0 returns the exact delta limit.
+    Each beta_j(t) is exact (integer Horner at t = x/y), rounded once to
+    float; the scaled Bessel values e^{-2t} I_j(2t) come from one vectorised
+    scipy.special.ive call over the kernel's orders, so the product never
+    overflows.  The rounding errors of the Bessel values are independent, so
+    the relative error is about kappa eps for kappa = sum_j |beta_j(t)|
+    e^{-2t} I_j(2t) / |u|.  t = 0 returns the exact delta limit.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -351,9 +355,15 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
         return 1.0 if f.n == f.m else 0.0
     if not f.terms:
         return 0.0
-    tq = Fraction(t)
-    row = bessel_row(2.0 * t, max(f.support))
-    return math.fsum(float(p.subs(tq)) * row.scaled(j) for j, p in f.terms.items())
+    from scipy.special import ive
+
+    x, y = float(t).as_integer_ratio()
+    scaled = ive(list(f.terms), 2.0 * t)
+    parts = []
+    for p, b in zip(f.terms.values(), scaled):
+        ints, den = integer_coeffs(p.coeffs)
+        parts.append(eval_homogeneous(ints, x, y) / (den * y ** p.degree) * float(b))
+    return math.fsum(parts)
 
 
 # ---------------------------------------------------------------------------

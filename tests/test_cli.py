@@ -133,6 +133,17 @@ def test_verify_oracle_small(capsys):
     assert blob["pass"] is True and blob["points"] == 50
 
 
+def test_verify_oracle_window_too_small(capsys):
+    # the free-kernel tail bound at t = 4 from source 2 to the edge of
+    # [-8, 8] is about 44: a usage error naming the window, not a FAIL
+    code = main(["verify", "--mode", "oracle", "--R", "1", "--S", "0", "--r", "1/2",
+                 "--range", "2", "--W", "8", "--t", "4"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert "lattice window [-8, 8] too small" in captured.err
+
+
 def test_singular_exit_code(capsys):
     code, _ = run_cli(capsys, ["operator", "--R", "1", "--S", "0", "--r", "1"])
     assert code == 2

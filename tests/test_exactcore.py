@@ -240,6 +240,42 @@ def test_poly_fraction_basics():
     assert (pf - pf).is_zero()
 
 
+_small_fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(_small_fractions, min_size=1, max_size=6),
+       st.lists(_small_fractions, min_size=1, max_size=6),
+       _small_fractions)
+def test_poly_fraction_subs_matches_fraction_horner(num, den, value):
+    # integer Horner on the scaled parts gives exactly the Fraction Horner value
+    if not any(den):
+        den = [F(1)]
+    pf = PolyFraction(Poly("n", num), Poly("n", den))
+    d = pf.den.subs(value)
+    if d == 0:
+        with pytest.raises(ZeroDenominator):
+            pf.subs(value)
+    else:
+        assert pf.subs(value) == pf.num.subs(value) / d
+    for site in range(-5, 6):
+        d = pf.den.subs(F(site))
+        if d:
+            assert pf.subs(site) == pf.num.subs(F(site)) / d
+
+
+def test_poly_fraction_pole_at_a_site():
+    from heatkernel.taudarboux import BandOperator, SingularTau
+
+    pf = PolyFraction(Poly("n", [3, 1]), Poly("n", [2, -1, -1]))     # (n+3)/((1-n)(n+2))
+    for pole in (1, -2):
+        with pytest.raises(ZeroDenominator):
+            pf.subs(pole)
+    with pytest.raises(SingularTau):
+        BandOperator({0: pf}).coeff_at(0, -2)
+    assert pf.subs(F(1, 2)) == F(14, 5)
+
+
 def test_series_segment_equality():
     assert SeriesSegment(0, [1, 2]) == SeriesSegment(0, [F(1), F(2)])
 

@@ -1,0 +1,47 @@
+"""The float layer: kernel_eval's accuracy against high-precision values of
+the same exact beta_j, and scipy staying off the import path."""
+
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import mpmath
+import pytest
+
+from heatkernel import ParamVector, assemble_kernel, kernel_eval
+from test_cli import SUBPROCESS_ENV
+
+HIGH_ORDER = [ParamVector(R, R, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)]) for R in (2, 3, 4)]
+
+
+def _reference(f, t: float):
+    """u(t) and sum_j |beta_j(t)| e^{-2t} I_j(2t), at 80 digits."""
+    with mpmath.workdps(80):
+        tm = mpmath.mpf(t)
+        value = scale = mpmath.mpf(0)
+        for j, p in f.terms.items():
+            beta = p.subs(F(t))
+            beta = mpmath.mpf(beta.numerator) / beta.denominator
+            bessel = mpmath.besseli(j, 2 * tm) * mpmath.exp(-2 * tm)
+            value += beta * bessel
+            scale += abs(beta) * bessel
+        return value, scale
+
+
+@pytest.mark.parametrize("params", HIGH_ORDER, ids=lambda p: f"{p.R},{p.S}")
+def test_kernel_eval_error_within_condition_number(params):
+    # |error| <= 4 kappa eps |u| with kappa = sum_j |beta_j| e^{-2t} I_j(2t) / |u|
+    for n, m in ((2, 0), (0, 0), (4, -4)):
+        f = assemble_kernel(params, n, m)
+        for t in (0.5, 1.0, 10.0, 1e2, 1e3, 1e4):
+            value, scale = _reference(f, t)
+            err = abs(mpmath.mpf(kernel_eval(f, t)) - value)
+            assert err <= 4 * sys.float_info.epsilon * scale, (n, m, t, float(err), float(scale))
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, heatkernel; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SUBPROCESS_ENV, check=True)
+    assert proc.stdout.strip() == "[]"

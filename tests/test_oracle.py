@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as dense_expm
 
 from conftest import PARAMS
 from heatkernel.bessel import bessel_row
@@ -190,6 +191,41 @@ def test_compare_kernel_to_lattice_one_step():
                                     [0.5, 1.0], W=200, tolerance=1e-10)
     assert rep.passed, (rep.max_abs, rep.max_rel)
     assert rep.to_json()["pass"] is True
+
+
+@pytest.mark.parametrize("key", [(1, 0), (1, 1), (2, 2)])
+def test_propagation_matches_dense_expm(key):
+    # the dense exponential of the whole window stays here as the reference
+    W = 200
+    L = operator_build(PARAMS[key])
+    dense = lattice_window(L, W).matrix.toarray()
+    for t in (1.0, 4.0):
+        P = dense_expm(t * dense)
+        for m in (-4, 0, 4):
+            got = lattice_evolve(L, W, m, t)["values"]
+            ref = P[:, m + W]
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), (t, m)
+
+
+def test_lattice_agreement_large_values():
+    # a draw whose kernels reach |u| ~ 4e5 at t = 4, where the dense
+    # exponential of the window missed 1e-10 max(1, |u|) at 29 points
+    params = ParamVector.from_alpha_beta(1, 1, F(4, 11), F(-2, 13))
+    pairs = [(n, m) for n in range(-4, 5) for m in range(-4, 5)]
+    rep = compare_kernel_to_lattice(params, operator_build(params), pairs,
+                                    [0.5, 1.0, 2.0, 4.0], W=200)
+    assert len(rep.grid) == 4 * len(pairs)
+    for g, c, o in zip(rep.grid, rep.closed, rep.oracle):
+        assert abs(c - o) <= 1e-10 * max(1.0, abs(c)), (g, c, o)
+
+
+def test_compare_kernel_to_lattice_window_guard():
+    params = ParamVector(1, 0, [F(1, 2)])
+    pairs = [(n, m) for n in range(-2, 3) for m in range(-2, 3)]
+    with pytest.raises(WindowTooSmall, match=r"\[-8, 8\]"):
+        compare_kernel_to_lattice(params, operator_build(params), pairs, [4.0], W=8)
+    with pytest.raises(WindowTooSmall):
+        compare_kernel_to_lattice(params, operator_build(params), [(0, 5)], [0.5], W=8)
 
 
 def test_lattice_value_accessor():
