@@ -68,7 +68,6 @@ from .taudarboux import (
     ParamVector,
     SingularTau,
     TauFunction,
-    WaveFunction,
     darboux_one_step,
     operator_build,
     qp_build,

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -29,12 +27,7 @@ from .kernel import (
     decomposition_residual,
     pde_residual,
 )
-from .oracle import (
-    QuadratureSpec,
-    WindowTooSmall,
-    circle_quadrature,
-    compare_kernel_to_lattice,
-)
+from .oracle import WindowTooSmall, compare_kernel_to_lattice, orthogonality_gram
 from .taudarboux import (
     ParamVector,
     SingularTau,
@@ -75,22 +68,6 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 
 def _parse_float_list(text: str) -> list[float]:
     return [float(piece) for piece in text.split(",") if piece.strip()]
-
-
-def worker_count() -> int:
-    env = os.environ.get("HEATKERNEL_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def build_params(args) -> ParamVector:
@@ -277,12 +254,8 @@ def cmd_verify(args) -> int:
                      for m in range(-args.range, args.range + 1)]
         else:
             pairs = [(args.n, args.m)]
-
-        def run(pair):
-            rep = pde_residual(assemble_kernel(params, pair[0], pair[1]))
-            return pair, rep
-
-        failures = [(pair, rep) for pair, rep in _pmap(run, pairs) if not rep.passed]
+        reports = [(pair, pde_residual(assemble_kernel(params, *pair))) for pair in pairs]
+        failures = [(pair, rep) for pair, rep in reports if not rep.passed]
         detail = {"pairs": len(pairs), "failures": len(failures)}
         if failures:
             (n, m), rep = failures[0]
@@ -308,21 +281,16 @@ def cmd_verify(args) -> int:
         size = (args.range if args.range is not None else 5) + 1
         tol = args.tol if args.tol is not None else 1e-10
         tau = ensure_regular(params)
-        spec = QuadratureSpec(integrand="orthogonality")
-
-        def entry(pair):
-            i, j = pair
-            return circle_quadrature(spec, params, i, j)
-
-        pairs = [(i, j) for i in range(size) for j in range(size)]
-        values = _pmap(entry, pairs)
+        G = orthogonality_gram(params, size)
         worst = 0.0
         first = None
-        for (i, j), value in zip(pairs, values):
-            expect = float(tau.ratio(i + 1, i)) if i == j else 0.0
-            err = abs(value - expect)
-            if err > worst:
-                worst, first = err, (i, j, value, expect)
+        for i in range(size):
+            for j in range(size):
+                value = float(G[i, j])
+                expect = float(tau.ratio(i + 1, i)) if i == j else 0.0
+                err = abs(value - expect)
+                if err > worst:
+                    worst, first = err, (i, j, value, expect)
         passed = worst <= tol
         detail = {"size": size, "max_err": worst, "tolerance": tol}
         if not passed:

@@ -726,9 +726,6 @@ class RationalFunc:
 
     __call__ = subs
 
-    def series(self, count: int) -> "SeriesSegment":
-        return series_at_zero(self, count)
-
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"
 
@@ -849,9 +846,6 @@ class PolyFraction:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
 
     def __eq__(self, other):
         if _is_scalar(other):

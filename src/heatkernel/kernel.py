@@ -67,10 +67,6 @@ class GammaSeries:
     def gamma(self, d: int) -> Fraction:
         return self.gammas[d]
 
-    @property
-    def J(self) -> int:
-        return len(self.gammas) - 1
-
 
 def _site_numerator(params: ParamVector, site: int) -> tuple[tuple[int, ...], int]:
     """(a, D): the coefficients in x, lowest first, of D A_site(x) =
@@ -117,20 +113,9 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     return GammaSeries(n=n, m=m, gammas=gammas)
 
 
-@dataclass(frozen=True)
-class NodePolynomial:
-    """Odd cardinal polynomial of degree 2T-1 for the tail decomposition:
-    value 1 at j = k+eps+2i and 0 at the other parity nodes k+eps+2l."""
-
-    k: int
-    eps: int
-    i: int
-    T: int
-    poly: Poly
-
-
-def node_poly(k: int, eps: int, i: int, T: int) -> NodePolynomial:
-    """Cardinal polynomial on the node grid {k+eps+2l : l = 0..T-1}.
+def node_poly(k: int, eps: int, i: int, T: int) -> Poly:
+    """Odd cardinal polynomial of degree 2T-1 on the node grid
+    {k+eps+2l : l = 0..T-1}: value 1 at j = k+eps+2i, 0 at the other nodes.
 
     q(j) = (j / node_i) prod_{l != i} (j^2 - node_l^2)/(node_i^2 - node_l^2),
     so the tail decomposition's cross terms cancel exactly: this is also the
@@ -151,7 +136,7 @@ def node_poly(k: int, eps: int, i: int, T: int) -> NodePolynomial:
         other = k + eps + 2 * l
         q = q * Poly(J_VAR, [-Fraction(other) ** 2, 0, 1])
         q = q.scale(1 / (Fraction(node) ** 2 - Fraction(other) ** 2))
-    return NodePolynomial(k=k, eps=eps, i=i, T=T, poly=q)
+    return q
 
 
 @dataclass(frozen=True)
@@ -281,7 +266,7 @@ def _tail(first: int, i: int, T: int) -> tuple:
     depend on k + eps only, so every site pair with the same offset shares
     it, and the eps = 2 branch at offset k is the eps = 1 branch at k + 1.
     """
-    q = node_poly(first - 1, 1, i, T).poly
+    q = node_poly(first - 1, 1, i, T)
     return tuple(tail_resum(q, first + 2 * i - 1, arg="2t").terms.items())
 
 
@@ -394,16 +379,16 @@ def combo_to_basis(terms: dict) -> tuple[LaurentPoly, LaurentPoly]:
     return LaurentPoly(T_VAR, rows.get(0)), LaurentPoly(T_VAR, rows.get(1))
 
 
-def decomposition_residual(k: int, T: int, t: float,
-                           thetas=(math.pi / 7, math.pi / 3),
-                           terms: int = 80) -> float:
+def decomposition_residual(k: int, T: int, t: float) -> float:
     """Numeric self-check of the tail decomposition bookkeeping.
 
-    Reassembles e^{t(x + 1/x)} on the unit circle from its three pieces: the
-    untouched orders j >= 1-k plus I_k(2t) x^{-k}, the ring-member brackets
-    for j > k+2T (truncated at `terms`), and the resummed parity tails.
-    Returns the maximum absolute reconstruction error over the angles.
+    Reassembles e^{t(x + 1/x)} at two points of the unit circle from its
+    three pieces: the untouched orders j >= 1-k plus I_k(2t) x^{-k}, the
+    ring-member brackets for j > k+2T (truncated at order 80), and the
+    resummed parity tails.  Returns the maximum absolute reconstruction
+    error over the two angles.
     """
+    terms = 80
     if T < 1:
         raise ValueError("decomposition needs T >= 1")
     row = bessel_row(2.0 * t, terms + 2 * T + abs(k) + 4)
@@ -412,7 +397,7 @@ def decomposition_residual(k: int, T: int, t: float,
                               for j, p in _tail(k + eps, i, T))
              for eps in (1, 2) for i in range(T)}
     worst = 0.0
-    for theta in thetas:
+    for theta in (math.pi / 7, math.pi / 3):
         x = complex(math.cos(theta), math.sin(theta))
         total = 0j
         for j in range(1 - k, terms + 1):
@@ -423,7 +408,7 @@ def decomposition_residual(k: int, T: int, t: float,
             bracket = x ** (-j)
             for i in range(T):
                 node = k + eps + 2 * i
-                bracket -= float(node_poly(k, eps, i, T).poly.subs(Fraction(j))) * x ** (-node)
+                bracket -= float(node_poly(k, eps, i, T).subs(Fraction(j))) * x ** (-node)
             total += row.unscaled(j) * bracket
         for d, value in tails.items():
             total += value * x ** (-(k + d))

@@ -38,6 +38,10 @@ from .taudarboux import (
 )
 
 
+#: largest boundary-influence bound a lattice evolution may carry
+TAIL_TOL = 1e-11
+
+
 class WindowTooSmall(ValueError):
     """Boundary influence estimate exceeds the certification threshold."""
 
@@ -95,13 +99,12 @@ def expm(A, columns: np.ndarray) -> np.ndarray:
     return expm_multiply(A, columns)
 
 
-def _propagate(window: LatticeWindow, sources, t: float,
-               tail_tol: float = 1e-11) -> tuple[np.ndarray, float]:
+def _propagate(window: LatticeWindow, sources, t: float) -> tuple[np.ndarray, float]:
     """The columns exp(t L_W) delta_m for the source sites m, in order, and
     the largest boundary-influence bound among them.
 
     Raises WindowTooSmall when a source lies beyond W/2 or a bound exceeds
-    tail_tol; t = 0 gives the exact delta columns.
+    TAIL_TOL; t = 0 gives the exact delta columns.
     """
     W = window.W
     if t < 0:
@@ -115,26 +118,21 @@ def _propagate(window: LatticeWindow, sources, t: float,
     if t == 0 or not sources:
         return columns, 0.0
     bound = max(boundary_influence(W, m, t) for m in sources)
-    if bound > tail_tol:
+    if bound > TAIL_TOL:
         raise WindowTooSmall(f"lattice window [-{W}, {W}] too small at t = {t!r}: "
-                             f"tail bound {bound:.3e} exceeds {tail_tol:.1e}")
+                             f"tail bound {bound:.3e} exceeds {TAIL_TOL:.1e}")
     return expm(t * window.matrix, columns), bound
 
 
-def lattice_evolve(L: BandOperator, W: int, m: int, t: float,
-                   tail_tol: float = 1e-11) -> dict:
+def lattice_evolve(L: BandOperator, W: int, m: int, t: float) -> dict:
     """exp(t L_W) delta_m on the window, with the boundary-influence bound.
 
     Returns {"sites": [-W..W], "values": array, "tail_bound": float}.
     Raises WindowTooSmall when the source lies beyond W/2 or the free-kernel
-    tail bound exceeds tail_tol.
+    tail bound exceeds TAIL_TOL.
     """
-    values, bound = _propagate(lattice_window(L, W), [m], t, tail_tol)
+    values, bound = _propagate(lattice_window(L, W), [m], t)
     return {"sites": list(range(-W, W + 1)), "values": values[:, 0], "tail_bound": bound}
-
-
-def lattice_value(L: BandOperator, W: int, n: int, m: int, t: float) -> float:
-    return float(lattice_evolve(L, W, m, t)["values"][n + W])
 
 
 @dataclass(frozen=True)
@@ -183,11 +181,11 @@ def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
     spec.tol; the imaginary part must sit below 1e-12 and is discarded.
     """
     tau = ensure_regular(params)
-    pn = _ratfunc_np(wave_p(params, n).value)
+    pn = _ratfunc_np(wave_p(params, n))
     if spec.integrand == "kernel_adjoint":
-        ps = _ratfunc_np(wave_p_star_via_adjoint(params, m + 1).value)
+        ps = _ratfunc_np(wave_p_star_via_adjoint(params, m + 1))
     else:
-        pm_inv = _ratfunc_np(wave_p(params, m).value.inverse_var())
+        pm_inv = _ratfunc_np(wave_p(params, m).inverse_var())
 
     if spec.integrand in ("kernel", "kernel_adjoint") and t is None:
         raise ValueError("kernel integrands need a time value")

@@ -91,15 +91,6 @@ class ParamVector:
         return [str(v) for v in self.r]
 
 
-@dataclass(frozen=True)
-class SchurComponent:
-    """Polynomial part of S^eps_j(n; r); `char` is set when a character
-    factor (-1)^n c, c = exp(sum (-2)^i r_i), was extracted (eps = -1)."""
-
-    poly: Poly
-    char: bool = False
-
-
 def _binomial_poly(k: int) -> Poly:
     """C(n, k) as a polynomial in n: n(n-1)...(n-k+1)/k!."""
     out = Poly.const(N, 1)
@@ -122,12 +113,12 @@ def _exp_series_coeffs(gs: list, count: int) -> list[Fraction]:
     return E
 
 
-def schur_component(epsilon: int, j: int, params: ParamVector) -> SchurComponent:
+def schur_component(epsilon: int, j: int, params: ParamVector) -> Poly:
     """Taylor coefficient S^eps_j(n; r): (1/j!) d^j/dz^j of
-    (1+z)^n exp(sum r_i z^i) at z = eps - 1.
+    (1+z)^n exp(sum r_i z^i) at z = eps - 1, as a polynomial in n.
 
-    For eps = -1 the character flag is set and the returned polynomial is
-    the part left after extracting (-1)^n c.
+    For eps = -1 it is the part left after extracting the character factor
+    (-1)^n c, c = exp(sum (-2)^i r_i).
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
@@ -148,7 +139,7 @@ def schur_component(epsilon: int, j: int, params: ParamVector) -> SchurComponent
     for k in range(j + 1):
         if E[j - k]:
             total = total + _binomial_poly(k).scale(epsilon ** k * E[j - k])
-    return SchurComponent(poly=total, char=(epsilon == -1))
+    return total
 
 
 @lru_cache(maxsize=64)
@@ -165,8 +156,8 @@ def _columns(params: ParamVector) -> tuple:
     out = []
     for eps, count in ((1, params.R), (-1, params.S)):
         for j in range(1, count + 1):
-            f = schur_component(eps, 2 * j - 1, params).poly.shift(j - 1)
-            df = schur_component(eps, 2 * j - 2, params).poly.shift(j - 1)
+            f = schur_component(eps, 2 * j - 1, params).shift(j - 1)
+            df = schur_component(eps, 2 * j - 2, params).shift(j - 1)
             ints, scale = integer_coeffs(f.coeffs + df.coeffs)
             cut = len(f.coeffs)
             out.append((eps == -1, tuple(ints[:cut]), tuple(ints[cut:]), scale))
@@ -498,10 +489,6 @@ class BandOperator:
         except ZeroDenominator as exc:
             raise SingularTau(n, f"operator coefficient has a pole at n = {n}") from exc
 
-    def symbol_at(self, n: int, var: str = "x") -> LaurentPoly:
-        """The Laurent polynomial sum_j b_j(n) x^j at a fixed site."""
-        return LaurentPoly(var, {j: self.coeff_at(j, n) for j in self.coeffs})
-
     def to_json(self) -> dict:
         m1, m2 = self.support
         return {
@@ -580,14 +567,6 @@ def factorization_target(R: int, S: int) -> BandOperator:
     return (BandOperator({1: 1, 0: -1}) ** (2 * R)) * (BandOperator({1: 1, 0: 1}) ** (2 * S))
 
 
-@dataclass(frozen=True)
-class WaveFunction:
-    """p_n(x) (or its adjoint partner) as an exact rational function of x."""
-
-    site: int
-    value: RationalFunc
-
-
 def _denominator_x(R: int, S: int) -> LaurentPoly:
     return (LaurentPoly("x", {1: 1, 0: -1}) ** R) * (LaurentPoly("x", {1: 1, 0: 1}) ** S)
 
@@ -603,7 +582,7 @@ def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> RationalFu
     return RationalFunc(num.shift_exp(exp), _denominator_x(params.R, params.S))
 
 
-def wave_p(params: ParamVector, n: int) -> WaveFunction:
+def wave_p(params: ParamVector, n: int) -> RationalFunc:
     """p_n(x): Q applied to the sequence k -> x^k, taken at k = n, divided by
     (x-1)^R (x+1)^S.
 
@@ -611,27 +590,24 @@ def wave_p(params: ParamVector, n: int) -> WaveFunction:
     is x^n sum_i c_i(n) (x-1)^i with the cached Q coefficients.
     """
     ensure_regular(params)
-    return WaveFunction(site=n, value=_wave(params, n, False, n))
+    return _wave(params, n, False, n)
 
 
-def wave_p_star(params: ParamVector, n: int) -> WaveFunction:
+def wave_p_star(params: ParamVector, n: int) -> RationalFunc:
     """p*_n(x) through the duality route: (tau(n-1)/tau(n)) x^{-1} p_{n-1}(1/x)."""
     tau = ensure_regular(params)
-    factor = tau.ratio(n - 1, n)
-    p = wave_p(params, n - 1).value
-    value = p.inverse_var() * factor
-    value = RationalFunc(value.num.shift_exp(-1), value.den)
-    return WaveFunction(site=n, value=value)
+    value = wave_p(params, n - 1).inverse_var() * tau.ratio(n - 1, n)
+    return RationalFunc(value.num.shift_exp(-1), value.den)
 
 
-def wave_p_star_via_adjoint(params: ParamVector, n: int) -> WaveFunction:
+def wave_p_star_via_adjoint(params: ParamVector, n: int) -> RationalFunc:
     """p*_n(x) built independently from the starred Wronskian ratio P*.
 
     P*, with coefficients frozen at site n-1, is applied formally to x^{-n}:
     (Delta*)^i acts on inverse powers as multiplication by (x-1)^i.
     """
     ensure_regular(params)
-    return WaveFunction(site=n, value=_wave(params, n - 1, True, -n))
+    return _wave(params, n - 1, True, -n)
 
 
 def darboux_one_step(delta) -> BandOperator:

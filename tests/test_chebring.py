@@ -223,8 +223,8 @@ def test_annihilation_against_wave_products():
     f = F_build(NodeSet([-2, -4, -6]))     # T = 2 >= max(R, S)
     for (n, m) in [(0, 0), (1, 0), (2, 1)]:
         # support of f is [-6, -2]; m - n = 0 or -1 lies outside it
-        pn = wave_p(params, n).value
-        pm = wave_p(params, m).value.inverse_var()
+        pn = wave_p(params, n)
+        pm = wave_p(params, m).inverse_var()
         N = 4096
         theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N
         z = 0.5 * np.exp(1j * theta)

@@ -210,9 +210,21 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["n"] == 1
 
 
-def test_thread_cap_env(monkeypatch):
-    from heatkernel.cli import worker_count
-    monkeypatch.setenv("HEATKERNEL_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("HEATKERNEL_THREADS", "1")
-    assert worker_count() == 1
+def test_verify_output_ignores_thread_env(monkeypatch, capsys):
+    # verify runs in one thread; a thread-count variable from the
+    # environment must not change a byte of its output
+    pde = ["verify", "--mode", "pde", "--R", "1", "--S", "1", "--alpha", "1/4",
+           "--beta", "1", "--range", "2"]
+    orth = ["verify", "--mode", "orth", "--R", "1", "--S", "0", "--r", "1/2",
+            "--range", "3", "--tol", "1e-30"]
+    runs = [argv + ["--format", fmt] for argv in (pde, orth) for fmt in ("text", "json")]
+    outputs = []
+    for threads in (None, "1", "4"):
+        if threads is None:
+            monkeypatch.delenv("HEATKERNEL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HEATKERNEL_THREADS", threads)
+        outputs.append([run_cli(capsys, argv) for argv in runs])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [code for code, _ in outputs[0]] == [0, 0, 1, 1]
+    assert all("first_failure" in out for _, out in outputs[0][2:])

@@ -16,7 +16,6 @@ from heatkernel.oracle import (
     compare_kernel_to_lattice,
     compare_report,
     lattice_evolve,
-    lattice_value,
     lattice_window,
     orthogonality_gram,
 )
@@ -135,8 +134,8 @@ def test_quadrature_radius_independence():
 def test_quadrature_geometric_convergence():
     # midpoint-rule error halves (at least) with every node doubling
     params = ParamVector(1, 0, [F(1, 2)])
-    pn = wave_p(params, 1).value
-    pm = wave_p(params, 1).value.inverse_var()
+    pn = wave_p(params, 1)
+    pm = wave_p(params, 1).inverse_var()
 
     def ev(lp, z):
         out = np.zeros_like(z)
@@ -228,6 +227,7 @@ def test_compare_kernel_to_lattice_window_guard():
         compare_kernel_to_lattice(params, operator_build(params), [(0, 5)], [0.5], W=8)
 
 
-def test_lattice_value_accessor():
-    assert abs(lattice_value(free_operator(), 100, 0, 0, 1.0)
-               - bessel_row(2.0, 0).scaled(0)) < 1e-12
+def test_lattice_evolve_free_centre_value():
+    W = 100
+    values = lattice_evolve(free_operator(), W, 0, 1.0)["values"]
+    assert abs(values[W] - bessel_row(2.0, 0).scaled(0)) < 1e-12
