@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactcore import Poly
@@ -82,21 +81,6 @@ def bessel_row(t: float, K: int) -> BesselRow:
     return BesselRow(t=float(t), values=tuple(v * inv for v in y[: K + 1]))
 
 
-def bessel_i_series(k: int, t: Fraction, terms: int = 30) -> Fraction:
-    """Ascending-series value of I_k(t) summed in exact rationals.
-
-    Independent oracle for the recurrence path: sum_j (t/2)^{k+2j} / (j! (j+k)!).
-    """
-    k = abs(k)
-    half = Fraction(t) / 2
-    acc = Fraction(0)
-    term = half ** k / math.factorial(k)
-    for j in range(terms):
-        acc += term
-        term = term * half * half / ((j + 1) * (j + 1 + k))
-    return acc
-
-
 @dataclass(frozen=True)
 class AlphaTable:
     """Polynomials alpha^n_j(t) for 0 <= n <= depth, |j| <= 2n.
@@ -116,18 +100,17 @@ class AlphaTable:
 
 def _op_diag(p: Poly) -> Poly:
     # (t^2 d^2 + t d) multiplies the coefficient of t^d by d^2
-    return Poly(T, [c * d * d for d, c in enumerate(p.coeffs)])
+    return Poly.from_ints(T, [c * d * d for d, c in enumerate(p.num)], p.den)
 
 
 def _op_neighbor(p: Poly) -> Poly:
     # (t^2 d + t/2) sends c t^d to c (d + 1/2) t^{d+1}
-    return Poly(T, [Fraction(0)] + [c * (Fraction(d) + Fraction(1, 2))
-                                    for d, c in enumerate(p.coeffs)])
+    return Poly.from_ints(T, [0] + [c * (2 * d + 1) for d, c in enumerate(p.num)], 2 * p.den)
 
 
 def _op_second(p: Poly) -> Poly:
     # (t^2 / 4) shift
-    return Poly(T, [Fraction(0), Fraction(0)] + [c / 4 for c in p.coeffs])
+    return Poly.from_ints(T, [0, 0, *p.num], 4 * p.den)
 
 
 @lru_cache(maxsize=64)
@@ -135,7 +118,7 @@ def alpha_table(N: int) -> AlphaTable:
     """Build the resummation polynomials down to depth N (exact, cached)."""
     if N < 0:
         raise ValueError("depth must be >= 0")
-    entries: dict = {(0, 0): Poly(T, [0, Fraction(1, 2)])}
+    entries: dict = {(0, 0): Poly.from_ints(T, [0, 1], 2)}
 
     def at(n, j):
         return entries.get((n, abs(j)), Poly(T))
@@ -182,7 +165,7 @@ def _fold(raw: dict) -> dict:
 
 def _poly_arg_2t(p: Poly) -> Poly:
     """p(theta) restated in t via theta = 2t."""
-    return Poly(T, [c * (Fraction(2) ** d) for d, c in enumerate(p.coeffs)])
+    return Poly.from_ints(T, [c << d for d, c in enumerate(p.num)], p.den)
 
 
 def identity_residuals(t: float) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -66,8 +67,24 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [_parse_rational(piece) for piece in text.split(",") if piece.strip()]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(piece) for piece in text.split(",") if piece.strip()]
+def _parse_time(text: str, positive: bool = True) -> float:
+    """One --t value: a finite number, above zero (or at least zero)."""
+    try:
+        t = float(Fraction(text)) if _RATIONAL_RE.match(text) else float(text)
+    except (ValueError, ZeroDivisionError):
+        t = math.nan
+    if math.isinf(t) or not (t > 0 if positive else t >= 0):
+        kind = "positive" if positive else "nonnegative"
+        raise UsageError(f"--t must be a {kind} finite number, got {text!r}")
+    return t
+
+
+def _check_counts(args) -> None:
+    """The integer flags --range, --kmax, --W and --T at or above their floor."""
+    for flag, low in (("range", 0), ("kmax", 0), ("W", 0), ("T", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{flag} must be at least {low}, got {value}")
 
 
 def build_params(args) -> ParamVector:
@@ -217,9 +234,7 @@ def cmd_operator(args) -> int:
 
 
 def cmd_bessel(args) -> int:
-    t = float(Fraction(args.t)) if _RATIONAL_RE.match(args.t) else float(args.t)
-    if t <= 0:
-        raise UsageError("--t must be positive")
+    t = _parse_time(args.t)
     row = bessel_row(t, args.kmax)
     if args.format == "csv":
         lines = ["k,t,scaled"]
@@ -246,7 +261,8 @@ def _verify_report(args, passed: bool, detail: dict) -> int:
 
 def cmd_verify(args) -> int:
     params = build_params(args)
-    ts = _parse_float_list(args.t)
+    ts = [_parse_time(piece.strip(), positive=args.mode != "oracle")
+          for piece in args.t.split(",") if piece.strip()]
 
     if args.mode == "pde":
         if args.range is not None:
@@ -344,6 +360,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return _COMMANDS[args.command](args)
     except (UsageError, WindowTooSmall) as exc:
         print(f"heatkernel: {exc}", file=sys.stderr)

@@ -1,17 +1,17 @@
 """Exact arithmetic kernel: rationals, polynomials, Laurent polynomials,
 rational functions, and truncated Laurent expansions at the origin.
 
-Everything is built on :class:`fractions.Fraction`; no floating point ever
-enters a computation here.  All values are immutable after construction and
-every operation is a pure function, so objects can be shared freely between
-threads.
+No floating point ever enters a computation here.  A `Poly` is integer
+numerators over one positive denominator, so its ring operations run on ints
+with one gcd per result; its `coeffs` view, `divmod`, `LaurentPoly` and
+`RationalFunc` work in :class:`fractions.Fraction`.  All values are immutable
+after construction and every operation is a pure function.
 
-Polynomials are dense lists of ``Fraction`` coefficients tagged with a
-variable name; binary operations require the same variable on both sides.
-``poly_gcd`` runs the heuristic gcd of Char, Geddes & Gonnet (J. Symb.
-Comput. 7, 1989) on primitive integer parts, accepts its candidate only after
-exact trial division, and falls back to the Euclidean algorithm
-(``poly_gcd_euclid``), which stays as the reference.
+Polynomials are tagged with a variable name; binary operations require the
+same variable on both sides.  ``poly_gcd`` runs the heuristic gcd of Char,
+Geddes & Gonnet (J. Symb. Comput. 7, 1989) on primitive integer parts,
+accepts its candidate only after exact trial division, and falls back to the
+Euclidean algorithm (``poly_gcd_euclid``), which stays as the reference.
 """
 
 from __future__ import annotations
@@ -63,19 +63,39 @@ def _is_scalar(x) -> bool:
 class Poly:
     """Dense univariate polynomial with a variable tag.
 
-    Coefficients are stored lowest degree first with no trailing zeros.
-    The zero polynomial has an empty coefficient tuple and degree
-    ``ZERO_DEGREE``.
+    Stored as integer numerators `num` (lowest degree first, no trailing
+    zeros) over one positive integer `den`, with gcd(den, *num) = 1; the zero
+    polynomial is ((), 1) and has degree ``ZERO_DEGREE``.  That form is
+    canonical, so equality and hashing read it directly, and every ring
+    operation runs on ints with one gcd to normalise its result.  `coeffs`
+    is the Fraction view, built on each access and not stored.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "num", "den")
 
     def __init__(self, var: str, coeffs: Iterable = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
+        cs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set(var, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, var: str, num: list, den: int) -> "Poly":
+        while num and not num[-1]:
+            num.pop()
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [c // g for c in num], den // g
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
+    def from_ints(cls, var: str, num: Iterable[int], den: int = 1) -> "Poly":
+        """The polynomial with coefficients num[i] / den, for integers num
+        (lowest degree first) and a nonzero integer den."""
+        return object.__new__(cls)._set(var, list(num), den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -89,25 +109,27 @@ class Poly:
         return cls(var, [0, 1])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else ZERO_DEGREE
+        return len(self.num) - 1 if self.num else ZERO_DEGREE
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     @property
     def leading(self):
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeff(len(self.num) - 1)
 
     def _check(self, other: "Poly"):
         if self.var != other.var:
@@ -115,15 +137,15 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.var == other.var and self.coeffs == other.coeffs
+            return self.var == other.var and self.num == other.num and self.den == other.den
         if _is_scalar(other):
             if other == 0:
-                return not self.coeffs
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
+                return not self.num
+            return len(self.num) == 1 and Fraction(self.num[0], self.den) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self.num, self.den))
 
     def __add__(self, other):
         if _is_scalar(other):
@@ -131,18 +153,22 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            a = [c * (other.den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * other.den
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.var, out)
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return Poly.from_ints(self.var, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.var, [-c for c in self.coeffs])
+        return Poly.from_ints(self.var, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else -Fraction(other))
@@ -152,29 +178,26 @@ class Poly:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.num, other.num
+        if not a or not b:
             return Poly(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.var, out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly.from_ints(self.var, out, self.den * other.den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         """Multiply every coefficient by a rational."""
-        if not c:
-            return Poly(self.var)
-        return Poly(self.var, [a * c for a in self.coeffs])
+        return Poly.from_ints(self.var, [a * c.numerator for a in self.num],
+                              self.den * c.denominator)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -195,17 +218,16 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZeroPolynomial(f"division by zero polynomial in {self.var!r}")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        rem, div = list(self.coeffs), other.coeffs
+        dq = len(rem) - len(div)
         if dq < 0:
             return Poly(self.var), self
         quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
         for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / lead
+            c = rem[i + len(div) - 1] / div[-1]
             quot[i] = c
             if c:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(div):
                     rem[i + j] -= c * b
         return Poly(self.var, quot), Poly(self.var, rem)
 
@@ -217,25 +239,25 @@ class Poly:
 
     def derivative(self) -> "Poly":
         """Formal derivative with respect to the tagged variable."""
-        return Poly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly.from_ints(self.var, [i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def shift(self, a) -> "Poly":
-        """Substitute var -> var + a for a scalar a (binomial expansion)."""
+        """Substitute var -> var + a for a scalar a = x/y.
+
+        With d = deg p, s(w) = y^d p(w/y) has integer numerators; its Taylor
+        shift s(w + x) by synthetic division, at w = y var, is y^d p(var + a).
+        """
         a = Fraction(a)
-        if not self.coeffs or a == 0:
+        x, y = a.numerator, a.denominator
+        if not self.num or not x:
             return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            # c * (x + a)^k
-            binom = Fraction(1)
-            power = Fraction(1)
-            for l in range(k, -1, -1):
-                out[l] = out[l] + c * binom * power
-                binom = binom * l / (k - l + 1)
-                power = power * a
-        return Poly(self.var, out)
+        d = len(self.num) - 1
+        s = [c * y ** (d - k) for k, c in enumerate(self.num)]
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                s[k] += x * s[k + 1]
+        return Poly.from_ints(self.var, [c * y ** k for k, c in enumerate(s)],
+                              self.den * y ** d)
 
     def subs(self, value):
         """Evaluate at `value` by Horner; value may be any ring element."""
@@ -250,7 +272,7 @@ class Poly:
         return [str(c) for c in self.coeffs]
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -265,20 +287,11 @@ class Poly:
         return " + ".join(parts)
 
 
-def integer_coeffs(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """(ints, den): den is the least common denominator of the coefficients
-    and ints are the coefficients times den, in the same order."""
-    coeffs = list(coeffs)
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def primitive_coeffs(p: Poly) -> list[int]:
     """Integer coefficients of a nonzero p (lowest degree first), scaled by a
     rational constant to content 1."""
-    ints, _ = integer_coeffs(p.coeffs)
-    content = gcd(*ints)
-    return [v // content for v in ints]
+    content = gcd(*p.num)
+    return [v // content for v in p.num]
 
 
 def eval_int(coeffs: list[int], x: int) -> int:
@@ -398,7 +411,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.degree > 0 and b.degree > 0:
         g = _gcd_heuristic(primitive_coeffs(a), primitive_coeffs(b))
         if g is not None:
-            return Poly(a.var, [Fraction(c, g[-1]) for c in g])
+            return Poly.from_ints(a.var, g, g[-1])
     return poly_gcd_euclid(a, b)
 
 
@@ -801,12 +814,10 @@ def series_at_zero(f: RationalFunc, count: int) -> SeriesSegment:
 class PolyFraction:
     """Rational function of a polynomial variable (e.g. the lattice site n).
 
-    Stored as num/den with Fraction coefficients, reduced by the monic gcd,
-    denominator monic.  The integer-scaled coefficients that `subs` evaluates
-    are computed on first use.
+    Stored as num/den, two Polys reduced by their monic gcd, den monic.
     """
 
-    __slots__ = ("num", "den", "_ints")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if _is_scalar(num):
@@ -912,14 +923,6 @@ class PolyFraction:
         """Substitute var -> var + a."""
         return PolyFraction(self.num.shift(a), self.den.shift(a))
 
-    def _integer_parts(self) -> tuple:
-        try:
-            return self._ints
-        except AttributeError:
-            ints = (integer_coeffs(self.num.coeffs), integer_coeffs(self.den.coeffs))
-            object.__setattr__(self, "_ints", ints)
-            return ints
-
     def subs(self, value: Fraction) -> Fraction:
         """Exact value at a rational point, by integer Horner.
 
@@ -929,7 +932,7 @@ class PolyFraction:
         """
         value = Fraction(value)
         x, y = value.numerator, value.denominator
-        (a, A), (b, B) = self._integer_parts()
+        a, A, b, B = self.num.num, self.num.den, self.den.num, self.den.den
         bottom = eval_homogeneous(b, x, y)
         if bottom == 0:
             raise ZeroDenominator(f"pole at {self.var} = {value}")

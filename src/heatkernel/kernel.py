@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import bessel_row, tail_resum
-from .exactcore import LaurentPoly, Poly, eval_homogeneous, integer_coeffs
+from .exactcore import LaurentPoly, Poly, eval_homogeneous
 from .taudarboux import (
     ParamVector,
     SingularTau,
@@ -68,23 +68,13 @@ class GammaSeries:
         return self.gammas[d]
 
 
-def _site_numerator(params: ParamVector, site: int) -> tuple[tuple[int, ...], int]:
-    """(a, D): the coefficients in x, lowest first, of D A_site(x) =
-    D sum_i c_i(site) (x-1)^i, all integers for D the least common
-    denominator of the Q coefficients c_i(site)."""
-    ints, D = integer_coeffs(_delta_coeffs(params, site, False))
-    a = tuple(
-        sum(ints[i] * math.comb(i, p) * (-1) ** (i - p) for i in range(p, len(ints)))
-        for p in range(len(ints)))
-    return a, D
-
-
 def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     """Series coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x), for
     n - m >= 0.
 
-    With a = D_n A_n and b = D_m B_m integer (B_m is A_m reversed; see the
-    module docstring), gamma_d is (-1)^R / (D_n D_m) times the x^d coefficient
+    With a = D_n A_n and b = D_m B_m the integer numerators of A_n and B_m
+    over their denominators D_n, D_m (B_m is A_m reversed; see the module
+    docstring), gamma_d is (-1)^R / (D_n D_m) times the x^d coefficient
     of a(x) b(x) / ((1-x)^{2R} (1+x)^{2S}).  The truncated product a b is
     divided by each factor 1 -+ x in turn, one running sum per factor.
 
@@ -95,9 +85,8 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
         raise ValueError("gamma_series expects n - m >= 0; transport the kernel instead")
     tau = ensure_regular(params)
     count = J + 1
-    a, dn = _site_numerator(params, n)
-    b, dm = _site_numerator(params, m)
-    b = b[::-1]
+    An, Am = (Poly("x", _delta_coeffs(params, s, False)).shift(-1) for s in (n, m))
+    a, b = An.num, Am.num[::-1]
     series = [0] * count
     for p, ap in enumerate(a[:count]):
         for q, bq in enumerate(b[:count - p]):
@@ -105,7 +94,7 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     for sign in (1,) * (2 * params.R) + (-1,) * (2 * params.S):
         for d in range(1, count):       # divide by 1 - sign x
             series[d] += sign * series[d - 1]
-    scale = -dn * dm if params.R % 2 else dn * dm
+    scale = (-1) ** params.R * An.den * Am.den
     gammas = tuple(Fraction(c, scale) for c in series)
     if gammas[0] != tau.ratio(n + 1, n):
         raise InternalInconsistency(
@@ -291,15 +280,17 @@ def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     J = k + 2 * T + 2 if T else 0
     gs = gamma_series(params, n, m, J)      # decides admissibility
     prefactor = tau_build(params).ratio(m, m + 1)
-    raw: dict[int, Poly] = {k: Poly.const(T_VAR, gs.gamma(0))}
+    g0 = gs.gamma(0) * prefactor
+    parts = [(k, [(0, 1)], g0.numerator, g0.denominator)]
     for eps in eps_branches:
         for i in range(T):
-            g = gs.gamma(eps + 2 * i)
-            if not g:
-                continue
-            for j, p in _tail(k + eps, i, T):
-                raw[j] = raw.get(j, Poly(T_VAR)) + p.scale(g)
-    terms = {j: p.scale(prefactor) for j, p in raw.items() if not p.is_zero()}
+            w = gs.gamma(eps + 2 * i) * prefactor
+            if w:
+                parts += [(j, enumerate(p.num), w.numerator, w.denominator * p.den)
+                          for j, p in _tail(k + eps, i, T)]
+    rows, D = _integer_rows(parts)
+    terms = {j: p for j, row in rows.items()
+             if (p := Poly.from_ints(T_VAR, [row.get(e, 0) for e in range(max(row) + 1)], D))}
     _check_degrees(terms, T)
     return KernelFormula(params=params, n=n, m=m, terms=terms,
                          provenance={"T": T, "eps": eps_branches, "J": J})
@@ -346,8 +337,7 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
     scaled = ive(list(f.terms), 2.0 * t)
     parts = []
     for p, b in zip(f.terms.values(), scaled):
-        ints, den = integer_coeffs(p.coeffs)
-        parts.append(eval_homogeneous(ints, x, y) / (den * y ** p.degree) * float(b))
+        parts.append(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * float(b))
     return math.fsum(parts)
 
 
@@ -356,19 +346,37 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def combo_to_basis(terms: dict) -> tuple[LaurentPoly, LaurentPoly]:
+def _integer_rows(parts: list) -> tuple[dict[int, dict[int, int]], int]:
+    """(rows, D): the sum over parts (j, (e, c) pairs, a, b) of (a c / b) t^e
+    in order j, all integers, as integer numerators rows[j][e] over D, the
+    lcm of the b."""
+    D = math.lcm(*(b for *_, b in parts))
+    rows: dict[int, dict[int, int]] = {}
+    for j, items, a, b in parts:
+        row, f = rows.setdefault(j, {}), a * (D // b)
+        for e, c in items:
+            row[e] = row.get(e, 0) + c * f
+    return rows, D
+
+
+def combo_to_basis(terms) -> tuple[LaurentPoly, LaurentPoly]:
     """Collapse {order j -> coefficient in t} onto (I_0(2t), I_1(2t)).
 
-    Coefficients may be Poly or LaurentPoly in t; the result is the exact
-    pair of Laurent polynomials multiplying the basis functions.  Orders are
-    folded by I_{-j} = I_j, then removed from the top down with the
+    `terms` is that dict or a list of (j, coefficient) pairs, whose repeated
+    orders add up.  Coefficients may be Poly or LaurentPoly in t; the result
+    is the exact pair of Laurent polynomials multiplying the basis functions.
+    Orders are folded by I_{-j} = I_j, then removed from the top down with the
     three-term relation I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t).
+    The reduction runs on integer numerators over one common denominator D,
+    the lcm of the coefficients' denominators; only the result holds Fractions.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, p in terms.items():
-        row = rows.setdefault(abs(j), {})
-        for e, c in (enumerate(p.coeffs) if isinstance(p, Poly) else p.terms.items()):
-            row[e] = row.get(e, 0) + c
+    parts = []
+    for j, p in (terms.items() if isinstance(terms, dict) else terms):
+        if isinstance(p, Poly):
+            parts.append((abs(j), enumerate(p.num), 1, p.den))
+        else:
+            parts += [(abs(j), [(e, c.numerator)], 1, c.denominator) for e, c in p.terms.items()]
+    rows, D = _integer_rows(parts)
     for j in range(max(rows, default=0), 1, -1):
         row = rows.pop(j, {})
         lower = rows.setdefault(j - 2, {})
@@ -376,7 +384,8 @@ def combo_to_basis(terms: dict) -> tuple[LaurentPoly, LaurentPoly]:
         for e, c in row.items():
             lower[e] = lower.get(e, 0) + c
             mid[e - 1] = mid.get(e - 1, 0) - (j - 1) * c
-    return LaurentPoly(T_VAR, rows.get(0)), LaurentPoly(T_VAR, rows.get(1))
+    return tuple(LaurentPoly(T_VAR, {e: Fraction(c, D) for e, c in rows.get(i, {}).items()})
+                 for i in (0, 1))
 
 
 def decomposition_residual(k: int, T: int, t: float) -> float:
@@ -433,9 +442,10 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     """Certify d/dt u - (L u) = 0 symbolically for the assembled kernel.
 
     Kernels at the band sites n-1, n, n+1 are assembled, each beta I_j(2t)
-    is differentiated through the Bessel recurrences, and the whole residual
-    is reduced to the (I_0(2t), I_1(2t)) basis over Laurent polynomials in
-    t.  Pass means both basis coefficients vanish identically.
+    is differentiated through the Bessel recurrences, and the residual's
+    terms go unsummed to the integer reduction onto the (I_0(2t), I_1(2t))
+    basis over Laurent polynomials in t.  Pass means both basis coefficients
+    vanish identically.
     """
     params, n, m = f.params, f.n, f.m
     L = operator_build(params)
@@ -443,24 +453,12 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     um = assemble_kernel(params, n - 1, m)
     c0 = L.coeff_at(0, n)
     cm = L.coeff_at(-1, n)
-    res: dict[int, Poly] = {}
-
-    def add(j: int, p: Poly, scale: Fraction = Fraction(1)):
-        if p.is_zero() or not scale:
-            return
-        jj = abs(j)
-        res[jj] = res.get(jj, Poly(T_VAR)) + (p if scale == 1 else p.scale(scale))
-
+    res = []
     for j, p in f.terms.items():
-        add(j, p.derivative() - 2 * p)          # (e^{-2t} beta_j)' part
-        add(j - 1, p)                            # beta_j d/dt I_j(2t)
-        add(j + 1, p)
-    for j, p in up.terms.items():
-        add(j, p, Fraction(-1))
-    for j, p in f.terms.items():
-        add(j, p, -c0)
-    for j, p in um.terms.items():
-        add(j, p, -cm)
+        res += [(j, p.derivative()), (j, p.scale(-2 - c0)),    # (e^{-2t} beta_j)' - c0 beta_j
+                (j - 1, p), (j + 1, p)]                     # beta_j d/dt I_j(2t)
+    res += [(j, -p) for j, p in up.terms.items()]
+    res += [(j, p.scale(-cm)) for j, p in um.terms.items()]
 
     A, B = combo_to_basis(res)
     return ExactZeroReport(

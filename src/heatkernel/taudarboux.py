@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import index
 
 from .exactcore import (
@@ -35,7 +35,6 @@ from .exactcore import (
     RationalFunc,
     ZeroDenominator,
     eval_int,
-    integer_coeffs,
     integer_roots,
     rat,
 )
@@ -158,9 +157,9 @@ def _columns(params: ParamVector) -> tuple:
         for j in range(1, count + 1):
             f = schur_component(eps, 2 * j - 1, params).shift(j - 1)
             df = schur_component(eps, 2 * j - 2, params).shift(j - 1)
-            ints, scale = integer_coeffs(f.coeffs + df.coeffs)
-            cut = len(f.coeffs)
-            out.append((eps == -1, tuple(ints[:cut]), tuple(ints[cut:]), scale))
+            g = gcd(f.den, df.den)
+            out.append((eps == -1, tuple(c * (df.den // g) for c in f.num),
+                        tuple(c * (f.den // g) for c in df.num), f.den // g * df.den))
     return tuple(out)
 
 
@@ -313,8 +312,8 @@ class TauFunction:
     `dpolyn` is its derivative in r_1 (the other r_i held fixed).
 
     `zeros` are the integer sites where tau vanishes, ascending, found exactly
-    once from tau times its least common denominator (also used for integer
-    Horner at sites).  The parameters are admissible iff it is empty.
+    once from the integer numerators of tau (also used for integer Horner at
+    sites).  The parameters are admissible iff it is empty.
     """
 
     params: ParamVector
@@ -323,17 +322,14 @@ class TauFunction:
     zeros: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scaled = integer_coeffs(self.polyn.coeffs)
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "zeros", tuple(integer_roots(scaled[0])))
+        object.__setattr__(self, "zeros", tuple(integer_roots(self.polyn.num)))
 
     @property
     def degree(self) -> int:
         return self.polyn.degree
 
     def value(self, n: int) -> Fraction:
-        ints, den = self._scaled
-        return Fraction(eval_int(ints, index(n)), den)
+        return Fraction(eval_int(self.polyn.num, index(n)), self.polyn.den)
 
     def ratio(self, a: int, b: int) -> Fraction:
         """tau(a)/tau(b); raises SingularTau at a vanishing denominator."""

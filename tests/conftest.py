@@ -5,12 +5,29 @@ going through the package's own constructors, so the tests compare two
 independent routes.
 """
 
+import math
 from fractions import Fraction as F
 
 from heatkernel.exactcore import LaurentPoly, Poly, RationalFunc
 from heatkernel.taudarboux import ParamVector
 
 SEED = 20260810
+
+
+def bessel_i_series(k: int, t: F, terms: int = 30) -> F:
+    """Ascending-series value of I_k(t) summed in exact rationals.
+
+    Independent oracle for the recurrence path: sum_j (t/2)^{k+2j} / (j! (j+k)!).
+    """
+    k = abs(k)
+    half = F(t) / 2
+    acc = F(0)
+    term = half ** k / math.factorial(k)
+    for j in range(terms):
+        acc += term
+        term = term * half * half / ((j + 1) * (j + 1 + k))
+    return acc
+
 
 # admissible generic parameter choices used across suites
 PARAMS = {

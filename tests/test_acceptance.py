@@ -9,10 +9,9 @@ import random
 import time
 from fractions import Fraction as F
 
-from conftest import PARAMS, SEED, one_step_kernel, two_step_kernel
+from conftest import PARAMS, SEED, bessel_i_series, one_step_kernel, two_step_kernel
 from heatkernel.bessel import (
     alpha_table,
-    bessel_i_series,
     bessel_row,
     identity_residuals,
 )

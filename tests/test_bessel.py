@@ -4,13 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import SEED
+from conftest import SEED, bessel_i_series
 from heatkernel.bessel import (
     BesselCombo,
     NonpositiveArgument,
     NotOddPolynomial,
     alpha_table,
-    bessel_i_series,
     bessel_row,
     identity_residuals,
     tail_resum,

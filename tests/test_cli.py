@@ -228,3 +228,46 @@ def test_verify_output_ignores_thread_env(monkeypatch, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
     assert [code for code, _ in outputs[0]] == [0, 0, 1, 1]
     assert all("first_failure" in out for _, out in outputs[0][2:])
+
+
+ONE_STEP = ["--R", "1", "--r", "1/2"]
+BAD_VALUES = [
+    # a negative --range would certify nothing yet PASS (or print a bare header)
+    (["tau", *ONE_STEP, "--range", "-2"], "--range"),
+    (["verify", "--mode", "pde", *ONE_STEP, "--range", "-1"], "--range"),
+    (["verify", "--mode", "oracle", *ONE_STEP, "--range", "-1"], "--range"),
+    (["verify", "--mode", "orth", *ONE_STEP, "--range", "-1"], "--range"),
+    # values that used to escape as a traceback with the FAIL exit code
+    (["bessel", "--t", "inf"], "--t"),
+    (["bessel", "--t", "nan"], "--t"),
+    (["bessel", "--t", "abc"], "--t"),
+    (["bessel", "--t", "1/0"], "--t"),
+    (["bessel", "--t", "1", "--kmax", "-1"], "--kmax"),
+    (["verify", "--mode", "decomp", "--t", "abc"], "--t"),
+    (["verify", "--mode", "decomp", "--t", "0"], "--t"),
+    (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--t", "-1"], "--t"),
+    (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--W", "-3"], "--W"),
+    (["verify", "--mode", "decomp", "--T", "0"], "--T"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_VALUES, ids=[" ".join(a) for a, _ in BAD_VALUES])
+def test_bad_values_are_usage_errors(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"heatkernel: {flag} ")
+
+
+def test_bad_values_exit_without_traceback():
+    for argv, flag in (BAD_VALUES[5], BAD_VALUES[11]):
+        proc = subprocess.run([sys.executable, "-m", "heatkernel.cli", *argv],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 64 and "Traceback" not in proc.stderr, argv
+        assert proc.stderr.startswith(f"heatkernel: {flag} "), argv
+
+
+def test_time_zero_still_valid_for_the_oracle(capsys):
+    code, out = run_cli(capsys, ["verify", "--mode", "oracle", *ONE_STEP,
+                                 "--range", "1", "--t", "0"])
+    assert code == 0 and "PASS" in out

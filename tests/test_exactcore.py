@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -118,6 +119,75 @@ def test_poly_gcd_matches_euclidean_reference(common, u, v, ca, cb):
     if not g.is_zero():
         assert g.leading == 1
         assert (a % g).is_zero() and (b % g).is_zero()
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, quot = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= quot[i] * y
+    return _trim(quot), _trim(rem)
+
+
+def _assert_canonical(p):
+    assert all(type(c) is int for c in p.num) and type(p.den) is int
+    assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert type(p.coeffs) is tuple and all(type(c) is F for c in p.coeffs)
+
+
+_ref_poly = st.lists(_coeff, max_size=5).map(_trim)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ref_poly, _ref_poly, _coeff, st.integers(0, 3))
+def test_poly_matches_fraction_reference(a, b, c, k):
+    # integer-numerator Poly against plain Fraction lists; the empty and
+    # one-term draws give the zero polynomial and constants
+    pa, pb = Poly("t", a), Poly("t", b)
+    pad = max(len(a), len(b))
+    a0, b0 = [*a, *[F(0)] * (pad - len(a))], [*b, *[F(0)] * (pad - len(b))]
+    power = (F(1),)
+    for _ in range(k):
+        power = _ref_mul(power, a)
+    shifted = [F(0)] * len(a)
+    for d, x in enumerate(a):
+        for l in range(d + 1):
+            shifted[l] += x * math.comb(d, l) * c ** (d - l)
+    cases = {
+        "add": (pa + pb, _trim(x + y for x, y in zip(a0, b0))),
+        "sub": (pa - pb, _trim(x - y for x, y in zip(a0, b0))),
+        "mul": (pa * pb, _ref_mul(a, b)),
+        "scale": (pa.scale(c), _trim(x * c for x in a)),
+        "derivative": (pa.derivative(), _trim(d * x for d, x in enumerate(a))[1:]),
+        "shift": (pa.shift(c), _trim(shifted)),
+        "pow": (pa ** k, power),
+    }
+    if b:
+        (q, r), (rq, rr) = divmod(pa, pb), _ref_divmod(a, b)
+        cases.update(quot=(q, rq), rem=(r, rr))
+    for name, (p, ref) in cases.items():
+        _assert_canonical(p)
+        assert p.coeffs == ref, name
+        same = Poly("t", [*ref, 0])
+        assert p == same and hash(p) == hash(same), name
+    assert (pa + pb) == (pb + pa) and hash(pa * pb) == hash(pb * pa)
 
 
 def test_poly_gcd_fallback_path(monkeypatch):

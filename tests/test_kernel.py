@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     PARAMS,
+    bessel_i_series,
     one_step_kernel,
     two_step_gamma,
     two_step_kernel,
 )
 from heatkernel import kernel, taudarboux
-from heatkernel.bessel import alpha_table, bessel_i_series, bessel_row
+from heatkernel.bessel import alpha_table, bessel_row
 from heatkernel.exactcore import LaurentPoly, Poly, RationalFunc, series_at_zero
 from heatkernel.kernel import (
     InternalInconsistency,
