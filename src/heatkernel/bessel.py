@@ -171,13 +171,13 @@ def _poly_arg_2t(p: Poly) -> Poly:
 def identity_residuals(t: float) -> dict:
     """Max residuals over the orders k <= 20 of the three-term relation, the
     derivative relation and the modified Bessel ODE (derivatives by central
-    differences, steps 1e-5 and 4.4e-4), plus the generating-function error
-    at 8 sample angles.
+    differences, steps min(1e-5, t/2) and 4.4e-4, both inside t > 0), plus
+    the generating-function error at 8 sample angles.
 
     Recurrence residuals are measured on the scaled values; the ODE residual
     is relative to (t^2 + k^2) I_k(t).
     """
-    K, h_deriv, h_ode = 20, 1e-5, 4.4e-4
+    K, h_deriv, h_ode = 20, min(1e-5, t / 2), 4.4e-4
     row = bessel_row(t, K + 2)
     rec = max(abs(k * row.scaled(k) - (t / 2.0) * (row.scaled(k - 1) - row.scaled(k + 1)))
               for k in range(0, K + 1))

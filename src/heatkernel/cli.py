@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .bessel import bessel_row, identity_residuals
@@ -129,7 +130,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--beta", help="rational beta (sets r_2 = -beta/4)")
 
 
+@lru_cache(maxsize=1)
 def make_parser() -> _Parser:
+    """Built on first use and reused; it prints to the sys.stdout/stderr of the moment."""
     top = _Parser(prog="heatkernel",
                   description="exact lattice heat kernels for Darboux-transformed Laplacians")
     top.add_argument("--version", action="version", version=f"heatkernel {__version__}")
@@ -182,30 +185,21 @@ def cmd_kernel(args) -> int:
     elif args.format == "json":
         _emit([json.dumps(formula.to_json(), indent=2)])
     else:
-        lines = ["order,beta"]
-        for j in formula.support:
-            lines.append(f"{j},\"{';'.join(formula.terms[j].to_strings())}\"")
-        _emit(lines)
+        _emit(["order,beta", *(f"{j},\"{';'.join(formula.terms[j].to_strings())}\""
+                               for j in formula.support)])
     return EXIT_OK
 
 
 def cmd_tau(args) -> int:
     params = build_params(args)
     tau = tau_build(params)
-    rows = []
-    for n in range(-args.range, args.range + 1):
-        value = tau.value(n)
-        rows.append((n, value, value == 0))
+    rows = [(n, tau.value(n)) for n in range(-args.range, args.range + 1)]
     if args.format == "csv":
-        lines = ["n,tau,flag"]
-        for n, value, singular in rows:
-            lines.append(f"{n},{value},{'SINGULAR' if singular else ''}")
-        _emit(lines)
+        _emit(["n,tau,flag", *(f"{n},{value},{'SINGULAR' if value == 0 else ''}"
+                               for n, value in rows)])
     else:
-        _emit([json.dumps([
-            {"n": n, "tau": str(value), "singular": singular}
-            for n, value, singular in rows
-        ], indent=2)])
+        _emit([json.dumps([{"n": n, "tau": str(value), "singular": value == 0}
+                           for n, value in rows], indent=2)])
     return EXIT_OK
 
 
@@ -213,14 +207,11 @@ def cmd_operator(args) -> int:
     params = build_params(args)
     L = operator_build(params)
     if args.at is not None:
-        lines = ["shift,value"]
-        for j in sorted(L.coeffs):
-            lines.append(f"{j},{L.coeff_at(j, args.at)}")
+        values = [(j, L.coeff_at(j, args.at)) for j in sorted(L.coeffs)]
         if args.format == "json":
-            _emit([json.dumps({str(j): str(L.coeff_at(j, args.at))
-                               for j in sorted(L.coeffs)}, indent=2)])
+            _emit([json.dumps({str(j): str(v) for j, v in values}, indent=2)])
         else:
-            _emit(lines)
+            _emit(["shift,value", *(f"{j},{v}" for j, v in values)])
     else:
         if args.format == "json":
             _emit([json.dumps(L.to_json(), indent=2)])
@@ -237,10 +228,7 @@ def cmd_bessel(args) -> int:
     t = _parse_time(args.t)
     row = bessel_row(t, args.kmax)
     if args.format == "csv":
-        lines = ["k,t,scaled"]
-        for k in range(args.kmax + 1):
-            lines.append(f"{k},{t!r},{row.scaled(k)!r}")
-        _emit(lines)
+        _emit(["k,t,scaled", *(f"{k},{t!r},{row.scaled(k)!r}" for k in range(args.kmax + 1))])
     else:
         _emit([json.dumps({"t": t, "scaled": list(row.values)})])
     return EXIT_OK
@@ -298,8 +286,7 @@ def cmd_verify(args) -> int:
         tol = args.tol if args.tol is not None else 1e-10
         tau = ensure_regular(params)
         G = orthogonality_gram(params, size)
-        worst = 0.0
-        first = None
+        worst, first = 0.0, None
         for i in range(size):
             for j in range(size):
                 value = float(G[i, j])
@@ -357,8 +344,7 @@ def main(argv=None) -> int:
             print(f"heatkernel: {exc}", file=sys.stderr)
             return EXIT_USAGE
         argv = argv[:1] + tokens + argv[1:]
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         _check_counts(args)
         return _COMMANDS[args.command](args)

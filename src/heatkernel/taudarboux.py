@@ -10,14 +10,18 @@ exponential in the parameters) which is pulled out of the determinant
 column by column and cancels against the normalization, leaving a clean
 polynomial.
 
-All parameters are numeric.  At an integer site the Wronskian is a K x K
-matrix of rationals (K = R + S), so one Gaussian elimination over dual
-numbers (value, d/dr_1) gives tau(n) and its r_1-derivative together: the
-r_1-derivative of every column is the same Taylor coefficient one index
-lower.  The Q and P* coefficients at a site are the null vector of the
-Wronskian with one more difference row, normalized to c_K = 1.  Polynomials
-in n are Newton-interpolated from sites where the determinant does not
-vanish, up to a degree bound read off the entries.
+All parameters are numeric, and the Wronskian layer runs on Python ints.
+Each column comes from the exponential series in integers, as
+falling-factorial coefficients over one denominator, and is evaluated once
+over a run of consecutive sites; its Delta (or Delta~) rows are one
+difference table.  One fraction-free elimination over dual numbers (value,
+d/dr_1) of the K x K Wronskian (K = R + S) gives tau(n) and its
+r_1-derivative together: the r_1-derivative of every column is the same
+Taylor coefficient one index lower.  The Q and P* coefficients at a site
+are the null vector of the Wronskian with one more difference row,
+normalized to c_K = 1.  Polynomials in n are interpolated by Newton forward
+differences over a run of sites where the determinant does not vanish, up
+to a degree bound read off the entries.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import index
 
 from .exactcore import (
@@ -68,6 +72,11 @@ class ParamVector:
         object.__setattr__(self, "R", int(R))
         object.__setattr__(self, "S", int(S))
         object.__setattr__(self, "r", tuple(rs))
+        # every cache keyed on the vector hashes it; hash its Fractions once
+        object.__setattr__(self, "_hash", hash((self.R, self.S, self.r)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_alpha_beta(cls, R: int, S: int, alpha, beta) -> "ParamVector":
@@ -90,26 +99,45 @@ class ParamVector:
         return [str(v) for v in self.r]
 
 
-def _binomial_poly(k: int) -> Poly:
-    """C(n, k) as a polynomial in n: n(n-1)...(n-k+1)/k!."""
-    out = Poly.const(N, 1)
-    for i in range(k):
-        out = out * Poly(N, [-i, 1])
-    return out.scale(Fraction(1, factorial(k)))
+def _series(epsilon: int, params: ParamVector, top: int) -> tuple[list[int], int]:
+    """(F, d): E_l = F[l] / (l! d^l), l <= top, are the coefficients of
+    exp(sum_a g_a s^a), g_a = r_a at end 1 and sum_i C(i, a) (-2)^(i-a) r_i
+    at end -1 (s = z + 2).  With g_a = G_a / d, l E_l = sum_a a g_a E_{l-a}
+    is F_l = sum_a a G_a d^(a-1) (l-1)!/(l-a)! F_{l-a}, all in integers."""
+    r = params.r
+    d = lcm(*(v.denominator for v in r))
+    G = [v.numerator * (d // v.denominator) for v in r]
+    if epsilon == -1:
+        G = [sum(comb(i, a) * (-2) ** (i - a) * G[i - 1] for i in range(a, len(G) + 1))
+             for a in range(1, len(G) + 1)]
+    F = [1]
+    for l in range(1, top + 1):
+        acc, fall = 0, 1
+        for a in range(1, min(l, len(G)) + 1):
+            acc += a * G[a - 1] * d ** (a - 1) * fall * F[l - a]
+            fall *= l - a
+        F.append(acc)
+    return F, d
 
 
-def _exp_series_coeffs(gs: list, count: int) -> list[Fraction]:
-    """Coefficients of exp(sum_a g_a z^a) up to z^{count-1}.
+def _falling(c: list[int], shift: int) -> list[int]:
+    """Integer coefficients (lowest degree first) of sum_k c[k] (n + shift)_k,
+    (x)_k = x (x-1) ... (x-k+1) the falling factorial, by Horner's rule."""
+    out: list[int] = []
+    for k in reversed(range(len(c))):
+        a = shift - k
+        out = [a * x + y for x, y in zip(out + [0], [0] + out)]
+        out[0] += c[k]
+    return out
 
-    gs[a] is the coefficient of z^a (gs[0] ignored).  Uses
-    E_l = (1/l) sum a g_a E_{l-a}.
-    """
-    E = [Fraction(1)]
-    for l in range(1, count):
-        acc = sum((a * gs[a] * E[l - a] for a in range(1, min(l, len(gs) - 1) + 1)),
-                  Fraction(0))
-        E.append(acc / l)
-    return E
+
+def _component(epsilon: int, series: tuple[list[int], int], j: int, shift: int) -> Poly:
+    """S^eps_j(n + shift) = sum_k eps^k C(n + shift, k) E_{j-k}, over the
+    denominator j! d^j: the falling-factorial coefficients are the integers
+    eps^k C(j, k) d^k F_{j-k}."""
+    F, d = series
+    c = [epsilon ** k * comb(j, k) * d ** k * F[j - k] for k in range(j + 1)]
+    return Poly.from_ints(N, _falling(c, shift), factorial(j) * d ** j)
 
 
 def schur_component(epsilon: int, j: int, params: ParamVector) -> Poly:
@@ -123,22 +151,7 @@ def schur_component(epsilon: int, j: int, params: ParamVector) -> Poly:
         raise ValueError("epsilon must be +1 or -1")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    r = params.r
-    if epsilon == 1:
-        # expansion variable is z itself
-        gs = [None, *r]
-    else:
-        # expand around z = -2 in s = z + 2:
-        # (1+z)^n = (-1)^n (1-s)^n,  exp part contributes c * exp(g(s))
-        gs = [None] + [sum(comb(i, a) * (-2) ** (i - a) * r[i - 1]
-                           for i in range(a, len(r) + 1))
-                       for a in range(1, len(r) + 1)]
-    E = _exp_series_coeffs(gs, j + 1)
-    total = Poly(N)
-    for k in range(j + 1):
-        if E[j - k]:
-            total = total + _binomial_poly(k).scale(epsilon ** k * E[j - k])
-    return total
+    return _component(epsilon, _series(epsilon, params, j), j, 0)
 
 
 @lru_cache(maxsize=64)
@@ -154,9 +167,10 @@ def _columns(params: ParamVector) -> tuple:
     """
     out = []
     for eps, count in ((1, params.R), (-1, params.S)):
+        series = _series(eps, params, 2 * count - 1)
         for j in range(1, count + 1):
-            f = schur_component(eps, 2 * j - 1, params).shift(j - 1)
-            df = schur_component(eps, 2 * j - 2, params).shift(j - 1)
+            f = _component(eps, series, 2 * j - 1, j - 1)
+            df = _component(eps, series, 2 * j - 2, j - 1)
             g = gcd(f.den, df.den)
             out.append((eps == -1, tuple(c * (df.den // g) for c in f.num),
                         tuple(c * (f.den // g) for c in df.num), f.den // g * df.den))
@@ -175,25 +189,26 @@ def _degree_bound(params: ParamVector) -> int:
         - R * (R - 1) // 2
 
 
-def _wronskian(params: ParamVector, n: int, starred: bool = False,
-               deriv: bool = False) -> list[list[int]]:
-    """Rows 0..K of the Wronskian at site n, column by column.
-
-    Entry [c][i] is step^i f_c(n) on the scaled column f_c (its r_1-derivative
-    if deriv), with step = Delta or Delta~.  Starred columns are shifted by K
-    sites and use the adjoint differences, which read the values backwards.
+def _wronskians(params: ParamVector, first: int, count: int, starred: bool = False,
+                deriv: bool = False) -> list[list[list[int]]]:
+    """Rows 0..K of the Wronskian, column by column, at the count sites n
+    from first: entry [c][i] is step^i f_c(n) on the scaled column f_c (its
+    r_1-derivative if deriv), step = Delta or Delta~, read off one difference
+    table of f_c.  Starred columns are shifted by K sites and use the adjoint
+    differences, which read the table backwards: (-1)^i Delta^i f_c(n + K - i),
+    or Delta~^i f_c(n + K - i).
     """
     K = params.order
-    sites = [n + K - l if starred else n + l for l in range(K + 1)]
-    out = []
+    tables = []
     for tilde, f, df, _ in _columns(params):
-        vals = [eval_int(df if deriv else f, x) for x in sites]
-        entries = []
-        for _ in range(K + 1):
-            entries.append(vals[0])
+        vals = [eval_int(df if deriv else f, x) for x in range(first, first + count + K)]
+        rows = [vals]
+        for i in range(1, K + 1):
             vals = [-(b + a) if tilde else b - a for a, b in zip(vals, vals[1:])]
-        out.append(entries)
-    return out
+            rows.append([-v for v in vals] if starred and not tilde and i % 2 else vals)
+        tables.append(rows)
+    return [[[row[s + K - i if starred else s] for i, row in enumerate(rows)]
+             for rows in tables] for s in range(count)]
 
 
 def _dual_det(a: list, da: list):
@@ -226,43 +241,47 @@ def _dual_det(a: list, da: list):
     return sign * prev, sign * dprev
 
 
-def _solve(a: list, b: list):
-    """(det a, x) with a x = b over the rationals; None when det a = 0."""
-    size = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    det = Fraction(1)
+def _solve(cols: list):
+    """(det, [det c_0..det c_{K-1}]) for the Wronskian columns cols at a
+    site: sum_i c_i step^i annihilates every column with c_K = 1, and det is
+    the scaled K x K Wronskian; None where det = 0.
+
+    Fraction-free (Bareiss) elimination on the augmented matrix [A | -b],
+    whose rows are the columns, then back-substitution for det c, which is
+    integral by Cramer's rule.
+    """
+    m = [list(c) for c in cols]
+    size = len(m)
+    sign, prev = 1, 1
     for col in range(size):
         piv = next((r for r in range(col, size) if m[r][col]), None)
         if piv is None:
             return None
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
+            sign = -sign
         head = m[col]
-        det *= head[col]
+        p = head[col]
         for row in m[col + 1:]:
-            if row[col]:
-                f = row[col] / head[col]
-                for k in range(col + 1, size + 1):
-                    row[k] -= f * head[k]
-    x = [Fraction(0)] * size
+            h = row[col]
+            for k in range(col + 1, size + 1):
+                row[k] = (p * row[k] - h * head[k]) // prev
+        prev = p
+    xs = [0] * size
     for r in reversed(range(size)):
         row = m[r]
-        x[r] = (row[size] - sum(row[j] * x[j] for j in range(r + 1, size))) / row[r]
-    return det, x
+        xs[r] = (-prev * row[size] - sum(row[j] * xs[j] for j in range(r + 1, size))) // row[r]
+    return sign * prev, [sign * x for x in xs]
 
 
 def _site_solve(params: ParamVector, n: int, starred: bool):
-    """(det, (c_0..c_K)) at site n: sum_i c_i step^i annihilates every
-    column there, c_K = 1, and det is the scaled K x K Wronskian; None where
-    that Wronskian is singular."""
-    K = params.order
-    cols = _wronskian(params, n, starred)
-    solved = _solve([c[:K] for c in cols], [-c[K] for c in cols])
+    """(det, (c_0..c_K)) of _solve at site n, with c_K = 1; None where the
+    K x K Wronskian is singular."""
+    solved = _solve(_wronskians(params, n, 1, starred)[0])
     if solved is None:
         return None
-    det, x = solved
-    return det, (*x, Fraction(1))
+    det, xs = solved
+    return det, (*(Fraction(x, det) for x in xs), Fraction(1))
 
 
 @lru_cache(maxsize=4096)
@@ -275,35 +294,38 @@ def _delta_coeffs(params: ParamVector, n: int, starred: bool) -> tuple[Fraction,
     return solved[1]
 
 
-def _sample(params: ParamVector, at) -> tuple[list[int], list]:
-    """at(n) at the first _degree_bound + 1 sites n >= 0 where it is not None.
+def _sample(params: ParamVector, at) -> tuple[int, list]:
+    """(first, at(first, bound + 1)) for the least first >= 0 at which the
+    bound + 1 values at the consecutive sites from first are not None.
 
-    A nonzero polynomial of degree <= bound vanishes at no more than bound
-    sites, so 2 bound + 1 candidates suffice unless it is identically zero.
+    at(first, count) lists the values at count consecutive sites.  Each None
+    is a zero of a polynomial of degree <= bound, moved past by the next try;
+    bound + 1 of them make it identically zero.
     """
     bound = _degree_bound(params)
-    sites, values = [], []
-    for n in range(2 * bound + 1):
-        value = at(n)
-        if value is not None:
-            sites.append(n)
-            values.append(value)
-            if len(sites) > bound:
-                return sites, values
+    first = 0
+    for _ in range(bound + 1):
+        values = at(first, bound + 1)
+        miss = next((k for k, v in enumerate(values) if v is None), None)
+        if miss is None:
+            return first, values
+        first += miss + 1
     raise SingularTau(0, "tau is identically zero")
 
 
-def _interpolate(xs: list[int], ys: list[Fraction]) -> Poly:
-    """The polynomial in n of degree < len(xs) through (xs[k], ys[k]),
-    by Newton's divided differences."""
-    coef = [Fraction(y) for y in ys]
-    for level in range(1, len(xs)):
-        for k in range(len(xs) - 1, level - 1, -1):
-            coef[k] = (coef[k] - coef[k - 1]) / (xs[k] - xs[k - level])
-    out = Poly(N)
-    for k in reversed(range(len(xs))):
-        out = out * Poly(N, [-xs[k], 1]) + coef[k]
-    return out
+def _interpolate(first: int, ys: list[int], den: int = 1) -> Poly:
+    """The polynomial in n of degree < len(ys) through (first + k, ys[k] / den).
+
+    By Newton's forward differences p(n) = sum_k Delta^k y(first) C(n - first,
+    k); over (len(ys) - 1)! den its falling-factorial coefficients in
+    n - first are integers.
+    """
+    top = len(ys) - 1
+    c = []
+    for k in range(top + 1):
+        c.append(ys[0] * (factorial(top) // factorial(k)))
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    return Poly.from_ints(N, _falling(c, -first), factorial(top) * den)
 
 
 @dataclass(frozen=True)
@@ -351,18 +373,16 @@ def tau_build(params: ParamVector) -> TauFunction:
     K = params.order
     scale = prod(s for *_, s in _columns(params))
 
-    def at(n):
-        vals = _dual_det([c[:K] for c in _wronskian(params, n)],
-                         [d[:K] for d in _wronskian(params, n, deriv=True)])
-        if vals is None:
-            return None
-        return Fraction(vals[0], scale), Fraction(vals[1], scale)
+    def at(first, count):
+        return [_dual_det([c[:K] for c in w], [d[:K] for d in dw])
+                for w, dw in zip(_wronskians(params, first, count),
+                                 _wronskians(params, first, count, deriv=True))]
 
-    sites, values = _sample(params, at)
+    first, values = _sample(params, at)
     return TauFunction(
         params=params,
-        polyn=_interpolate(sites, [v for v, _ in values]),
-        dpolyn=_interpolate(sites, [d for _, d in values]),
+        polyn=_interpolate(first, [v for v, _ in values], scale),
+        dpolyn=_interpolate(first, [d for _, d in values], scale),
     )
 
 
@@ -405,10 +425,6 @@ class BandOperator:
     @classmethod
     def identity(cls) -> "BandOperator":
         return cls({0: 1})
-
-    @classmethod
-    def shift(cls, j: int = 1, coeff=1) -> "BandOperator":
-        return cls({j: coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -530,28 +546,26 @@ def operator_build(params: ParamVector) -> BandOperator:
     return BandOperator({1: 1, 0: diag, -1: sub})
 
 
-def _interpolated_coeffs(params: ParamVector, starred: bool) -> list[PolyFraction]:
-    """c_i(n) as rational functions: c_i det and det are polynomials in n,
-    interpolated from the site solves."""
-    sites, solved = _sample(params, lambda n: _site_solve(params, n, starred))
-    den = _interpolate(sites, [det for det, _ in solved])
-    return [PolyFraction(_interpolate(sites, [det * cs[i] for det, cs in solved]), den)
-            for i in range(params.order + 1)]
-
-
 def qp_build(params: ParamVector) -> tuple[BandOperator, BandOperator]:
     """The order R+S forward-difference factors Q and P.
 
     Q comes from the Wronskian ratio with one extra column, P as the formal
     adjoint of the starred ratio P*.  Their composition satisfies
-    P Q = (Lambda - Id)^{2R} (Lambda + Id)^{2S} identically in n.
+    P Q = (Lambda - Id)^{2R} (Lambda + Id)^{2S} identically in n.  The
+    coefficients c_i(n) are rational functions: det c_i and det are
+    polynomials in n, interpolated from the site solves.
     """
     ensure_regular(params)
+    K = params.order
     factors = []
     for starred, step in ((False, BandOperator({1: 1, 0: -1})),
                           (True, BandOperator({-1: 1, 0: -1}))):
-        out = BandOperator({})
-        for i, c in enumerate(_interpolated_coeffs(params, starred)):
+        first, solved = _sample(params, lambda first, count: [
+            _solve(w) for w in _wronskians(params, first, count, starred)])
+        den = _interpolate(first, [det for det, _ in solved])
+        out = step ** K
+        for i in range(K):
+            c = PolyFraction(_interpolate(first, [xs[i] for _, xs in solved]), den)
             out = out + BandOperator({0: c}) * (step ** i)
         factors.append(out)
     Q, Pstar = factors

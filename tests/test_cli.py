@@ -267,7 +267,69 @@ def test_bad_values_exit_without_traceback():
         assert proc.stderr.startswith(f"heatkernel: {flag} "), argv
 
 
+def test_identities_at_tiny_t_report_without_traceback():
+    # the derivative step shrinks to t/2, so no Bessel row is asked for at
+    # t <= 0; the ODE residual may still FAIL by roundoff at such t
+    proc = subprocess.run([sys.executable, "-m", "heatkernel.cli", "verify", "--mode",
+                           "identities", "--t", "0.000001"],
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
+    assert "Traceback" not in proc.stderr and proc.returncode in (0, 1)
+    assert proc.stdout.startswith("# heatkernel ")
+    assert "verify mode=identities: " in proc.stdout and "derivative = " in proc.stdout
+
+
 def test_time_zero_still_valid_for_the_oracle(capsys):
     code, out = run_cli(capsys, ["verify", "--mode", "oracle", *ONE_STEP,
                                  "--range", "1", "--t", "0"])
     assert code == 0 and "PASS" in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TWO_ONE = ["--R", "2", "--S", "1", "--r", "1/3,1/5"]
+# the README commands (marked), interleaved with other flags, a config file
+# and usage errors, all through one process's main
+GOLDEN_CALLS = [
+    ("readme_kernel_json", ["kernel", "--R", "1", "--S", "0", "--r", "1/2",
+                            "--n", "0", "--m", "0", "--format", "json"]),
+    ("kernel_csv", ["kernel", *TWO_ONE, "--n", "-1", "--m", "2", "--format", "csv"]),
+    ("readme_kernel_latex", ["kernel", "--R", "1", "--S", "1", "--alpha", "1/4",
+                             "--beta", "1", "--n", "1", "--m", "0", "--format", "latex"]),
+    ("usage_missing_m", ["kernel", "--R", "1", "--n", "0"]),
+    ("tau_json", ["tau", *TWO_ONE, "--range", "2", "--format", "json"]),
+    ("readme_tau", ["tau", "--R", "1", "--S", "1", "--alpha", "0", "--beta", "0",
+                    "--range", "3"]),
+    ("kernel_config", ["kernel", "--config", str(GOLDEN / "kernel.cfg"), "--n", "0"]),
+    ("operator_json", ["operator", *TWO_ONE, "--format", "json"]),
+    ("readme_operator", ["operator", "--R", "1", "--S", "0", "--r", "1/2", "--at", "0"]),
+    ("operator_at_json", ["operator", *TWO_ONE, "--at", "-2", "--format", "json"]),
+    ("tau_singular_json", ["tau", "--R", "1", "--S", "1", "--alpha", "0", "--beta", "0",
+                           "--range", "2", "--format", "json"]),
+    ("usage_decimal", ["kernel", "--R", "1", "--r", "0.5", "--n", "0", "--m", "0"]),
+    ("verify_pde_json", ["verify", "--mode", "pde", *TWO_ONE, "--range", "1",
+                         "--format", "json"]),
+    ("readme_verify_pde", ["verify", "--mode", "pde", "--R", "1", "--S", "1",
+                           "--alpha", "1/4", "--beta", "1", "--n", "2", "--m", "0"]),
+    ("bessel_csv", ["bessel", "--t", "3/2", "--kmax", "4"]),
+    ("version", ["--version"]),
+    ("readme_kernel_json", ["kernel", "--R", "1", "--S", "0", "--r", "1/2",
+                            "--n", "0", "--m", "0", "--format", "json"]),
+]
+GOLDEN_CODES = {"usage_missing_m": 64, "usage_decimal": 64, "version": 0}
+
+
+def run_golden_call(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:       # argparse errors and --version
+        return exc.code
+
+
+def test_golden_cli_output_in_one_process(capsys):
+    # one parser serves every call: byte-identical stdout, no state carried
+    for name, argv in GOLDEN_CALLS:
+        code = run_golden_call(argv)
+        captured = capsys.readouterr()
+        assert code == GOLDEN_CODES.get(name, 0), name
+        assert captured.out == (GOLDEN / f"{name}.out").read_text(), name
+        if code == 64:
+            assert captured.out == "" and "Traceback" not in captured.err, name

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,9 @@ from heatkernel.exactcore import (
     PolyFraction,
     RationalFunc,
     eval_int,
+    integer_roots,
 )
+from heatkernel import taudarboux
 from heatkernel.taudarboux import (
     BandOperator,
     ParamVector,
@@ -360,3 +363,159 @@ def test_darboux_one_step_agrees_with_tau_route():
 def test_darboux_one_step_integer_delta_rejected():
     with pytest.raises(SingularTau):
         darboux_one_step(F(2))
+
+
+def test_param_vector_hash_matches_equality():
+    padded = ParamVector(1, 1, [F(1, 4), F(-1, 4), 0, 0])
+    alpha_beta = ParamVector.from_alpha_beta(1, 1, F(1, 4), 1)
+    strings = ParamVector(1, 1, ["1/4", "-1/4"])
+    assert padded == alpha_beta == strings
+    assert hash(padded) == hash(alpha_beta) == hash(strings)
+    assert ParamVector(1, 1, [F(1, 4), F(-1, 4), 0, 0, 0]) != padded
+    before = tau_build.cache_info()
+    tau = tau_build(padded)
+    assert tau_build(alpha_beta) is tau and tau_build(strings) is tau
+    after = tau_build.cache_info()
+    assert after.hits - before.hits >= 2 and after.misses - before.misses <= 1
+
+
+# Reference for the integer Wronskian layer, over Fractions: Schur components
+# from the exponential series, per-site Wronskians, Gaussian elimination and
+# Newton's divided differences.  The integer layer must agree with it exactly.
+
+def _ref_schur_component(epsilon, j, params):
+    r = params.r
+    if epsilon == 1:
+        gs = [None, *r]
+    else:
+        gs = [None] + [sum(comb(i, a) * (-2) ** (i - a) * r[i - 1] for i in range(a, len(r) + 1))
+                       for a in range(1, len(r) + 1)]
+    E = [F(1)]
+    for l in range(1, j + 1):
+        E.append(sum((a * gs[a] * E[l - a] for a in range(1, min(l, len(gs) - 1) + 1)),
+                     F(0)) / l)
+    total = Poly("n")
+    for k in range(j + 1):
+        binom = Poly.const("n", 1)
+        for i in range(k):
+            binom = binom * Poly("n", [-i, 1])
+        total = total + binom.scale(F(epsilon ** k, factorial(k)) * E[j - k])
+    return total
+
+
+def _ref_columns(params):
+    out = []
+    for eps, count in ((1, params.R), (-1, params.S)):
+        for j in range(1, count + 1):
+            f = _ref_schur_component(eps, 2 * j - 1, params).shift(j - 1)
+            df = _ref_schur_component(eps, 2 * j - 2, params).shift(j - 1)
+            g = gcd(f.den, df.den)
+            out.append((eps == -1, tuple(c * (df.den // g) for c in f.num),
+                        tuple(c * (f.den // g) for c in df.num), f.den // g * df.den))
+    return tuple(out)
+
+
+def _ref_wronskian(columns, K, n, starred=False, deriv=False):
+    sites = [n + K - l if starred else n + l for l in range(K + 1)]
+    out = []
+    for tilde, f, df, _ in columns:
+        vals = [eval_int(df if deriv else f, x) for x in sites]
+        entries = []
+        for _ in range(K + 1):
+            entries.append(vals[0])
+            vals = [-(b + a) if tilde else b - a for a, b in zip(vals, vals[1:])]
+        out.append(entries)
+    return out
+
+
+def _ref_solve(a, b):
+    size = len(a)
+    m = [[F(v) for v in row] + [F(rhs)] for row, rhs in zip(a, b)]
+    det = F(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
+        if piv is None:
+            return None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        head = m[col]
+        det *= head[col]
+        for row in m[col + 1:]:
+            if row[col]:
+                f = row[col] / head[col]
+                for k in range(col + 1, size + 1):
+                    row[k] -= f * head[k]
+    x = [F(0)] * size
+    for r in reversed(range(size)):
+        row = m[r]
+        x[r] = (row[size] - sum(row[j] * x[j] for j in range(r + 1, size))) / row[r]
+    return det, x
+
+
+def _ref_site_solve(columns, K, n, starred):
+    cols = _ref_wronskian(columns, K, n, starred)
+    solved = _ref_solve([c[:K] for c in cols], [-c[K] for c in cols])
+    return None if solved is None else (solved[0], (*solved[1], F(1)))
+
+
+def _ref_interpolate(xs, ys):
+    coef = list(ys)
+    for level in range(1, len(xs)):
+        for k in range(len(xs) - 1, level - 1, -1):
+            coef[k] = (coef[k] - coef[k - 1]) / (xs[k] - xs[k - level])
+    out = Poly("n")
+    for k in reversed(range(len(xs))):
+        out = out * Poly("n", [-xs[k], 1]) + coef[k]
+    return out
+
+
+def _ref_tau(columns, K, bound):
+    scale = prod(s for *_, s in columns)
+    sites, values = [], []
+    for n in range(2 * bound + 1):
+        vals = taudarboux._dual_det([c[:K] for c in _ref_wronskian(columns, K, n)],
+                                    [d[:K] for d in _ref_wronskian(columns, K, n, deriv=True)])
+        if vals is not None:
+            sites.append(n)
+            values.append((F(vals[0], scale), F(vals[1], scale)))
+            if len(sites) > bound:
+                return (_ref_interpolate(sites, [v for v, _ in values]),
+                        _ref_interpolate(sites, [d for _, d in values]))
+    raise SingularTau(0, "tau is identically zero")
+
+
+def test_reference_interpolation_is_newton_forward():
+    # the reference interpolant matches the integer one on shifted runs
+    nums = [5, -3, 0, 11, 2]
+    for first in (-4, 0, 3):
+        xs = list(range(first, first + 5))
+        assert _ref_interpolate(xs, [F(v, 6) for v in nums]) == \
+            taudarboux._interpolate(first, nums, 6), first
+
+
+_integer_r = st.lists(st.integers(-4, 4).map(F), min_size=1, max_size=6)
+_rational_r = st.lists(_small_r, min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3),
+       st.one_of(_rational_r, _rational_r, _rational_r, _integer_r))
+def test_integer_wronskian_layer_matches_fraction_reference(R, S, r):
+    # about a quarter of the draws take integer parameters only, which often
+    # put zeros of tau (and singular site solves) on the lattice
+    params = ParamVector(R, S, r)
+    for eps in (1, -1):
+        for j in range(4):
+            assert schur_component(eps, j, params) == _ref_schur_component(eps, j, params)
+    columns = _ref_columns(params)
+    assert taudarboux._columns(params) == columns
+    K, bound = params.order, taudarboux._degree_bound(params)
+    polyn, dpolyn = _ref_tau(columns, K, bound)
+    tau = tau_build(params)
+    assert tau.polyn == polyn and tau.dpolyn == dpolyn
+    assert tau.zeros == tuple(integer_roots(polyn.num))
+    for n in range(-6, 7):
+        for starred in (False, True):
+            assert taudarboux._site_solve(params, n, starred) == \
+                _ref_site_solve(columns, K, n, starred), (n, starred)
