@@ -171,7 +171,7 @@ def _poly_arg_2t(p: Poly) -> Poly:
 def identity_residuals(t: float) -> dict:
     """Max residuals over the orders k <= 20 of the three-term relation, the
     derivative relation and the modified Bessel ODE (derivatives by central
-    differences, steps min(1e-5, t/2) and 4.4e-4, both inside t > 0), plus
+    differences, steps min(1e-5, t/2) and 4.4e-4 scaled to the order), plus
     the generating-function error at 8 sample angles.
 
     Recurrence residuals are measured on the scaled values; the ODE residual
@@ -188,12 +188,12 @@ def identity_residuals(t: float) -> dict:
         for k in range(0, K + 1))
     ode = 0.0
     for k in range(0, K + 1):
-        # I_k varies on the scale min(t/k, 1), so the step must shrink with
-        # k to balance truncation against roundoff
-        h = h_ode * min(t / max(k, 1), 1.0)
-        rp2, rm2 = bessel_row(t + h, K + 2), bessel_row(t - h, K + 2)
-        d1 = (rp2.unscaled(k) - rm2.unscaled(k)) / (2 * h)
-        d2 = (rp2.unscaled(k) - 2 * row.unscaled(k) + rm2.unscaled(k)) / h ** 2
+        # I_k varies on the scale min(t/k, 1), I_0 on the scale 1; t - h < 0
+        # only at k = 0, where I_0(-s) = I_0(s) and I_0(0) = 1
+        h = h_ode * min(t / k, 1.0) if k else h_ode
+        plus, minus = (bessel_row(abs(x), K + 2).unscaled(k) if x else 1.0 for x in (t + h, t - h))
+        d1 = (plus - minus) / (2 * h)
+        d2 = (plus - 2 * row.unscaled(k) + minus) / h ** 2
         res = t * t * d2 + t * d1 - (t * t + k * k) * row.unscaled(k)
         ode = max(ode, abs(res) / ((t * t + k * k) * row.unscaled(k)))
     gen = 0.0

@@ -941,6 +941,11 @@ class PolyFraction:
 
     __call__ = subs
 
+    def float_at(self, x: int) -> float:
+        """float(self.subs(x)) at an integer x: one correctly rounded int / int."""
+        top = eval_int(self.num.num, x) * self.den.den
+        return top / (eval_int(self.den.num, x) * self.num.den)
+
     def __repr__(self):
         if self.den.degree == 0:
             return repr(self.num)

@@ -268,14 +268,22 @@ def test_bad_values_exit_without_traceback():
 
 
 def test_identities_at_tiny_t_report_without_traceback():
-    # the derivative step shrinks to t/2, so no Bessel row is asked for at
-    # t <= 0; the ODE residual may still FAIL by roundoff at such t
+    # the derivative step shrinks to t/2 and the k = 0 ODE point below zero
+    # is taken by reflection, so no Bessel row is asked for at t <= 0
     proc = subprocess.run([sys.executable, "-m", "heatkernel.cli", "verify", "--mode",
                            "identities", "--t", "0.000001"],
                           capture_output=True, text=True, env=SUBPROCESS_ENV)
-    assert "Traceback" not in proc.stderr and proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr and proc.returncode == 0
     assert proc.stdout.startswith("# heatkernel ")
-    assert "verify mode=identities: " in proc.stdout and "derivative = " in proc.stdout
+    assert "verify mode=identities: PASS" in proc.stdout and "derivative = " in proc.stdout
+
+
+@pytest.mark.parametrize("t", ["1e-6", "1e-5", "1e-4", "1e-3", "0.01", "0.05", "0.1"])
+def test_identities_pass_below_t_one(capsys, t):
+    code, out = run_cli(capsys, ["verify", "--mode", "identities", "--t", t, "--format", "json"])
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["ode"] <= 5e-8, report
 
 
 def test_time_zero_still_valid_for_the_oracle(capsys):

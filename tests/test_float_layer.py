@@ -1,5 +1,6 @@
 """The float layer: kernel_eval's accuracy against high-precision values of
-the same exact beta_j, and scipy staying off the import path."""
+the same exact beta_j, scipy staying off the import path and scipy.sparse
+off the lattice route."""
 
 import subprocess
 import sys
@@ -45,3 +46,19 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=SUBPROCESS_ENV, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_lattice_route_leaves_scipy_sparse_unloaded():
+    # the README oracle check, then lattice_evolve; scipy.special may load
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from heatkernel import ParamVector, lattice_evolve, operator_build\n"
+            "from heatkernel.cli import main\n"
+            "code = main(['verify', '--mode', 'oracle', '--R', '1', '--S', '0', '--r', '1/2',\n"
+            "             '--range', '4', '--t', '0.5,1,2'])\n"
+            "lattice_evolve(operator_build(ParamVector(1, 0, [Fraction(1, 2)])), 200, 0, 1.0)\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SUBPROCESS_ENV, check=True)
+    assert "PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 []"

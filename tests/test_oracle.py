@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm as dense_expm
 
 from conftest import PARAMS
@@ -15,6 +16,7 @@ from heatkernel.oracle import (
     circle_quadrature,
     compare_kernel_to_lattice,
     compare_report,
+    expm,
     lattice_evolve,
     lattice_window,
     orthogonality_gram,
@@ -26,13 +28,33 @@ from heatkernel.taudarboux import (
     tau_build,
     wave_p,
 )
+from test_float_layer import _reference
+from test_taudarboux import _small_r
+
+
+def dense(window):
+    """The window as a dense matrix, written from its bands."""
+    size = 2 * window.W + 1
+    return sum(np.diag(b[:size - j] if j >= 0 else b[-j:], j) for j, b in window.bands.items())
 
 
 def test_lattice_window_structure():
     win = lattice_window(free_operator(), 3)
-    assert win.matrix.shape == (7, 7)
-    assert win.matrix[3, 3] == -2 and win.matrix[3, 4] == 1 and win.matrix[3, 2] == 1
-    assert win.matrix[0, 1] == 1 and win.matrix[0, 0] == -2   # boundary row truncated
+    A = dense(win)
+    assert A.shape == (7, 7)
+    assert A[3, 3] == -2 and A[3, 4] == 1 and A[3, 2] == 1
+    assert A[0, 1] == 1 and A[0, 0] == -2 and A[6, 5] == 1    # boundary rows truncated
+    assert win.bands[1][6] == 0 and win.bands[-1][0] == 0     # out-of-window couplings
+    assert np.count_nonzero(A) == 7 + 2 * 6
+
+
+def test_lattice_window_floats_of_exact_coefficients():
+    L = operator_build(PARAMS[(2, 2)])
+    win = lattice_window(L, 30)
+    for j, band in win.bands.items():
+        for n in range(-30, 31):
+            expect = float(L.coeff_at(j, n)) if abs(n + j) <= 30 else 0.0
+            assert band[n + 30] == expect, (j, n)
 
 
 def test_free_evolution_matches_bessel():
@@ -197,9 +219,9 @@ def test_propagation_matches_dense_expm(key):
     # the dense exponential of the whole window stays here as the reference
     W = 200
     L = operator_build(PARAMS[key])
-    dense = lattice_window(L, W).matrix.toarray()
+    A = dense(lattice_window(L, W))
     for t in (1.0, 4.0):
-        P = dense_expm(t * dense)
+        P = dense_expm(t * A)
         for m in (-4, 0, 4):
             got = lattice_evolve(L, W, m, t)["values"]
             ref = P[:, m + W]
@@ -231,3 +253,44 @@ def test_lattice_evolve_free_centre_value():
     W = 100
     values = lattice_evolve(free_operator(), W, 0, 1.0)["values"]
     assert abs(values[W] - bessel_row(2.0, 0).scaled(0)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.lists(_small_r, min_size=1, max_size=4))
+def test_expm_matches_dense_exponential(R, S, r):
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    W, sources = 60, [56, 60, 64]                 # the sites -4, 0, 4
+    window = lattice_window(operator_build(params), W)
+    A = dense(window)
+    # near a tau zero (||L_W||_1 ~ 1e3 and up) the dense Pade exponential
+    # drifts from the exact kernel by more than 1e-12 max|u| (8e-11 at
+    # max|u| = 30 for (1,1), r = 7/2, t = 4) while expm stays within it:
+    # such windows are checked against the exact kernel in the next test
+    assume(np.linalg.norm(A, 1) <= 100)
+    columns = np.eye(2 * W + 1)[:, sources]
+    for t in (0.5, 4.0):
+        ref = dense_expm(t * A)[:, sources]
+        got = expm(window, columns, t)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), t
+
+
+@pytest.mark.parametrize("params", [
+    ParamVector.from_alpha_beta(1, 1, F(4, 11), F(-2, 13)),    # the benchmark's seed-103 draw
+    ParamVector(1, 2, [F(2), F(0), F(-4), F(-4)]),
+], ids=["seed103", "1,2"])
+def test_expm_near_singular_window(params):
+    # ||L_W||_1 ~ 8e5 and ~1e4, while ||L_W^p||_1^(1/p) falls below 10 by
+    # p = 9: the step count must come from the powers.  The dense
+    # exponential is off by up to 2.3e-7 here, so the reference is the
+    # kernel from the exact beta_j at 80 digits, at the bound every float
+    # oracle check uses, 1e-10 max(1, |u|)
+    W, sources = 60, (-4, 0, 4)
+    window = lattice_window(operator_build(params), W)
+    columns = np.eye(2 * W + 1)[:, [W + m for m in sources]]
+    for t in (0.5, 4.0):
+        got = expm(window, columns, t)
+        for i, m in enumerate(sources):
+            for n in range(-4, 5):
+                u = float(_reference(assemble_kernel(params, n, m), t)[0])
+                assert abs(got[W + n, i] - u) <= 1e-10 * max(1.0, abs(u)), (t, n, m)
