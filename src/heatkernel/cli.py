@@ -107,6 +107,23 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+@lru_cache(maxsize=1)
+def _config_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    return pre
+
+
+def _config_path(argv: list[str]) -> str | None:
+    """The --config value in argv as argparse reads it, also spelled
+    --config=FILE or abbreviated; None when absent or given no value, which
+    the full parser then reports."""
+    try:
+        return _config_parser().parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None
+
+
 def _load_config(path: str) -> list[str]:
     tokens = []
     with open(path) as fh:
@@ -118,6 +135,8 @@ def _load_config(path: str) -> list[str]:
                 raise UsageError(f"malformed config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
             tokens.extend([f"--{key}", value])
+    if _config_path(tokens) is not None:
+        raise UsageError(f"a config file cannot name another: {path}")
     return tokens
 
 
@@ -333,11 +352,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # config tokens go right after the subcommand so explicit flags win
-    if "--config" in argv:
-        at = argv.index("--config")
+    path = _config_path(argv[1:])
+    if path is not None:
         try:
-            tokens = _load_config(argv[at + 1])
-        except (OSError, IndexError) as exc:
+            tokens = _load_config(path)
+        except OSError as exc:
             print(f"heatkernel: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except UsageError as exc:

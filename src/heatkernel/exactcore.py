@@ -3,8 +3,9 @@ rational functions, and truncated Laurent expansions at the origin.
 
 No floating point ever enters a computation here.  A `Poly` is integer
 numerators over one positive denominator, so its ring operations run on ints
-with one gcd per result; its `coeffs` view, `divmod`, `LaurentPoly` and
-`RationalFunc` work in :class:`fractions.Fraction`.  All values are immutable
+with one gcd per result, and a `LaurentPoly` is var^low times such a `Poly`,
+so it has no arithmetic of its own; the `coeffs` and `terms` views and
+`divmod` work in :class:`fractions.Fraction`.  All values are immutable
 after construction and every operation is a pure function.
 
 Polynomials are tagged with a variable name; binary operations require the
@@ -428,20 +429,33 @@ def poly_gcd_euclid(a: Poly, b: Poly) -> Poly:
 
 
 class LaurentPoly:
-    """Finite Laurent polynomial: sparse map exponent -> Fraction coefficient."""
+    """Finite Laurent polynomial var^low * poly.
 
-    __slots__ = ("var", "terms")
+    `poly` is an integer-numerator `Poly` whose constant term is nonzero (the
+    zero Laurent polynomial has low = 0 and the zero poly), so the form is
+    canonical and every ring operation is the `Poly` one on ints.  `terms`
+    is the Fraction view {exponent: coefficient}, built on each access.
+    """
+
+    __slots__ = ("low", "poly")
 
     def __init__(self, var: str = "x", terms: dict | None = None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                if type(c) is not Fraction and _is_scalar(c):
-                    c = Fraction(c)
-                if c:
-                    clean[int(k)] = c
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "terms", clean)
+        terms = {int(k): c for k, c in (terms or {}).items() if c}
+        low, high = min(terms, default=0), max(terms, default=-1)
+        self._set(low, Poly(var, [terms.get(k, 0) for k in range(low, high + 1)]))
+
+    def _set(self, low: int, poly: Poly) -> "LaurentPoly":
+        zeros = next((i for i, c in enumerate(poly.num) if c), 0)
+        if zeros:
+            poly = Poly.from_ints(poly.var, poly.num[zeros:], poly.den)
+        object.__setattr__(self, "low", low + zeros if poly else 0)
+        object.__setattr__(self, "poly", poly)
+        return self
+
+    @classmethod
+    def from_poly(cls, poly: Poly, low: int = 0) -> "LaurentPoly":
+        """var^low * poly, in the variable of poly."""
+        return object.__new__(cls)._set(low, poly)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -454,42 +468,50 @@ class LaurentPoly:
     def const(cls, c, var: str = "x") -> "LaurentPoly":
         return cls(var, {0: c})
 
+    @property
+    def var(self) -> str:
+        return self.poly.var
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        return {self.low + i: Fraction(c, self.poly.den) for i, c in enumerate(self.poly.num) if c}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.poly
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.poly)
 
     @property
     def min_exp(self) -> int:
-        if not self.terms:
+        if not self.poly:
             raise ValueError("zero Laurent polynomial has no support")
-        return min(self.terms)
+        return self.low
 
     @property
     def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero Laurent polynomial has no support")
-        return max(self.terms)
+        return self.min_exp + self.poly.degree
 
     def coeff(self, k: int) -> Fraction:
-        return self.terms.get(k, Fraction(0))
+        return self.poly.coeff(k - self.low)
 
     def _check(self, other: "LaurentPoly"):
-        if self.var != other.var:
-            raise VariableMismatch(f"{self.var!r} vs {other.var!r}")
+        self.poly._check(other.poly)
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.var == other.var and self.terms == other.terms
+            return self.low == other.low and self.poly == other.poly
         if _is_scalar(other):
-            if other == 0:
-                return not self.terms
-            return self.terms == {0: Fraction(other)}
+            return self.low == 0 and self.poly == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted(self.terms.items()))))
+        return hash((self.low, self.poly))
+
+    def _raised(self, low: int) -> Poly:
+        """poly * var^(self.low - low), for low <= self.low."""
+        p = self.poly
+        return Poly.from_ints(p.var, (0,) * (self.low - low) + p.num, p.den)
 
     def __add__(self, other):
         if _is_scalar(other):
@@ -497,15 +519,13 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LaurentPoly(self.var, out)
+        low = min(self.low, other.low)
+        return LaurentPoly.from_poly(self._raised(low) + other._raised(low), low)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.var, {k: -c for k, c in self.terms.items()})
+        return LaurentPoly.from_poly(-self.poly, self.low)
 
     def __sub__(self, other):
         if _is_scalar(other):
@@ -517,41 +537,27 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            c = Fraction(other)
-            if not c:
-                return LaurentPoly(self.var)
-            return LaurentPoly(self.var, {k: a * c for k, a in self.terms.items()})
+            return LaurentPoly.from_poly(self.poly.scale(other), self.low)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
-        out: dict[int, Fraction] = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                k = i + j
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return LaurentPoly(self.var, out)
+        return LaurentPoly.from_poly(self.poly * other.poly, self.low + other.low)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative power; use RationalFunc")
-        out = LaurentPoly.const(1, self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return LaurentPoly.from_poly(self.poly ** k, self.low * k)
 
     def shift_exp(self, k: int) -> "LaurentPoly":
         """Multiply by var**k."""
-        return LaurentPoly(self.var, {e + k: c for e, c in self.terms.items()})
+        return LaurentPoly.from_poly(self.poly, self.low + k)
 
     def inverse_var(self) -> "LaurentPoly":
         """Substitute var -> 1/var."""
-        return LaurentPoly(self.var, {-e: c for e, c in self.terms.items()})
+        p = self.poly
+        return LaurentPoly.from_poly(Poly.from_ints(p.var, p.num[::-1], p.den),
+                                     -self.low - p.degree)
 
     def subs(self, value):
         """Evaluate at a nonzero point (Fraction, float or complex)."""
@@ -564,48 +570,10 @@ class LaurentPoly:
     __call__ = subs
 
     def __repr__(self):
-        if not self.terms:
+        if not self.poly:
             return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c}*{self.var}^{e}")
-        return " + ".join(parts)
-
-
-def _laurent_as_dense(p: LaurentPoly) -> tuple[int, list[Fraction]]:
-    """(min exponent, dense coefficient list) of a nonzero Laurent polynomial."""
-    lo, hi = p.min_exp, p.max_exp
-    dense = [Fraction(0)] * (hi - lo + 1)
-    for e, c in p.terms.items():
-        dense[e - lo] = c
-    return lo, dense
-
-
-def _root_multiplicity(dense: list[Fraction], root: Fraction) -> tuple[int, list[Fraction]]:
-    """Deflate a dense polynomial by (x - root) as long as it divides exactly."""
-    mult = 0
-    cur = dense
-    while len(cur) > 1 or (cur and cur[0]):
-        # synthetic division
-        out = [Fraction(0)] * (len(cur) - 1)
-        acc = Fraction(0)
-        for i in range(len(cur) - 1, -1, -1):
-            if i == 0:
-                rem = cur[0] + acc * root
-                break
-            out[i - 1] = cur[i] + acc * root
-            acc = out[i - 1]
-        else:
-            rem = cur[0]
-        if rem != 0 or len(cur) == 1:
-            break
-        cur = out
-        mult += 1
-    return mult, cur
+        return " + ".join(f"{c}" if e == 0 else f"{c}*{self.var}^{e}"
+                          for e, c in self.terms.items())
 
 
 class RationalFunc:
@@ -627,35 +595,17 @@ class RationalFunc:
         num._check(den)
         if den.is_zero():
             raise ZeroDenominator("denominator is identically zero")
-        if num.is_zero():
-            object.__setattr__(self, "num", LaurentPoly(num.var))
-            object.__setattr__(self, "den", LaurentPoly.const(1, num.var))
-            return
-        # pull the pure power of x out of the denominator
-        shift = den.min_exp
-        den = den.shift_exp(-shift)
-        num = num.shift_exp(-shift)
-        # cancel common (x-1), (x+1) factors; x itself cannot divide den now
-        nlo, ndense = _laurent_as_dense(num)
-        dlo, ddense = _laurent_as_dense(den)
-        for root in (Fraction(1), Fraction(-1)):
-            mn, ncand = _root_multiplicity(ndense, root)
-            if mn == 0:
-                continue
-            md, dcand = _root_multiplicity(ddense, root)
-            common = min(mn, md)
-            if common:
-                for _ in range(mn - common):
-                    ncand = _mul_linear(ncand, root)
-                for _ in range(md - common):
-                    dcand = _mul_linear(dcand, root)
-                ndense, ddense = ncand, dcand
-        # scale so den's constant term is 1 (den still has nonzero constant)
-        c0 = ddense[0]
-        num = LaurentPoly(num.var, {nlo + i: c / c0 for i, c in enumerate(ndense)})
-        den = LaurentPoly(den.var, {dlo + i: c / c0 for i, c in enumerate(ddense)})
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # the power of x leaves the denominator; x cannot divide either poly
+        low, n, d = num.low - den.low, num.poly, den.poly
+        if not n:
+            low, d = 0, Poly.const(n.var, 1)
+        for root in (1, -1):
+            linear = Poly.from_ints(n.var, (-root, 1))
+            while eval_int(n.num, root) == 0 == eval_int(d.num, root):
+                n, d = n // linear, d // linear
+        c = Fraction(d.den, d.num[0])
+        object.__setattr__(self, "num", LaurentPoly.from_poly(n.scale(c), low))
+        object.__setattr__(self, "den", LaurentPoly.from_poly(d.scale(c)))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunc is immutable")
@@ -743,15 +693,6 @@ class RationalFunc:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def _mul_linear(dense: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Multiply a dense polynomial back by (x - root)."""
-    out = [Fraction(0)] * (len(dense) + 1)
-    for i, c in enumerate(dense):
-        out[i + 1] += c
-        out[i] -= c * root
-    return out
-
-
 class SeriesSegment:
     """First `len(coeffs)` Laurent coefficients of a function at the origin.
 
@@ -791,24 +732,20 @@ class SeriesSegment:
 def series_at_zero(f: RationalFunc, count: int) -> SeriesSegment:
     """First `count` exact Laurent coefficients of f at x = 0.
 
-    The leading exponent equals ord_0(numerator) - ord_0(denominator); the
-    normal form of RationalFunc guarantees the denominator has a nonzero
-    constant term, so the expansion is plain power-series division.
+    The leading exponent is f.num.low; the normal form of RationalFunc makes
+    the denominator a polynomial with constant term 1, so power-series
+    division needs no division.
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if f.is_zero():
-        return SeriesSegment(0, [Fraction(0)] * count)
-    nlo, ndense = _laurent_as_dense(f.num)
-    _, ddense = _laurent_as_dense(f.den)  # min exponent 0 by normalization
-    d0 = ddense[0]
+    a, b = f.num.poly.coeffs, f.den.poly.coeffs
     out: list[Fraction] = []
     for k in range(count):
-        acc = ndense[k] if k < len(ndense) else Fraction(0)
-        for i in range(1, min(k, len(ddense) - 1) + 1):
-            acc -= ddense[i] * out[k - i]
-        out.append(acc / d0)
-    return SeriesSegment(nlo, out)
+        acc = a[k] if k < len(a) else Fraction(0)
+        for i in range(1, min(k, len(b) - 1) + 1):
+            acc -= b[i] * out[k - i]
+        out.append(acc)
+    return SeriesSegment(f.num.low, out)
 
 
 class PolyFraction:

@@ -38,10 +38,10 @@ from .exactcore import LaurentPoly, Poly, eval_homogeneous
 from .taudarboux import (
     ParamVector,
     SingularTau,
-    _delta_coeffs,
     ensure_regular,
     operator_build,
     tau_build,
+    wave_numerator,
 )
 
 T_VAR = "t"
@@ -85,7 +85,7 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
         raise ValueError("gamma_series expects n - m >= 0; transport the kernel instead")
     tau = ensure_regular(params)
     count = J + 1
-    An, Am = (Poly("x", _delta_coeffs(params, s, False)).shift(-1) for s in (n, m))
+    An, Am = wave_numerator(params, n), wave_numerator(params, m)
     a, b = An.num, Am.num[::-1]
     series = [0] * count
     for p, ap in enumerate(a[:count]):
@@ -372,10 +372,8 @@ def combo_to_basis(terms) -> tuple[LaurentPoly, LaurentPoly]:
     """
     parts = []
     for j, p in (terms.items() if isinstance(terms, dict) else terms):
-        if isinstance(p, Poly):
-            parts.append((abs(j), enumerate(p.num), 1, p.den))
-        else:
-            parts += [(abs(j), [(e, c.numerator)], 1, c.denominator) for e, c in p.terms.items()]
+        low, p = (0, p) if isinstance(p, Poly) else (p.low, p.poly)
+        parts.append((abs(j), enumerate(p.num, low), 1, p.den))
     rows, D = _integer_rows(parts)
     for j in range(max(rows, default=0), 1, -1):
         row = rows.pop(j, {})

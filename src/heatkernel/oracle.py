@@ -192,8 +192,9 @@ def lattice_evolve(L: BandOperator, W: int, m: int, t: float) -> dict:
 class QuadratureSpec:
     """Unit-circle-family contour rule for the spectral integrands.
 
-    radius must avoid 0 and 1; midpoint angles additionally keep the nodes
-    off the real axis crossings at theta = 0, pi.
+    radius must be finite with |radius| not 0 or 1, where the integrands have
+    poles; midpoint angles additionally keep the nodes off the real axis
+    crossings at theta = 0, pi.
     """
 
     integrand: str                 # 'orthogonality' | 'kernel' | 'kernel_adjoint'
@@ -205,8 +206,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.integrand not in ("orthogonality", "kernel", "kernel_adjoint"):
             raise ValueError(f"unknown integrand {self.integrand!r}")
-        if self.radius in (0.0, 1.0):
-            raise ValueError("radius must avoid 0 and 1")
+        if not math.isfinite(self.radius) or abs(self.radius) in (0.0, 1.0):
+            raise ValueError(f"radius must be finite with |radius| not 0 or 1: {self.radius!r}")
 
 
 def _laurent_np(lp) -> callable:

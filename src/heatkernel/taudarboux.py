@@ -577,27 +577,25 @@ def factorization_target(R: int, S: int) -> BandOperator:
     return (BandOperator({1: 1, 0: -1}) ** (2 * R)) * (BandOperator({1: 1, 0: 1}) ** (2 * S))
 
 
-def _denominator_x(R: int, S: int) -> LaurentPoly:
-    return (LaurentPoly("x", {1: 1, 0: -1}) ** R) * (LaurentPoly("x", {1: 1, 0: 1}) ** S)
+def wave_numerator(params: ParamVector, site: int, starred: bool = False) -> Poly:
+    """A(x) = sum_i c_i(site) (x-1)^i for the Q (or, starred, the P*)
+    coefficients c_i at the site: Delta^i acts on x-powers as multiplication
+    by (x-1)^i, so p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S)."""
+    return Poly("x", _delta_coeffs(params, site, starred)).shift(-1)
 
 
 def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> RationalFunc:
-    """x^exp sum_i c_i(site) (x-1)^i / ((x-1)^R (x+1)^S), with the Q (or P*)
-    coefficients c_i at the site."""
-    num = LaurentPoly("x")
-    xm1 = LaurentPoly("x", {1: 1, 0: -1})
-    for i, ci in enumerate(_delta_coeffs(params, site, starred)):
-        if ci:
-            num = num + (xm1 ** i) * ci
-    return RationalFunc(num.shift_exp(exp), _denominator_x(params.R, params.S))
+    """x^exp A(x) / ((x-1)^R (x+1)^S) for the wave numerator A at the site."""
+    den = Poly("x", [-1, 1]) ** params.R * Poly("x", [1, 1]) ** params.S
+    return RationalFunc(LaurentPoly.from_poly(wave_numerator(params, site, starred), exp),
+                        LaurentPoly.from_poly(den))
 
 
 def wave_p(params: ParamVector, n: int) -> RationalFunc:
     """p_n(x): Q applied to the sequence k -> x^k, taken at k = n, divided by
     (x-1)^R (x+1)^S.
 
-    Delta^i acts on x-powers as multiplication by (x-1)^i, so the numerator
-    is x^n sum_i c_i(n) (x-1)^i with the cached Q coefficients.
+    The numerator is x^n A_n(x), A_n = wave_numerator(params, n).
     """
     ensure_regular(params)
     return _wave(params, n, False, n)

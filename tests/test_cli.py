@@ -210,6 +210,25 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["n"] == 1
 
 
+@pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"], ["--c", "{}"]])
+def test_config_file_any_spelling(capsys, spelling):
+    # argparse accepts the = form and abbreviations; each must load the file
+    cfg = str(GOLDEN / "kernel.cfg")
+    code, out = run_cli(capsys, ["kernel", *(s.format(cfg) for s in spelling), "--n", "0"])
+    assert code == 0
+    assert out == (GOLDEN / "kernel_config.out").read_text()
+
+
+@pytest.mark.parametrize("key", ["config", "conf"])
+def test_config_file_naming_another_is_a_usage_error(tmp_path, capsys, key):
+    cfg = tmp_path / "outer.cfg"
+    cfg.write_text(f"{key} = {GOLDEN / 'kernel.cfg'}\nn = 0\n")
+    code = main(["kernel", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert "cannot name another" in captured.err
+
+
 def test_verify_output_ignores_thread_env(monkeypatch, capsys):
     # verify runs in one thread; a thread-count variable from the
     # environment must not change a byte of its output

@@ -299,6 +299,180 @@ def test_rational_func_arithmetic():
     assert h == RationalFunc(LaurentPoly.term(1), LaurentPoly("x", {1: 1, 0: -1}))
 
 
+# The dict-of-Fraction LaurentPoly and the synthetic-division normal form of
+# RationalFunc that the var^low * Poly form replaced, kept as the reference.
+
+def _lref(terms):
+    return {int(k): F(c) for k, c in terms.items() if c}
+
+
+def _lref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, F(0)) + c
+    return _lref(out)
+
+
+def _lref_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, F(0)) + x * y
+    return _lref(out)
+
+
+def _lref_pow(a, k):
+    out = {0: F(1)}
+    for _ in range(k):
+        out = _lref_mul(out, a)
+    return out
+
+
+def _lref_repr(a, var="x"):
+    if not a:
+        return "0"
+    return " + ".join(f"{a[e]}" if e == 0 else f"{a[e]}*{var}^{e}" for e in sorted(a))
+
+
+def _laurent_as_dense(p):
+    lo, hi = min(p), max(p)
+    dense = [F(0)] * (hi - lo + 1)
+    for e, c in p.items():
+        dense[e - lo] = c
+    return lo, dense
+
+
+def _root_multiplicity(dense, root):
+    """Deflate a dense polynomial by (x - root) as long as it divides exactly."""
+    mult = 0
+    cur = dense
+    while len(cur) > 1 or (cur and cur[0]):
+        out = [F(0)] * (len(cur) - 1)
+        acc = F(0)
+        for i in range(len(cur) - 1, -1, -1):
+            if i == 0:
+                rem = cur[0] + acc * root
+                break
+            out[i - 1] = cur[i] + acc * root
+            acc = out[i - 1]
+        else:
+            rem = cur[0]
+        if rem != 0 or len(cur) == 1:
+            break
+        cur = out
+        mult += 1
+    return mult, cur
+
+
+def _mul_linear(dense, root):
+    out = [F(0)] * (len(dense) + 1)
+    for i, c in enumerate(dense):
+        out[i + 1] += c
+        out[i] -= c * root
+    return out
+
+
+def _ref_normal(num, den):
+    """(num, den) terms of the reference RationalFunc normal form."""
+    if not num:
+        return {}, {0: F(1)}
+    shift = min(den)
+    num = {e - shift: c for e, c in num.items()}
+    den = {e - shift: c for e, c in den.items()}
+    nlo, ndense = _laurent_as_dense(num)
+    dlo, ddense = _laurent_as_dense(den)
+    for root in (F(1), F(-1)):
+        mn, ncand = _root_multiplicity(ndense, root)
+        if mn == 0:
+            continue
+        md, dcand = _root_multiplicity(ddense, root)
+        common = min(mn, md)
+        if common:
+            for _ in range(mn - common):
+                ncand = _mul_linear(ncand, root)
+            for _ in range(md - common):
+                dcand = _mul_linear(dcand, root)
+            ndense, ddense = ncand, dcand
+    c0 = ddense[0]
+    return (_lref({nlo + i: c / c0 for i, c in enumerate(ndense)}),
+            _lref({dlo + i: c / c0 for i, c in enumerate(ddense)}))
+
+
+_laurent = st.dictionaries(st.integers(-4, 4), _coeff, max_size=4).map(_lref)
+
+
+def _assert_laurent(p, ref, name):
+    assert p.terms == ref and all(type(c) is F for c in p.terms.values()), name
+    assert repr(p) == _lref_repr(ref), name
+    same = LaurentPoly("x", {max(ref, default=0) + 1: 0, **ref})
+    assert p == same and hash(p) == hash(same), name
+    assert p.poly.num[:1] != (0,) and (p or p.low == 0), name
+    for e in range(-20, 21):
+        assert p.coeff(e) == ref.get(e, 0), (name, e)
+    if ref:
+        assert (p.min_exp, p.max_exp) == (min(ref), max(ref)), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_laurent, _laurent, _coeff, st.integers(0, 3), st.integers(-5, 5))
+def test_laurent_matches_fraction_reference(a, b, c, k, s):
+    pa, pb = LaurentPoly("x", a), LaurentPoly("x", b)
+    cases = {
+        "init": (pa, a),
+        "add": (pa + pb, _lref_add(a, b)),
+        "sub": (pa - pb, _lref_add(a, {e: -v for e, v in b.items()})),
+        "mul": (pa * pb, _lref_mul(a, b)),
+        "scale": (pa * c, _lref({e: v * c for e, v in a.items()})),
+        "add_scalar": (pa + c, _lref_add(a, {0: c})),
+        "pow": (pa ** k, _lref_pow(a, k)),
+        "shift_exp": (pa.shift_exp(s), {e + s: v for e, v in a.items()}),
+        "inverse_var": (pa.inverse_var(), {-e: v for e, v in a.items()}),
+    }
+    for name, (p, ref) in cases.items():
+        _assert_laurent(p, ref, name)
+    assert (pa * pb) == (pb * pa) and hash(pa + pb) == hash(pb + pa)
+
+
+_X_MINUS_1, _X_PLUS_1 = {0: F(-1), 1: F(1)}, {0: F(1), 1: F(1)}
+
+
+def _plant_factors(p, i, j, s):
+    """x^s (x-1)^i (x+1)^j p, in reference terms."""
+    p = _lref_mul(_lref_mul(p, _lref_pow(_X_MINUS_1, i)), _lref_pow(_X_PLUS_1, j))
+    return {e + s: v for e, v in p.items()}
+
+
+_planting = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_laurent, _laurent, _planting, _planting, _laurent, _planting)
+def test_rational_func_matches_root_multiplicity_reference(u, v, pn, pd, w, pw):
+    # (x -+ 1) factors planted in numerator and denominator, with the
+    # normal forms of products, sums and 1/x against the reference
+    num, den = _plant_factors(u, *pn), _plant_factors(v, *pd)
+    if not den:
+        with pytest.raises(ZeroDenominator):
+            RationalFunc(LaurentPoly("x", num), LaurentPoly("x", den))
+        return
+    f = RationalFunc(LaurentPoly("x", num), LaurentPoly("x", den))
+    g = RationalFunc(LaurentPoly("x", _plant_factors(w, *pw)), LaurentPoly("x", den))
+    rf, rg = _ref_normal(num, den), _ref_normal(_plant_factors(w, *pw), den)
+    cases = {
+        "init": (f, rf),
+        "mul": (f * g, _ref_normal(_lref_mul(rf[0], rg[0]), _lref_mul(rf[1], rg[1]))),
+        "add": (f + g, _ref_normal(_lref_add(_lref_mul(rf[0], rg[1]), _lref_mul(rg[0], rf[1])),
+                                   _lref_mul(rf[1], rg[1]))),
+        "pow": (f * f * f, _ref_normal(_lref_pow(rf[0], 3), _lref_pow(rf[1], 3))),
+        "inverse_var": (f.inverse_var(), _ref_normal({-e: c for e, c in rf[0].items()},
+                                                     {-e: c for e, c in rf[1].items()})),
+    }
+    for name, (h, (rnum, rden)) in cases.items():
+        _assert_laurent(h.num, rnum, name)
+        _assert_laurent(h.den, rden, name)
+        assert repr(h) == f"({_lref_repr(rnum)}) / ({_lref_repr(rden)})", name
+
+
 def test_poly_fraction_basics():
     pf = PolyFraction(Poly("n", [0, 1]), Poly("n", [1, 1]))
     assert pf.shift(1) == PolyFraction(Poly("n", [1, 1]), Poly("n", [2, 1]))

@@ -35,6 +35,7 @@ from heatkernel.taudarboux import (
     tau_build,
     wave_p,
 )
+from test_taudarboux import _small_r
 
 
 def combos_equal(a: dict, b: dict) -> bool:
@@ -238,6 +239,19 @@ def test_degree_bound():
         for (n, m) in [(0, 0), (2, -1), (-3, 3)]:
             f = assemble_kernel(params, n, m)
             assert f.max_degree() <= 2 * T - 1, (key, n, m)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.lists(_small_r, min_size=1, max_size=4),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_kernel_properties_at_random_admissible_draws(R, S, r, n, m):
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    f = assemble_kernel(params, n, m)
+    assert f.beta(0).coeff(0) == (n == m)           # u(n, m, 0), as I_j(0) = delta_j0
+    assert f.max_degree() <= max(2 * max(R, S) - 1, 0)
+    back = symmetry_transport(params, n, m, symmetry_transport(params, m, n, f))
+    assert back.terms == f.terms
 
 
 def test_degree_guard_trips_on_corrupt_formula():

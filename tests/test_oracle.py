@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -137,8 +138,10 @@ def test_quadrature_needs_time_for_kernel_mode():
 
 
 def test_quadrature_rejects_unit_radius():
-    with pytest.raises(ValueError):
-        QuadratureSpec(integrand="kernel", radius=1.0)
+    # |radius| = 1 runs the contour through the poles at +-1; nan and inf give no circle
+    for radius in (1.0, -1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(integrand="kernel", radius=radius)
 
 
 def test_quadrature_radius_independence():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import comb, factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import PARAMS, SEED, two_step_tau, two_step_wave
 from heatkernel.exactcore import (
@@ -519,3 +519,19 @@ def test_integer_wronskian_layer_matches_fraction_reference(R, S, r):
         for starred in (False, True):
             assert taudarboux._site_solve(params, n, starred) == \
                 _ref_site_solve(columns, K, n, starred), (n, starred)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.lists(_small_r, min_size=1, max_size=4),
+       st.integers(-4, 4))
+def test_wave_properties_at_random_admissible_draws(R, S, r, n):
+    # sum_j L_j(n) p_{n+j} = (x - 2 + 1/x) p_n, and both routes to p*_n agree
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    L = operator_build(params)
+    lhs = RationalFunc(LaurentPoly("x"), LaurentPoly.const(1))
+    for j in (-1, 0, 1):
+        lhs = lhs + wave_p(params, n + j) * L.coeff_at(j, n)
+    lam = RationalFunc(LaurentPoly("x", {1: 1, 0: -2, -1: 1}), LaurentPoly.const(1))
+    assert lhs == lam * wave_p(params, n)
+    assert wave_p_star(params, n) == wave_p_star_via_adjoint(params, n)
