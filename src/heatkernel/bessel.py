@@ -27,6 +27,9 @@ T = "t"
 # rescale threshold for the backward recurrence
 _BIG = 1e250
 
+#: BesselRow.unscaled stays finite up to this t (e^709.78 is the largest float)
+UNSCALED_T_MAX = 709.0
+
 
 class NonpositiveArgument(ValueError):
     """Bessel row requested at t <= 0."""
@@ -53,6 +56,12 @@ class BesselRow:
 
     def unscaled(self, k: int) -> float:
         return self.values[abs(k)] * math.exp(self.t)
+
+
+def worst_of(values) -> float:
+    """The largest of values, 0.0 for none, and NaN once any of them is NaN
+    (max() alone can skip one), so a non-finite residual never passes a bound."""
+    return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
 
 
 def bessel_row(t: float, K: int) -> BesselRow:
@@ -179,14 +188,14 @@ def identity_residuals(t: float) -> dict:
     """
     K, h_deriv, h_ode = 20, min(1e-5, t / 2), 4.4e-4
     row = bessel_row(t, K + 2)
-    rec = max(abs(k * row.scaled(k) - (t / 2.0) * (row.scaled(k - 1) - row.scaled(k + 1)))
-              for k in range(0, K + 1))
+    rec = worst_of(abs(k * row.scaled(k) - (t / 2.0) * (row.scaled(k - 1) - row.scaled(k + 1)))
+                   for k in range(0, K + 1))
     rp, rm = bessel_row(t + h_deriv, K + 2), bessel_row(t - h_deriv, K + 2)
-    deriv = max(
+    deriv = worst_of(
         abs((rp.unscaled(k) - rm.unscaled(k)) / (2 * h_deriv)
             - 0.5 * (row.unscaled(k - 1) + row.unscaled(k + 1)))
         for k in range(0, K + 1))
-    ode = 0.0
+    ode = []
     for k in range(0, K + 1):
         # I_k varies on the scale min(t/k, 1), I_0 on the scale 1; t - h < 0
         # only at k = 0, where I_0(-s) = I_0(s) and I_0(0) = 1
@@ -195,8 +204,8 @@ def identity_residuals(t: float) -> dict:
         d1 = (plus - minus) / (2 * h)
         d2 = (plus - 2 * row.unscaled(k) + minus) / h ** 2
         res = t * t * d2 + t * d1 - (t * t + k * k) * row.unscaled(k)
-        ode = max(ode, abs(res) / ((t * t + k * k) * row.unscaled(k)))
-    gen = 0.0
+        ode.append(abs(res) / ((t * t + k * k) * row.unscaled(k)))
+    gen = []
     grow = bessel_row(t, 42)
     for a in range(8):
         theta = math.pi * (2 * a + 1) / 16.0
@@ -205,8 +214,9 @@ def identity_residuals(t: float) -> dict:
         for k in range(1, 41):
             acc += grow.scaled(k) * (x ** k + x ** (-k))
         target = complex(math.e) ** (t * (x + 1 / x) / 2.0 - t)
-        gen = max(gen, abs(acc - target))
-    return {"recurrence": rec, "derivative": deriv, "ode": ode, "generating": gen}
+        gen.append(abs(acc - target))
+    return {"recurrence": rec, "derivative": deriv, "ode": worst_of(ode),
+            "generating": worst_of(gen)}
 
 
 def tail_resum(q: Poly, k: int, arg: str = "t") -> BesselCombo:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .bessel import bessel_row, identity_residuals
+from .bessel import UNSCALED_T_MAX, bessel_row, identity_residuals, worst_of
 from .exactcore import rat
 from .kernel import (
     InternalInconsistency,
@@ -270,6 +270,13 @@ def cmd_verify(args) -> int:
     params = build_params(args)
     ts = [_parse_time(piece.strip(), positive=args.mode != "oracle")
           for piece in args.t.split(",") if piece.strip()]
+    if not ts:
+        raise UsageError("--t must name at least one time")
+    # the self-checks scale e^{-x} I_k(x) back by e^x, at x = 2t or x about t
+    top = {"decomp": UNSCALED_T_MAX / 2, "identities": UNSCALED_T_MAX}.get(args.mode, math.inf)
+    if max(ts) > top:
+        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}; above that "
+                         f"its self-check's unscaled Bessel values overflow")
 
     if args.mode == "pde":
         if args.range is not None:
@@ -321,17 +328,15 @@ def cmd_verify(args) -> int:
 
     if args.mode == "decomp":
         tol = args.tol if args.tol is not None else 1e-10
-        worst = max(decomposition_residual(args.k, args.T, t) for t in ts)
+        worst = worst_of(decomposition_residual(args.k, args.T, t) for t in ts)
         detail = {"k": args.k, "T": args.T, "max_err": worst, "tolerance": tol}
         return _verify_report(args, worst <= tol, detail)
 
     if args.mode == "identities":
-        worst: dict = {}
-        for t in ts:
-            for key, value in identity_residuals(t).items():
-                worst[key] = max(worst.get(key, 0.0), value)
+        residuals = [identity_residuals(t) for t in ts]
         limits = {"recurrence": 1e-12, "derivative": 1e-8, "ode": 1e-7,
                   "generating": 1e-12}
+        worst = {key: worst_of(r[key] for r in residuals) for key in limits}
         passed = all(worst[key] <= limits[key] for key in limits)
         detail = dict(worst)
         detail["limits"] = limits

@@ -12,11 +12,11 @@ The construction follows the finite reduction of the spectral integral:
     x^{-(k+eps+2i)}, paired against the exact series coefficients gamma_d
     of x^{m-n} p_n(x) p_m(1/x) by taking a residue.
 
-With the Q coefficients c_i at a site, p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S)
-for A_n(x) = sum_i c_i(n) (x-1)^i, so
+With Q = sum_k q_k Lambda^k, p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S) for
+A_n(x) = sum_k q_k(n) x^k, so
 
   x^{m-n} p_n(x) p_m(1/x) = (-1)^R A_n(x) B_m(x) / ((1-x)^{2R} (1+x)^{2S}),
-  B_m(x) = sum_l c_l(m) (1-x)^l x^{K-l} = x^K A_m(1/x),  K = R + S.
+  B_m(x) = sum_k q_k(m) x^{K-k} = x^K A_m(1/x),  K = R + S.
 
 gamma_d is therefore a bilinear form in the (integer-scaled) coefficients at
 n and m: a truncated product of two polynomials of degree K and the fixed
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .bessel import bessel_row, tail_resum
+from .bessel import bessel_row, tail_resum, worst_of
 from .exactcore import LaurentPoly, Poly, eval_homogeneous
 from .taudarboux import (
     ParamVector,
@@ -403,7 +403,7 @@ def decomposition_residual(k: int, T: int, t: float) -> float:
     tails = {eps + 2 * i: sum(float(p.subs(tq)) * row.unscaled(j)
                               for j, p in _tail(k + eps, i, T))
              for eps in (1, 2) for i in range(T)}
-    worst = 0.0
+    errors = []
     for theta in (math.pi / 7, math.pi / 3):
         x = complex(math.cos(theta), math.sin(theta))
         total = 0j
@@ -420,8 +420,8 @@ def decomposition_residual(k: int, T: int, t: float) -> float:
         for d, value in tails.items():
             total += value * x ** (-(k + d))
         target = complex(math.e) ** (t * (x + 1 / x))
-        worst = max(worst, abs(total - target))
-    return worst
+        errors.append(abs(total - target))
+    return worst_of(errors)
 
 
 @dataclass(frozen=True)

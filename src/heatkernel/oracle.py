@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bessel import bessel_row
+from .bessel import UNSCALED_T_MAX, bessel_row, worst_of
 from .kernel import kernel_eval
 from .taudarboux import (
     BandOperator,
@@ -118,7 +118,10 @@ def lattice_window(L: BandOperator, W: int) -> LatticeWindow:
 
 def boundary_influence(W: int, m: int, t: float) -> float:
     """Free-kernel proxy for the mass that can reach the window boundary:
-    e^{-2t} I_{W-|m|}(2t) scaled back by e^{2t}."""
+    e^{-2t} I_{W-|m|}(2t) scaled back by e^{2t}; inf past 2t = UNSCALED_T_MAX,
+    where e^{2t} overflows and a bound below TAIL_TOL needs a subnormal value."""
+    if 2.0 * t > UNSCALED_T_MAX:
+        return math.inf
     k = W - abs(m)
     row = bessel_row(2.0 * t, k)
     return row.scaled(k) * math.exp(2.0 * t)
@@ -309,19 +312,16 @@ class ComparisonReport:
 
 
 def compare_report(grid, closed_values, oracle_values, tolerance: float) -> ComparisonReport:
-    """Max absolute/relative deviation over a shared evaluation grid."""
+    """Max absolute/relative deviation over a shared grid; a non-finite one fails."""
     grid = tuple(tuple(g) for g in grid)
     closed = tuple(float(v) for v in closed_values)
     oracle = tuple(float(v) for v in oracle_values)
     if not (len(grid) == len(closed) == len(oracle)):
         raise GridMismatch(
             f"lengths differ: grid {len(grid)}, closed {len(closed)}, oracle {len(oracle)}")
-    max_abs = 0.0
-    max_rel = 0.0
-    for c, o in zip(closed, oracle):
-        d = abs(c - o)
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / max(abs(o), 1e-300))
+    diffs = [abs(c - o) for c, o in zip(closed, oracle)]
+    max_abs = worst_of(diffs)
+    max_rel = worst_of(d / max(abs(o), 1e-300) for d, o in zip(diffs, oracle))
     return ComparisonReport(
         grid=grid, closed=closed, oracle=oracle, tolerance=tolerance,
         max_abs=max_abs, max_rel=max_rel, passed=max_abs <= tolerance,

@@ -10,18 +10,14 @@ exponential in the parameters) which is pulled out of the determinant
 column by column and cancels against the normalization, leaving a clean
 polynomial.
 
-All parameters are numeric, and the Wronskian layer runs on Python ints.
-Each column comes from the exponential series in integers, as
-falling-factorial coefficients over one denominator, and is evaluated once
-over a run of consecutive sites; its Delta (or Delta~) rows are one
-difference table.  One fraction-free elimination over dual numbers (value,
-d/dr_1) of the K x K Wronskian (K = R + S) gives tau(n) and its
-r_1-derivative together: the r_1-derivative of every column is the same
-Taylor coefficient one index lower.  The Q and P* coefficients at a site
-are the null vector of the Wronskian with one more difference row,
-normalized to c_K = 1.  Polynomials in n are interpolated by Newton forward
-differences over a run of sites where the determinant does not vanish, up
-to a degree bound read off the entries.
+All parameters are numeric, and the Wronskian layer runs on Python ints:
+each column is integer falling-factorial coefficients from the exponential
+series, evaluated once over a run of sites.  One fraction-free solve per
+site of the Wronskian with one more row gives det, the scaled tau(n), and
+det q_0 .. det q_{K-1} for Q = sum_k q_k Lambda^k (or P*, in Lambda^{-k}),
+q_K = 1, K = R + S.  Newton forward differences over a run of sites where
+det does not vanish make them integer polynomials in n, and tau, the
+diagonal of L, Q, P* and the wave numerators are all read off these.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import index
 
 from .exactcore import (
@@ -158,96 +154,54 @@ def schur_component(epsilon: int, j: int, params: ParamVector) -> Poly:
 def _columns(params: ParamVector) -> tuple:
     """The Wronskian columns phi_1..phi_R, then the reduced psi_1..psi_S.
 
-    phi_j(n) = S^1_{2j-1}(n + j - 1) and psi_j likewise with S^{-1}; the
-    r_1-derivative of S^eps_j is S^eps_{j-1}, also for the reduced psi.  Each
-    entry is (tilde, column, derivative, scale): integer coefficient lists
-    (lowest degree first) of the column and its derivative times the common
-    scale; tilde marks the psi columns, on which differences act through the
-    (-1)^n factor.
+    phi_j(n) = S^1_{2j-1}(n + j - 1) and psi_j likewise with S^{-1}.  Each
+    entry is (tilde, column, scale): the integer coefficient list (lowest
+    degree first) of the column times its denominator scale; tilde marks the
+    psi columns, on which differences act through the (-1)^n factor.
     """
     out = []
     for eps, count in ((1, params.R), (-1, params.S)):
         series = _series(eps, params, 2 * count - 1)
         for j in range(1, count + 1):
             f = _component(eps, series, 2 * j - 1, j - 1)
-            df = _component(eps, series, 2 * j - 2, j - 1)
-            g = gcd(f.den, df.den)
-            out.append((eps == -1, tuple(c * (df.den // g) for c in f.num),
-                        tuple(c * (f.den // g) for c in df.num), f.den // g * df.den))
+            out.append((eps == -1, f.num, f.den))
     return tuple(out)
 
 
 def _degree_bound(params: ParamVector) -> int:
-    """Bound on the degree in n of tau, d tau/d r_1 and every K x K minor of
-    the Wronskian with K + 1 rows.
+    """Bound on the degree in n of tau and of det q_k.
 
-    Row i of a phi column has degree at most deg phi - i, and the phi columns
-    of each term of the determinant sit in distinct rows.
+    With difference rows Delta^i, row i of a phi column has degree at most
+    deg phi - i, and the phi columns of each term of a K x K minor sit in
+    distinct rows; det q_k are integer combinations of those minors.
     """
     R = params.R
-    return sum(max(len(f), len(df)) - 1 for _, f, df, _ in _columns(params)) \
-        - R * (R - 1) // 2
+    return sum(len(f) - 1 for _, f, _ in _columns(params)) - R * (R - 1) // 2
 
 
-def _wronskians(params: ParamVector, first: int, count: int, starred: bool = False,
-                deriv: bool = False) -> list[list[list[int]]]:
+def _wronskians(params: ParamVector, first: int, count: int, starred: bool) -> list:
     """Rows 0..K of the Wronskian, column by column, at the count sites n
-    from first: entry [c][i] is step^i f_c(n) on the scaled column f_c (its
-    r_1-derivative if deriv), step = Delta or Delta~, read off one difference
-    table of f_c.  Starred columns are shifted by K sites and use the adjoint
-    differences, which read the table backwards: (-1)^i Delta^i f_c(n + K - i),
-    or Delta~^i f_c(n + K - i).
+    from first: entry [c][i] is Lambda^i f_c(n) = f_c(n + i) on the scaled
+    column f_c, times (-1)^i on the psi columns, whose (-1)^n factor is
+    pulled out.  Starred columns are shifted by K sites and use
+    Lambda^{-i}: f_c(n + K - i).  The difference rows Delta^i (or
+    (Delta*)^i) are a unit triangular change of basis of these, with the
+    same K x K determinant.
     """
     K = params.order
-    tables = []
-    for tilde, f, df, _ in _columns(params):
-        vals = [eval_int(df if deriv else f, x) for x in range(first, first + count + K)]
-        rows = [vals]
-        for i in range(1, K + 1):
-            vals = [-(b + a) if tilde else b - a for a, b in zip(vals, vals[1:])]
-            rows.append([-v for v in vals] if starred and not tilde and i % 2 else vals)
-        tables.append(rows)
-    return [[[row[s + K - i if starred else s] for i, row in enumerate(rows)]
-             for rows in tables] for s in range(count)]
-
-
-def _dual_det(a: list, da: list):
-    """(det a, derivative of det along da) for integer matrices, or None when
-    det a = 0.
-
-    Fraction-free (Bareiss) elimination over the dual integers a + eps da,
-    eps^2 = 0, pivoting on the value part.  Every entry it forms is a minor,
-    so each division is exact, also in the derivative part.
-    """
-    m = [list(zip(ra, rd)) for ra, rd in zip(a, da)]
-    size = len(m)
-    sign, prev, dprev = 1, 1, 0
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col][0]), None)
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        head = m[col]
-        p, dp = head[col]
-        for row in m[col + 1:]:
-            h, dh = row[col]
-            for k in range(col + 1, size):
-                (x, dx), (y, dy) = row[k], head[k]
-                v = (p * x - h * y) // prev
-                row[k] = (v, (p * dx + dp * x - h * dy - dh * y - v * dprev) // prev)
-        prev, dprev = p, dp
-    return sign * prev, sign * dprev
+    tables = [(-1 if tilde else 1, [eval_int(f, x) for x in range(first, first + count + K)])
+              for tilde, f, _ in _columns(params)]
+    return [[[sign ** i * vals[s + K - i if starred else s + i] for i in range(K + 1)]
+             for sign, vals in tables] for s in range(count)]
 
 
 def _solve(cols: list):
-    """(det, [det c_0..det c_{K-1}]) for the Wronskian columns cols at a
-    site: sum_i c_i step^i annihilates every column with c_K = 1, and det is
+    """(det, [det q_0..det q_{K-1}]) for the Wronskian columns cols at a
+    site: sum_k q_k row_k annihilates every column with q_K = 1, and det is
     the scaled K x K Wronskian; None where det = 0.
 
     Fraction-free (Bareiss) elimination on the augmented matrix [A | -b],
-    whose rows are the columns, then back-substitution for det c, which is
+    whose rows are the columns, then back-substitution for det q, which is
     integral by Cramer's rule.
     """
     m = [list(c) for c in cols]
@@ -274,64 +228,52 @@ def _solve(cols: list):
     return sign * prev, [sign * x for x in xs]
 
 
-def _site_solve(params: ParamVector, n: int, starred: bool):
-    """(det, (c_0..c_K)) of _solve at site n, with c_K = 1; None where the
-    K x K Wronskian is singular."""
-    solved = _solve(_wronskians(params, n, 1, starred)[0])
-    if solved is None:
-        return None
-    det, xs = solved
-    return det, (*(Fraction(x, det) for x in xs), Fraction(1))
+def _sample(params: ParamVector, starred: bool) -> tuple[int, list]:
+    """(first, solves): _solve at the bound + 1 consecutive sites from the
+    least first >= 0 at which none of them is None.
 
-
-@lru_cache(maxsize=4096)
-def _delta_coeffs(params: ParamVector, n: int, starred: bool) -> tuple[Fraction, ...]:
-    """Coefficients c_i(n) of Q = sum_i c_i(n) Delta^i, or of
-    P* = sum_i c_i(n) (Delta*)^i when starred, at one site."""
-    solved = _site_solve(params, n, starred)
-    if solved is None:
-        raise SingularTau(n)
-    return solved[1]
-
-
-def _sample(params: ParamVector, at) -> tuple[int, list]:
-    """(first, at(first, bound + 1)) for the least first >= 0 at which the
-    bound + 1 values at the consecutive sites from first are not None.
-
-    at(first, count) lists the values at count consecutive sites.  Each None
-    is a zero of a polynomial of degree <= bound, moved past by the next try;
-    bound + 1 of them make it identically zero.
+    Each None is a zero of det, a polynomial of degree <= bound, moved past
+    by the next try; bound + 1 of them make it identically zero.
     """
     bound = _degree_bound(params)
     first = 0
     for _ in range(bound + 1):
-        values = at(first, bound + 1)
-        miss = next((k for k, v in enumerate(values) if v is None), None)
+        solves = [_solve(w) for w in _wronskians(params, first, bound + 1, starred)]
+        miss = next((k for k, v in enumerate(solves) if v is None), None)
         if miss is None:
-            return first, values
+            return first, solves
         first += miss + 1
     raise SingularTau(0, "tau is identically zero")
 
 
-def _interpolate(first: int, ys: list[int], den: int = 1) -> Poly:
-    """The polynomial in n of degree < len(ys) through (first + k, ys[k] / den).
-
-    By Newton's forward differences p(n) = sum_k Delta^k y(first) C(n - first,
-    k); over (len(ys) - 1)! den its falling-factorial coefficients in
-    n - first are integers.
-    """
+def _newton(first: int, ys: list[int]) -> tuple[int, ...]:
+    """Integer coefficients (lowest degree first), over (len(ys) - 1)!, of
+    the polynomial in n of degree < len(ys) through (first + k, ys[k]): by
+    Newton's forward differences p(n) = sum_k Delta^k y(first) C(n - first, k),
+    whose falling-factorial coefficients over that factorial are integers."""
     top = len(ys) - 1
     c = []
     for k in range(top + 1):
         c.append(ys[0] * (factorial(top) // factorial(k)))
         ys = [b - a for a, b in zip(ys, ys[1:])]
-    return Poly.from_ints(N, _falling(c, -first), factorial(top) * den)
+    return tuple(_falling(c, -first))
+
+
+@lru_cache(maxsize=512)
+def _solution(params: ParamVector, starred: bool) -> tuple[tuple[int, ...], ...]:
+    """det, det q_0, ..., det q_{K-1} of _solve as polynomials in n: integer
+    coefficients (lowest degree first) over the common denominator bound!,
+    bound = _degree_bound(params), interpolated from one run of site solves.
+    q_k are the coefficients of Q = sum_k q_k Lambda^k, or of
+    P* = sum_k q_k Lambda^{-k} when starred, with q_K = 1.
+    """
+    first, solves = _sample(params, starred)
+    return tuple(_newton(first, list(ys)) for ys in zip(*((d, *xs) for d, xs in solves)))
 
 
 @dataclass(frozen=True)
 class TauFunction:
-    """The Wronskian tau, pure polynomial in n after character cancellation;
-    `dpolyn` is its derivative in r_1 (the other r_i held fixed).
+    """The Wronskian tau, pure polynomial in n after character cancellation.
 
     `zeros` are the integer sites where tau vanishes, ascending, found exactly
     once from the integer numerators of tau (also used for integer Horner at
@@ -340,7 +282,6 @@ class TauFunction:
 
     params: ParamVector
     polyn: Poly
-    dpolyn: Poly
     zeros: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -367,23 +308,11 @@ def tau_build(params: ParamVector) -> TauFunction:
 
     Each psi column's (-1)^n c factor is extracted before taking the
     determinant; the normalization (-1)^{nS} exp(-S sum (-2)^i r_i) cancels
-    it exactly, so the result is a genuine polynomial in n.  One elimination
-    per site over dual numbers gives tau and its r_1 derivative together.
+    it exactly, so the result is a genuine polynomial in n: the det of
+    _solution over bound! times the column scales.
     """
-    K = params.order
-    scale = prod(s for *_, s in _columns(params))
-
-    def at(first, count):
-        return [_dual_det([c[:K] for c in w], [d[:K] for d in dw])
-                for w, dw in zip(_wronskians(params, first, count),
-                                 _wronskians(params, first, count, deriv=True))]
-
-    first, values = _sample(params, at)
-    return TauFunction(
-        params=params,
-        polyn=_interpolate(first, [v for v, _ in values], scale),
-        dpolyn=_interpolate(first, [d for _, d in values], scale),
-    )
+    den = factorial(_degree_bound(params)) * prod(s for *_, s in _columns(params))
+    return TauFunction(params=params, polyn=Poly.from_ints(N, _solution(params, False)[0], den))
 
 
 def ensure_regular(params: ParamVector) -> TauFunction:
@@ -534,15 +463,15 @@ def operator_build(params: ParamVector) -> BandOperator:
     Lambda + (-2 + d/dr1 log(tau(n+1)/tau(n))) Id
            + (tau(n-1) tau(n+1) / tau(n)^2) Lambda^{-1}.
 
-    d/dr1 tau is TauFunction.dpolyn.
+    L comes from L0 by Darboux transformations, so Q = sum_k q_k Lambda^k
+    intertwines them: L Q = Q L0.  Its Lambda^K terms give the diagonal
+    -2 - (q_{K-1}(n+1) - q_{K-1}(n)), read off _solution (-2 at K = 0).
     """
-    tau = ensure_regular(params)
-    t0, d0 = tau.polyn, tau.dpolyn
-    t_plus, d_plus = t0.shift(1), d0.shift(1)
-    t_minus = t0.shift(-1)
-    diag = PolyFraction.const(N, -2) \
-        + PolyFraction(d_plus, t_plus) - PolyFraction(d0, t0)
-    sub = PolyFraction(t_minus * t_plus, t0 * t0)
+    t0 = ensure_regular(params).polyn
+    det, *dq = (Poly.from_ints(N, c) for c in _solution(params, False))
+    q = PolyFraction(dq[-1] if dq else det, det)
+    diag = PolyFraction.const(N, -2) - q.shift(1) + q
+    sub = PolyFraction(t0.shift(-1) * t0.shift(1), t0 * t0)
     return BandOperator({1: 1, 0: diag, -1: sub})
 
 
@@ -552,22 +481,15 @@ def qp_build(params: ParamVector) -> tuple[BandOperator, BandOperator]:
     Q comes from the Wronskian ratio with one extra column, P as the formal
     adjoint of the starred ratio P*.  Their composition satisfies
     P Q = (Lambda - Id)^{2R} (Lambda + Id)^{2S} identically in n.  The
-    coefficients c_i(n) are rational functions: det c_i and det are
-    polynomials in n, interpolated from the site solves.
+    coefficients q_k(n) are rational functions: det q_k and det are the
+    polynomials in n of _solution.
     """
     ensure_regular(params)
-    K = params.order
     factors = []
-    for starred, step in ((False, BandOperator({1: 1, 0: -1})),
-                          (True, BandOperator({-1: 1, 0: -1}))):
-        first, solved = _sample(params, lambda first, count: [
-            _solve(w) for w in _wronskians(params, first, count, starred)])
-        den = _interpolate(first, [det for det, _ in solved])
-        out = step ** K
-        for i in range(K):
-            c = PolyFraction(_interpolate(first, [xs[i] for _, xs in solved]), den)
-            out = out + BandOperator({0: c}) * (step ** i)
-        factors.append(out)
+    for starred, sign in ((False, 1), (True, -1)):
+        det, *dq = (Poly.from_ints(N, c) for c in _solution(params, starred))
+        coeffs = {sign * k: PolyFraction(q, det) for k, q in enumerate(dq)}
+        factors.append(BandOperator({**coeffs, sign * params.order: 1}))
     Q, Pstar = factors
     return Q, Pstar.adjoint()
 
@@ -578,10 +500,15 @@ def factorization_target(R: int, S: int) -> BandOperator:
 
 
 def wave_numerator(params: ParamVector, site: int, starred: bool = False) -> Poly:
-    """A(x) = sum_i c_i(site) (x-1)^i for the Q (or, starred, the P*)
-    coefficients c_i at the site: Delta^i acts on x-powers as multiplication
-    by (x-1)^i, so p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S)."""
-    return Poly("x", _delta_coeffs(params, site, starred)).shift(-1)
+    """A(x) = sum_k q_k(site) x^k for the Q (or, starred, the P*)
+    coefficients q_k at the site: Lambda^k acts on x-powers (Lambda^{-k} on
+    inverse powers) as multiplication by x^k, so
+    p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S).  Raises SingularTau where det
+    vanishes at the site."""
+    det, *dq = (eval_int(c, site) for c in _solution(params, starred))
+    if not det:
+        raise SingularTau(site)
+    return Poly.from_ints("x", [*dq, det], det)
 
 
 def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> RationalFunc:
@@ -612,7 +539,7 @@ def wave_p_star_via_adjoint(params: ParamVector, n: int) -> RationalFunc:
     """p*_n(x) built independently from the starred Wronskian ratio P*.
 
     P*, with coefficients frozen at site n-1, is applied formally to x^{-n}:
-    (Delta*)^i acts on inverse powers as multiplication by (x-1)^i.
+    Lambda^{-k} acts on inverse powers as multiplication by x^k.
     """
     ensure_regular(params)
     return _wave(params, n - 1, True, -n)

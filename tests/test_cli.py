@@ -181,6 +181,17 @@ def test_usage_exit_codes():
         [sys.executable, "-m", "heatkernel.cli", "frobnicate"],
         capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 64
+    # times too large for the window or for the unscaled self-checks, and no time at all
+    for argv, message in (
+            (["--mode", "oracle", "--R", "1", "--r", "1/2", "--range", "1", "--t", "400"],
+             "too small at t = 400.0"),
+            (["--mode", "decomp", "--k", "1", "--T", "2", "--t", "400"], "--t <= 354.5"),
+            (["--mode", "identities", "--t", "800"], "--t <= 709"),
+            (["--mode", "identities", "--t", ","], "at least one time")):
+        proc = subprocess.run([sys.executable, "-m", "heatkernel.cli", "verify", *argv],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 64 and message in proc.stderr, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr and proc.stdout == "", argv
 
 
 def test_rejects_alpha_beta_mixed_with_r(capsys):

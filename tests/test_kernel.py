@@ -407,5 +407,5 @@ def test_memoised_kernel_cannot_be_changed_by_a_caller():
 
 def test_kernel_caches_are_bounded():
     for cache in (kernel._assemble, kernel._tail, tau_build, operator_build, alpha_table,
-                  taudarboux._columns, taudarboux._delta_coeffs):
+                  taudarboux._columns, taudarboux._solution):
         assert cache.cache_info().maxsize is not None, cache

@@ -201,6 +201,11 @@ def test_compare_report_corruption_localized():
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "n,m,t,closed,oracle,diff"
     assert len(csv.splitlines()) == 3
+    # max() would skip a NaN difference; NaN, and inf against inf, must fail
+    for closed, oracle in (([0.5, 0.25], [0.5, math.nan]), ([0.5, math.nan], [0.5, 0.25]),
+                           ([0.5, math.inf], [0.5, math.inf]), ([math.inf, 0.5], [0.5, 0.5])):
+        rep = compare_report(grid, closed, oracle, 1e-10)
+        assert not rep.passed and not rep.max_abs <= 1e-10, (closed, oracle)
 
 
 def test_compare_report_grid_mismatch():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -81,17 +81,20 @@ def test_schur_against_shifted_elementary_schur():
             assert s.subs(n) == E[j], (j, n)
 
 
-def test_tau_r1_derivative_matches_interpolation_in_r1():
-    # tau(n) is a polynomial in r_1 of degree <= R^2 + S^2; rebuild it from
-    # tau_build at other rational r_1 values and differentiate at r_1
+def test_operator_diagonal_matches_r1_log_derivative():
+    # operator_build reads the diagonal off Q; check it against the paper's
+    # -2 + d/dr_1 log(tau(n+1)/tau(n)).  tau(n) is a polynomial in r_1 of
+    # degree <= R^2 + S^2; rebuild it from tau_build at other rational r_1
+    # values and differentiate at r_1
     for key in [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]:
         params = PARAMS[key]
         rest = params.r[1:]
         deg = params.R ** 2 + params.S ** 2
         r1s = [params.r[0] + F(k, 3) for k in range(-(deg // 2), deg - deg // 2 + 1)]
         taus = [tau_build(ParamVector(params.R, params.S, (r1, *rest))) for r1 in r1s]
-        dtau = tau_build(params).dpolyn
-        for n in range(-3, 4):
+        tau, L = tau_build(params), operator_build(params)
+
+        def dlog_tau(n):
             # Lagrange interpolant of tau(n) in r_1, differentiated at r_1
             in_r1 = Poly("r")
             for a, (xa, t) in enumerate(zip(r1s, taus)):
@@ -100,7 +103,10 @@ def test_tau_r1_derivative_matches_interpolation_in_r1():
                     if b != a:
                         basis = basis * Poly("r", [-xb, 1]).scale(1 / (xa - xb))
                 in_r1 = in_r1 + basis
-            assert dtau.subs(F(n)) == in_r1.derivative().subs(params.r[0]), (key, n)
+            return in_r1.derivative().subs(params.r[0]) / tau.value(n)
+
+        for n in range(-3, 4):
+            assert L.coeff_at(0, n) == -2 + dlog_tau(n + 1) - dlog_tau(n), (key, n)
 
 
 def test_tau_trivial_and_one_step():
@@ -408,18 +414,15 @@ def _ref_columns(params):
     for eps, count in ((1, params.R), (-1, params.S)):
         for j in range(1, count + 1):
             f = _ref_schur_component(eps, 2 * j - 1, params).shift(j - 1)
-            df = _ref_schur_component(eps, 2 * j - 2, params).shift(j - 1)
-            g = gcd(f.den, df.den)
-            out.append((eps == -1, tuple(c * (df.den // g) for c in f.num),
-                        tuple(c * (f.den // g) for c in df.num), f.den // g * df.den))
+            out.append((eps == -1, f.num, f.den))
     return tuple(out)
 
 
-def _ref_wronskian(columns, K, n, starred=False, deriv=False):
+def _ref_wronskian(columns, K, n, starred=False):
     sites = [n + K - l if starred else n + l for l in range(K + 1)]
     out = []
-    for tilde, f, df, _ in columns:
-        vals = [eval_int(df if deriv else f, x) for x in sites]
+    for tilde, f, _ in columns:
+        vals = [eval_int(f, x) for x in sites]
         entries = []
         for _ in range(K + 1):
             entries.append(vals[0])
@@ -474,14 +477,12 @@ def _ref_tau(columns, K, bound):
     scale = prod(s for *_, s in columns)
     sites, values = [], []
     for n in range(2 * bound + 1):
-        vals = taudarboux._dual_det([c[:K] for c in _ref_wronskian(columns, K, n)],
-                                    [d[:K] for d in _ref_wronskian(columns, K, n, deriv=True)])
-        if vals is not None:
+        solved = _ref_site_solve(columns, K, n, False)
+        if solved is not None:
             sites.append(n)
-            values.append((F(vals[0], scale), F(vals[1], scale)))
+            values.append(solved[0] / scale)
             if len(sites) > bound:
-                return (_ref_interpolate(sites, [v for v, _ in values]),
-                        _ref_interpolate(sites, [d for _, d in values]))
+                return _ref_interpolate(sites, values)
     raise SingularTau(0, "tau is identically zero")
 
 
@@ -491,7 +492,7 @@ def test_reference_interpolation_is_newton_forward():
     for first in (-4, 0, 3):
         xs = list(range(first, first + 5))
         assert _ref_interpolate(xs, [F(v, 6) for v in nums]) == \
-            taudarboux._interpolate(first, nums, 6), first
+            Poly.from_ints("n", taudarboux._newton(first, nums), factorial(4) * 6), first
 
 
 _integer_r = st.lists(st.integers(-4, 4).map(F), min_size=1, max_size=6)
@@ -511,14 +512,20 @@ def test_integer_wronskian_layer_matches_fraction_reference(R, S, r):
     columns = _ref_columns(params)
     assert taudarboux._columns(params) == columns
     K, bound = params.order, taudarboux._degree_bound(params)
-    polyn, dpolyn = _ref_tau(columns, K, bound)
+    polyn = _ref_tau(columns, K, bound)
     tau = tau_build(params)
-    assert tau.polyn == polyn and tau.dpolyn == dpolyn
+    assert tau.polyn == polyn
     assert tau.zeros == tuple(integer_roots(polyn.num))
     for n in range(-6, 7):
         for starred in (False, True):
-            assert taudarboux._site_solve(params, n, starred) == \
-                _ref_site_solve(columns, K, n, starred), (n, starred)
+            solved = _ref_site_solve(columns, K, n, starred)
+            if solved is None:
+                with pytest.raises(SingularTau):
+                    taudarboux.wave_numerator(params, n, starred)
+                continue
+            step = Poly("x", [-1, 1])
+            expect = sum(((step ** i).scale(c) for i, c in enumerate(solved[1])), Poly("x"))
+            assert taudarboux.wave_numerator(params, n, starred) == expect, (n, starred)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
