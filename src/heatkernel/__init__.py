@@ -37,7 +37,6 @@ from .exactcore import (
     Poly,
     PolyFraction,
     Rational,
-    RationalFunc,
     SeriesSegment,
     rat,
     series_at_zero,

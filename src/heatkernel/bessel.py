@@ -58,6 +58,12 @@ class BesselRow:
         return self.values[abs(k)] * math.exp(self.t)
 
 
+def series_orders(x: float) -> int:
+    """Orders enough for sum_k e^{-x} I_k(x) at float precision: past
+    x + 12 sqrt(x), e^{-x} I_k(x) < e^{-(k-x)^2/(2x)} < e^{-72}."""
+    return math.ceil(x + 12 * math.sqrt(x) + 20)
+
+
 def worst_of(values) -> float:
     """The largest of values, 0.0 for none, and NaN once any of them is NaN
     (max() alone can skip one), so a non-finite residual never passes a bound."""
@@ -181,10 +187,10 @@ def identity_residuals(t: float) -> dict:
     """Max residuals over the orders k <= 20 of the three-term relation, the
     derivative relation and the modified Bessel ODE (derivatives by central
     differences, steps min(1e-5, t/2) and 4.4e-4 scaled to the order), plus
-    the generating-function error at 8 sample angles.
+    the generating-function error at 8 sample angles over series_orders(t).
 
-    Recurrence residuals are measured on the scaled values; the ODE residual
-    is relative to (t^2 + k^2) I_k(t).
+    All values are scaled by e^{-t} (at t + h: e^h e^{-(t+h)} I_k(t+h)), and
+    all residuals are absolute but the ODE one, relative to (t^2 + k^2) I_k(t).
     """
     K, h_deriv, h_ode = 20, min(1e-5, t / 2), 4.4e-4
     row = bessel_row(t, K + 2)
@@ -192,26 +198,28 @@ def identity_residuals(t: float) -> dict:
                    for k in range(0, K + 1))
     rp, rm = bessel_row(t + h_deriv, K + 2), bessel_row(t - h_deriv, K + 2)
     deriv = worst_of(
-        abs((rp.unscaled(k) - rm.unscaled(k)) / (2 * h_deriv)
-            - 0.5 * (row.unscaled(k - 1) + row.unscaled(k + 1)))
+        abs((math.exp(h_deriv) * rp.scaled(k) - math.exp(-h_deriv) * rm.scaled(k)) / (2 * h_deriv)
+            - 0.5 * (row.scaled(k - 1) + row.scaled(k + 1)))
         for k in range(0, K + 1))
     ode = []
     for k in range(0, K + 1):
         # I_k varies on the scale min(t/k, 1), I_0 on the scale 1; t - h < 0
         # only at k = 0, where I_0(-s) = I_0(s) and I_0(0) = 1
         h = h_ode * min(t / k, 1.0) if k else h_ode
-        plus, minus = (bessel_row(abs(x), K + 2).unscaled(k) if x else 1.0 for x in (t + h, t - h))
+        plus, minus = (math.exp(abs(x) - t) * bessel_row(abs(x), K + 2).scaled(k) if x
+                       else math.exp(-t) for x in (t + h, t - h))
         d1 = (plus - minus) / (2 * h)
-        d2 = (plus - 2 * row.unscaled(k) + minus) / h ** 2
-        res = t * t * d2 + t * d1 - (t * t + k * k) * row.unscaled(k)
-        ode.append(abs(res) / ((t * t + k * k) * row.unscaled(k)))
+        d2 = (plus - 2 * row.scaled(k) + minus) / h ** 2
+        res = t * t * d2 + t * d1 - (t * t + k * k) * row.scaled(k)
+        ode.append(abs(res) / ((t * t + k * k) * row.scaled(k)))
     gen = []
-    grow = bessel_row(t, 42)
+    orders = series_orders(t)
+    grow = bessel_row(t, orders)
     for a in range(8):
         theta = math.pi * (2 * a + 1) / 16.0
         x = complex(math.cos(theta), math.sin(theta))
         acc = complex(grow.scaled(0))
-        for k in range(1, 41):
+        for k in range(1, orders + 1):
             acc += grow.scaled(k) * (x ** k + x ** (-k))
         target = complex(math.e) ** (t * (x + 1 / x) / 2.0 - t)
         gen.append(abs(acc - target))

@@ -272,11 +272,11 @@ def cmd_verify(args) -> int:
           for piece in args.t.split(",") if piece.strip()]
     if not ts:
         raise UsageError("--t must name at least one time")
-    # the self-checks scale e^{-x} I_k(x) back by e^x, at x = 2t or x about t
+    # the self-checks' residual limits are set for Bessel arguments up to 709
     top = {"decomp": UNSCALED_T_MAX / 2, "identities": UNSCALED_T_MAX}.get(args.mode, math.inf)
     if max(ts) > top:
-        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}; above that "
-                         f"its self-check's unscaled Bessel values overflow")
+        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}, the range "
+                         f"its residual limits are set for")
 
     if args.mode == "pde":
         if args.range is not None:

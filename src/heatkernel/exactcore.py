@@ -5,7 +5,9 @@ No floating point ever enters a computation here.  A `Poly` is integer
 numerators over one positive denominator, so its ring operations run on ints
 with one gcd per result, and a `LaurentPoly` is var^low times such a `Poly`,
 so it has no arithmetic of its own; the `coeffs` and `terms` views and
-`divmod` work in :class:`fractions.Fraction`.  All values are immutable
+`divmod` work in :class:`fractions.Fraction`.  `PolyFraction`, gcd-reduced
+with a monic denominator, is the one rational-function type: the operator
+coefficients in n and the wave functions in x.  All values are immutable
 after construction and every operation is a pure function.
 
 Polynomials are tagged with a variable name; binary operations require the
@@ -528,8 +530,6 @@ class LaurentPoly:
         return LaurentPoly.from_poly(-self.poly, self.low)
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly.const(other, self.var)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -545,152 +545,17 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative power; use RationalFunc")
         return LaurentPoly.from_poly(self.poly ** k, self.low * k)
 
     def shift_exp(self, k: int) -> "LaurentPoly":
         """Multiply by var**k."""
         return LaurentPoly.from_poly(self.poly, self.low + k)
 
-    def inverse_var(self) -> "LaurentPoly":
-        """Substitute var -> 1/var."""
-        p = self.poly
-        return LaurentPoly.from_poly(Poly.from_ints(p.var, p.num[::-1], p.den),
-                                     -self.low - p.degree)
-
-    def subs(self, value):
-        """Evaluate at a nonzero point (Fraction, float or complex)."""
-        out = None
-        for e, c in self.terms.items():
-            term = (c if not isinstance(value, complex) else complex(c)) * value ** e
-            out = term if out is None else out + term
-        return out if out is not None else 0 * value
-
-    __call__ = subs
-
     def __repr__(self):
         if not self.poly:
             return "0"
         return " + ".join(f"{c}" if e == 0 else f"{c}*{self.var}^{e}"
                           for e, c in self.terms.items())
-
-
-class RationalFunc:
-    """Quotient of two Laurent polynomials, kept in a reduced normal form.
-
-    Normalization: the denominator is shifted to be a true polynomial with a
-    nonzero constant term (the extracted power of the variable moves to the
-    numerator), common factors of (x-1), (x+1) and x are cancelled, and the
-    denominator's constant term is scaled to 1.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num, den.var if isinstance(den, LaurentPoly) else "x")
-        if isinstance(den, (int, Fraction)):
-            den = LaurentPoly.const(den, num.var)
-        num._check(den)
-        if den.is_zero():
-            raise ZeroDenominator("denominator is identically zero")
-        # the power of x leaves the denominator; x cannot divide either poly
-        low, n, d = num.low - den.low, num.poly, den.poly
-        if not n:
-            low, d = 0, Poly.const(n.var, 1)
-        for root in (1, -1):
-            linear = Poly.from_ints(n.var, (-root, 1))
-            while eval_int(n.num, root) == 0 == eval_int(d.num, root):
-                n, d = n // linear, d // linear
-        c = Fraction(d.den, d.num[0])
-        object.__setattr__(self, "num", LaurentPoly.from_poly(n.scale(c), low))
-        object.__setattr__(self, "den", LaurentPoly.from_poly(d.scale(c)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunc is immutable")
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RationalFunc":
-        return cls(p, LaurentPoly.const(1, p.var))
-
-    @property
-    def var(self) -> str:
-        return self.num.var
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if _is_scalar(other):
-            other = RationalFunc(LaurentPoly.const(other, self.var),
-                                 LaurentPoly.const(1, self.var))
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __add__(self, other):
-        if _is_scalar(other):
-            other = RationalFunc.from_laurent(LaurentPoly.const(other, self.var))
-        elif isinstance(other, LaurentPoly):
-            other = RationalFunc.from_laurent(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return RationalFunc(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if _is_scalar(other) or isinstance(other, LaurentPoly):
-            return self + (-1 * other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return RationalFunc(self.num * other, self.den)
-        if isinstance(other, LaurentPoly):
-            other = RationalFunc.from_laurent(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if _is_scalar(other):
-            other = RationalFunc.from_laurent(LaurentPoly.const(other, self.var))
-        elif isinstance(other, LaurentPoly):
-            other = RationalFunc.from_laurent(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDenominator("division by the zero rational function")
-        return RationalFunc(self.num * other.den, self.den * other.num)
-
-    def inverse_var(self) -> "RationalFunc":
-        """Substitute x -> 1/x."""
-        return RationalFunc(self.num.inverse_var(), self.den.inverse_var())
-
-    def subs(self, value):
-        """Numeric evaluation at a point where the denominator is nonzero."""
-        n = self.num.subs(value)
-        d = self.den.subs(value)
-        return n / d
-
-    __call__ = subs
-
-    def __repr__(self):
-        return f"({self.num!r}) / ({self.den!r})"
 
 
 class SeriesSegment:
@@ -729,29 +594,32 @@ class SeriesSegment:
         return f"SeriesSegment(first={self.first}, coeffs={[str(c) for c in self.coeffs]})"
 
 
-def series_at_zero(f: RationalFunc, count: int) -> SeriesSegment:
+def series_at_zero(f: PolyFraction, count: int) -> SeriesSegment:
     """First `count` exact Laurent coefficients of f at x = 0.
 
-    The leading exponent is f.num.low; the normal form of RationalFunc makes
-    the denominator a polynomial with constant term 1, so power-series
-    division needs no division.
+    With num = x^a u and den = x^b v, u(0) and v(0) nonzero, the leading
+    exponent is a - b and the coefficients are those of the power series
+    u / v, each step dividing by v(0).
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    a, b = f.num.poly.coeffs, f.den.poly.coeffs
+    n, d = f.num.num, f.den.num
+    a = next((i for i, c in enumerate(n) if c), 0)
+    b = next(i for i, c in enumerate(d) if c)
+    u, v, scale = n[a:], d[b:], Fraction(f.den.den, f.num.den)
     out: list[Fraction] = []
     for k in range(count):
-        acc = a[k] if k < len(a) else Fraction(0)
-        for i in range(1, min(k, len(b) - 1) + 1):
-            acc -= b[i] * out[k - i]
-        out.append(acc)
-    return SeriesSegment(f.num.low, out)
+        acc = scale * u[k] if k < len(u) else Fraction(0)
+        for i in range(1, min(k, len(v) - 1) + 1):
+            acc -= v[i] * out[k - i]
+        out.append(acc / v[0])
+    return SeriesSegment(a - b, out)
 
 
 class PolyFraction:
-    """Rational function of a polynomial variable (e.g. the lattice site n).
-
-    Stored as num/den, two Polys reduced by their monic gcd, den monic.
+    """Rational function of one variable: an operator coefficient in the
+    site n, a wave function in x.  Stored as num/den, two Polys reduced by
+    their monic gcd, den monic; a power of the variable sits in one of them.
     """
 
     __slots__ = ("num", "den")
@@ -859,6 +727,13 @@ class PolyFraction:
     def shift(self, a) -> "PolyFraction":
         """Substitute var -> var + a."""
         return PolyFraction(self.num.shift(a), self.den.shift(a))
+
+    def inverse_var(self) -> "PolyFraction":
+        """Substitute var -> 1/var: num and den reversed, the shorter one
+        first padded to the longer, so var^(deg den - deg num) moves over."""
+        size = max(len(self.num.num), len(self.den.num))
+        return PolyFraction(*(Poly.from_ints(p.var, (p.num + (0,) * (size - len(p.num)))[::-1],
+                                             p.den) for p in (self.num, self.den)))
 
     def subs(self, value: Fraction) -> Fraction:
         """Exact value at a rational point, by integer Horner.

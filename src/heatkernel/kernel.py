@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .bessel import bessel_row, tail_resum, worst_of
+from .bessel import bessel_row, series_orders, tail_resum, worst_of
 from .exactcore import LaurentPoly, Poly, eval_homogeneous
 from .taudarboux import (
     ParamVector,
@@ -323,10 +323,11 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
     scipy.special.ive call over the kernel's orders, so the product never
     overflows.  The rounding errors of the Bessel values are independent, so
     the relative error is about kappa eps for kappa = sum_j |beta_j(t)|
-    e^{-2t} I_j(2t) / |u|.  t = 0 returns the exact delta limit.
+    e^{-2t} I_j(2t) / |u|.  t = 0 returns the exact delta limit.  ValueError
+    for a t not finite and >= 0, and for a NaN value (ive's past 2^30 - 1).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     if t == 0:
         return 1.0 if f.n == f.m else 0.0
     if not f.terms:
@@ -338,7 +339,9 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
     parts = []
     for p, b in zip(f.terms.values(), scaled):
         parts.append(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * float(b))
-    return math.fsum(parts)
+    if math.isnan(value := math.fsum(parts)):
+        raise ValueError(f"kernel value at t = {t!r} is NaN: no Bessel values that far out")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +392,18 @@ def combo_to_basis(terms) -> tuple[LaurentPoly, LaurentPoly]:
 def decomposition_residual(k: int, T: int, t: float) -> float:
     """Numeric self-check of the tail decomposition bookkeeping.
 
-    Reassembles e^{t(x + 1/x)} at two points of the unit circle from its
-    three pieces: the untouched orders j >= 1-k plus I_k(2t) x^{-k}, the
-    ring-member brackets for j > k+2T (truncated at order 80), and the
-    resummed parity tails.  Returns the maximum absolute reconstruction
-    error over the two angles.
+    Reassembles e^{t(x + 1/x) - 2t} at two points of the unit circle from
+    its three pieces on the scaled e^{-2t} I_j(2t): the untouched orders
+    j >= 1-k plus I_k(2t) x^{-k}, the ring-member brackets for j > k+2T (up
+    to series_orders(2t)), and the resummed parity tails.  Returns the
+    maximum absolute reconstruction error over the two angles.
     """
-    terms = 80
+    terms = series_orders(2.0 * t)
     if T < 1:
         raise ValueError("decomposition needs T >= 1")
     row = bessel_row(2.0 * t, terms + 2 * T + abs(k) + 4)
     tq = Fraction(t)
-    tails = {eps + 2 * i: sum(float(p.subs(tq)) * row.unscaled(j)
+    tails = {eps + 2 * i: sum(float(p.subs(tq)) * row.scaled(j)
                               for j, p in _tail(k + eps, i, T))
              for eps in (1, 2) for i in range(T)}
     errors = []
@@ -408,18 +411,18 @@ def decomposition_residual(k: int, T: int, t: float) -> float:
         x = complex(math.cos(theta), math.sin(theta))
         total = 0j
         for j in range(1 - k, terms + 1):
-            total += row.unscaled(j) * x ** j
-        total += row.unscaled(k) * x ** (-k)
+            total += row.scaled(j) * x ** j
+        total += row.scaled(k) * x ** (-k)
         for j in range(k + 2 * T + 1, terms + 1):
             eps = 1 if (j - k) % 2 == 1 else 2
             bracket = x ** (-j)
             for i in range(T):
                 node = k + eps + 2 * i
                 bracket -= float(node_poly(k, eps, i, T).subs(Fraction(j))) * x ** (-node)
-            total += row.unscaled(j) * bracket
+            total += row.scaled(j) * bracket
         for d, value in tails.items():
             total += value * x ** (-(k + d))
-        target = complex(math.e) ** (t * (x + 1 / x))
+        target = complex(math.e) ** (t * (x + 1 / x) - 2 * t)
         errors.append(abs(total - target))
     return worst_of(errors)
 

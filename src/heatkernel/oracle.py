@@ -213,21 +213,11 @@ class QuadratureSpec:
             raise ValueError(f"radius must be finite with |radius| not 0 or 1: {self.radius!r}")
 
 
-def _laurent_np(lp) -> callable:
-    pairs = [(e, float(c)) for e, c in lp.terms.items()]
-
-    def ev(z):
-        out = np.zeros_like(z)
-        for e, c in pairs:
-            out = out + c * z ** e
-        return out
-
-    return ev
-
-
-def _ratfunc_np(rf) -> callable:
-    num, den = _laurent_np(rf.num), _laurent_np(rf.den)
-    return lambda z: num(z) / den(z)
+def _numpy_eval(f) -> callable:
+    """z -> f(z) on arrays, for a PolyFraction f: np.polyval on the
+    correctly rounded float coefficients of its numerator and denominator."""
+    num, den = ([c / p.den for c in reversed(p.num)] for p in (f.num, f.den))
+    return lambda z: np.polyval(num, z) / np.polyval(den, z)
 
 
 def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
@@ -238,11 +228,11 @@ def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
     spec.tol; the imaginary part must sit below 1e-12 and is discarded.
     """
     tau = ensure_regular(params)
-    pn = _ratfunc_np(wave_p(params, n))
+    pn = _numpy_eval(wave_p(params, n))
     if spec.integrand == "kernel_adjoint":
-        ps = _ratfunc_np(wave_p_star_via_adjoint(params, m + 1))
+        ps = _numpy_eval(wave_p_star_via_adjoint(params, m + 1))
     else:
-        pm_inv = _ratfunc_np(wave_p(params, m).inverse_var())
+        pm_inv = _numpy_eval(wave_p(params, m).inverse_var())
 
     if spec.integrand in ("kernel", "kernel_adjoint") and t is None:
         raise ValueError("kernel integrands need a time value")

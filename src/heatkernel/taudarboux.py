@@ -29,10 +29,8 @@ from math import comb, factorial, lcm, prod
 from operator import index
 
 from .exactcore import (
-    LaurentPoly,
     Poly,
     PolyFraction,
-    RationalFunc,
     ZeroDenominator,
     eval_int,
     integer_roots,
@@ -511,14 +509,16 @@ def wave_numerator(params: ParamVector, site: int, starred: bool = False) -> Pol
     return Poly.from_ints("x", [*dq, det], det)
 
 
-def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> RationalFunc:
-    """x^exp A(x) / ((x-1)^R (x+1)^S) for the wave numerator A at the site."""
+def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> PolyFraction:
+    """x^exp A(x) / ((x-1)^R (x+1)^S) in x for the wave numerator A at the
+    site: x^|exp| by zero-padding, in the denominator when exp < 0."""
     den = Poly("x", [-1, 1]) ** params.R * Poly("x", [1, 1]) ** params.S
-    return RationalFunc(LaurentPoly.from_poly(wave_numerator(params, site, starred), exp),
-                        LaurentPoly.from_poly(den))
+    num, den = (Poly.from_ints("x", (0,) * max(e, 0) + p.num, p.den)
+                for p, e in ((wave_numerator(params, site, starred), exp), (den, -exp)))
+    return PolyFraction(num, den)
 
 
-def wave_p(params: ParamVector, n: int) -> RationalFunc:
+def wave_p(params: ParamVector, n: int) -> PolyFraction:
     """p_n(x): Q applied to the sequence k -> x^k, taken at k = n, divided by
     (x-1)^R (x+1)^S.
 
@@ -528,14 +528,13 @@ def wave_p(params: ParamVector, n: int) -> RationalFunc:
     return _wave(params, n, False, n)
 
 
-def wave_p_star(params: ParamVector, n: int) -> RationalFunc:
+def wave_p_star(params: ParamVector, n: int) -> PolyFraction:
     """p*_n(x) through the duality route: (tau(n-1)/tau(n)) x^{-1} p_{n-1}(1/x)."""
     tau = ensure_regular(params)
-    value = wave_p(params, n - 1).inverse_var() * tau.ratio(n - 1, n)
-    return RationalFunc(value.num.shift_exp(-1), value.den)
+    return wave_p(params, n - 1).inverse_var() * tau.ratio(n - 1, n) / Poly.variable("x")
 
 
-def wave_p_star_via_adjoint(params: ParamVector, n: int) -> RationalFunc:
+def wave_p_star_via_adjoint(params: ParamVector, n: int) -> PolyFraction:
     """p*_n(x) built independently from the starred Wronskian ratio P*.
 
     P*, with coefficients frozen at site n-1, is applied formally to x^{-n}:

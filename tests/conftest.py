@@ -8,7 +8,7 @@ independent routes.
 import math
 from fractions import Fraction as F
 
-from heatkernel.exactcore import LaurentPoly, Poly, RationalFunc
+from heatkernel.exactcore import Poly, PolyFraction
 from heatkernel.taudarboux import ParamVector
 
 SEED = 20260810
@@ -82,21 +82,22 @@ def two_step_gamma(alpha: F, beta: F, n: int, m: int, j: int) -> F:
     return -4 * inner / (tau(n) * tau(m))
 
 
-def two_step_wave(alpha: F, beta: F, n: int) -> RationalFunc:
+def two_step_wave(alpha: F, beta: F, n: int) -> PolyFraction:
     """The 3x3 determinant form of p_n(x) for the double-step construction."""
     rows = [
-        [F(n) + alpha, -F(n) + alpha + beta, LaurentPoly.const(1)],
-        [F(n + 1) + alpha, F(n + 1) - alpha - beta, LaurentPoly.term(1)],
-        [F(n + 2) + alpha, -F(n + 2) + alpha + beta, LaurentPoly.term(2)],
+        [F(n) + alpha, -F(n) + alpha + beta, Poly("x", [1])],
+        [F(n + 1) + alpha, F(n + 1) - alpha - beta, Poly("x", [0, 1])],
+        [F(n + 2) + alpha, -F(n + 2) + alpha + beta, Poly("x", [0, 0, 1])],
     ]
-    det = LaurentPoly("x")
+    det = Poly("x")
     # direct cofactor expansion along the last column
     m01 = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     m02 = rows[0][0] * rows[2][1] - rows[0][1] * rows[2][0]
     m12 = rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]
     det = det + rows[0][2] * m12 - rows[1][2] * m02 + rows[2][2] * m01
-    den = LaurentPoly("x", {2: 1, 0: -1}) * two_step_tau(alpha, beta, n)
-    return RationalFunc(det.shift_exp(n), den)
+    den = Poly("x", [-1, 0, 1]) * two_step_tau(alpha, beta, n)
+    x_n = Poly("x", [0] * abs(n) + [1])
+    return PolyFraction(det * x_n, den) if n >= 0 else PolyFraction(det, den * x_n)
 
 
 def solve_exact(matrix: list[list[F]], rhs: list[F]) -> list[F]:

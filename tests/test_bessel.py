@@ -75,7 +75,9 @@ def test_nonpositive_argument():
 
 
 def test_identity_residual_suite():
-    for t in (0.5, 1.0, 2.0, 4.0):
+    # t = 10 .. 300 put e^t far above the limits, so the residuals must be
+    # taken on scaled values
+    for t in (0.5, 1.0, 2.0, 4.0, 10.0, 50.0, 300.0):
         res = identity_residuals(t)
         assert res["recurrence"] < 1e-12
         assert res["derivative"] < 1e-8

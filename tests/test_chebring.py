@@ -229,12 +229,10 @@ def test_annihilation_against_wave_products():
         theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N
         z = 0.5 * np.exp(1j * theta)
 
-        def ev(lp, zz):
-            out = np.zeros_like(zz)
-            for e, c in lp.terms.items():
-                out = out + float(c) * zz ** e
-            return out
+        def ev(p, zz):
+            return np.polyval([float(c) for c in reversed(p.coeffs)], zz)
 
-        vals = ev(f, z) * ev(pn.num, z) / ev(pn.den, z) * ev(pm.num, z) / ev(pm.den, z)
+        vals = ev(f.poly, z) * z ** f.low * ev(pn.num, z) / ev(pn.den, z) \
+            * ev(pm.num, z) / ev(pm.den, z)
         integral = complex(np.mean(vals))
         assert abs(integral) < 1e-10, (n, m, integral)

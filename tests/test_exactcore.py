@@ -13,7 +13,6 @@ from heatkernel.exactcore import (
     OutOfRange,
     Poly,
     PolyFraction,
-    RationalFunc,
     SeriesSegment,
     VariableMismatch,
     ZERO_DEGREE,
@@ -201,14 +200,14 @@ def test_poly_gcd_fallback_path(monkeypatch):
 
 
 def test_geometric_series():
-    f = RationalFunc(LaurentPoly.const(1), LaurentPoly("x", {0: 1, 1: -1}))
+    f = PolyFraction(Poly("x", [1]), Poly("x", [1, -1]))
     seg = series_at_zero(f, 3)
     assert seg.first == 0
     assert seg.coeffs == (F(1), F(1), F(1))
 
 
 def test_series_with_laurent_prefactor():
-    f = RationalFunc(LaurentPoly.term(3), LaurentPoly("x", {2: 1, 0: -1}))
+    f = PolyFraction(Poly("x", [0, 0, 0, 1]), Poly("x", [-1, 0, 1]))
     seg = series_at_zero(f, 2)
     assert seg.first == 3
     assert seg.coeffs == (F(-1), F(0))
@@ -226,12 +225,11 @@ def test_series_of_wave_product_against_sampled_reconstruction():
     for x in points:
         samples.append((x, p1.subs(x) * p0_inv.subs(x)))
     # model: f = (sum_{e=0}^{6} a_e x^e) / (x^2 - 1)^2
-    den = LaurentPoly("x", {4: 1, 2: -2, 0: 1})
+    den = Poly("x", [1, 0, -2, 0, 1])
     rows = [[x ** e for e in range(7)] for x, _ in samples[:7]]
     rhs = [value * den.subs(x) for x, value in samples[:7]]
     coeffs = solve_exact(rows, rhs)
-    num = LaurentPoly("x", dict(enumerate(coeffs)))
-    fitted = RationalFunc(num, den)
+    fitted = PolyFraction(Poly("x", coeffs), den)
     for x, value in samples[7:]:
         assert fitted.subs(x) == value
     seg = series_at_zero(fitted, 4)
@@ -247,8 +245,7 @@ def test_coefficient_access():
     assert f.coeff(5) == 0
     g = (LaurentPoly("x", {0: 1, 1: 1})) ** 2
     assert g.coeff(1) == 2
-    seg = series_at_zero(
-        RationalFunc(LaurentPoly.const(1), LaurentPoly("x", {1: 1, 2: -1})), 5)
+    seg = series_at_zero(PolyFraction(Poly("x", [1]), Poly("x", [0, 1, -1])), 5)
     assert seg.coefficient(-1) == 1           # residue of a simple pole
     assert seg.coefficient(-3) == 0           # certified zero below the order
     with pytest.raises(OutOfRange):
@@ -257,7 +254,7 @@ def test_coefficient_access():
 
 def test_round_trip_laurent_series():
     f = LaurentPoly("x", {-2: F(3), 0: F(-1, 2), 5: F(7, 3)})
-    seg = series_at_zero(RationalFunc.from_laurent(f), 9)
+    seg = series_at_zero(PolyFraction(f.poly, Poly("x", [0, 0, 1])), 9)     # f.low = -2
     for k in range(-2, 6):
         assert seg.coefficient(k) == f.coeff(k)
 
@@ -271,36 +268,39 @@ def test_residue_linearity():
 
 
 def test_rational_func_normalization():
-    # common x, (x-1), (x+1) factors are cancelled
-    num = LaurentPoly("x", {1: 1, 2: -1})          # x(1 - x)
-    den = LaurentPoly("x", {0: -1, 1: 1})          # x - 1
-    assert RationalFunc(num, den) == RationalFunc.from_laurent(LaurentPoly.term(1, -1))
-    f = RationalFunc(LaurentPoly("x", {0: 1, 1: 2, 2: 1}),   # (x+1)^2
-                     LaurentPoly("x", {0: 1, 1: 1}))         # x + 1
-    assert f == RationalFunc.from_laurent(LaurentPoly("x", {0: 1, 1: 1}))
+    # common x, (x-1), (x+1) factors are cancelled and the denominator is monic
+    f = PolyFraction(Poly("x", [0, 1, -1]), Poly("x", [-1, 1]))    # x(1 - x) / (x - 1)
+    assert (f.num, f.den) == (Poly("x", [0, -1]), Poly("x", [1]))
+    f = PolyFraction(Poly("x", [1, 2, 1]), Poly("x", [2, 2]))      # (x+1)^2 / (2x + 2)
+    assert (f.num, f.den) == (Poly("x", [F(1, 2), F(1, 2)]), Poly("x", [1]))
+    f = PolyFraction(Poly("x", [0, 0, 3]), Poly("x", [0, 2, 2]))   # 3x^2 / (2x^2 + 2x)
+    assert (f.num, f.den) == (Poly("x", [0, F(3, 2)]), Poly("x", [1, 1]))
 
 
 def test_zero_denominator():
     with pytest.raises(ZeroDenominator):
-        RationalFunc(LaurentPoly.const(1), LaurentPoly("x"))
+        PolyFraction(Poly("x", [1]), Poly("x"))
     with pytest.raises(ZeroDenominator):
         PolyFraction(Poly("n", [1]), Poly("n"))
 
 
 def test_rational_func_arithmetic():
-    one_minus = LaurentPoly("x", {0: 1, 1: -1})
-    f = RationalFunc(LaurentPoly.const(1), one_minus)
-    g = RationalFunc(LaurentPoly.term(1), one_minus)
-    assert f + g == RationalFunc(LaurentPoly("x", {0: 1, 1: 1}), one_minus)
+    one_minus = Poly("x", [1, -1])
+    f = PolyFraction(Poly("x", [1]), one_minus)
+    g = PolyFraction(Poly("x", [0, 1]), one_minus)
+    assert f + g == PolyFraction(Poly("x", [1, 1]), one_minus)
     assert (f - f).is_zero()
-    assert f * g == RationalFunc(LaurentPoly.term(1), one_minus * one_minus)
+    assert f * g == PolyFraction(Poly("x", [0, 1]), one_minus * one_minus)
     assert f / f == 1
     h = f.inverse_var()
-    assert h == RationalFunc(LaurentPoly.term(1), LaurentPoly("x", {1: 1, 0: -1}))
+    assert h == PolyFraction(Poly("x", [0, 1]), Poly("x", [-1, 1]))
+    assert h.inverse_var() == f
+    five_x2 = PolyFraction(Poly("x", [0, 0, 5]))
+    assert five_x2.inverse_var() == 5 / PolyFraction(Poly("x", [0, 0, 1]))
 
 
-# The dict-of-Fraction LaurentPoly and the synthetic-division normal form of
-# RationalFunc that the var^low * Poly form replaced, kept as the reference.
+# The dict-of-Fraction LaurentPoly that the var^low * Poly form replaced, and
+# the PolyFraction normal form on the Euclidean gcd, kept as the reference.
 
 def _lref(terms):
     return {int(k): F(c) for k, c in terms.items() if c}
@@ -334,68 +334,22 @@ def _lref_repr(a, var="x"):
     return " + ".join(f"{a[e]}" if e == 0 else f"{a[e]}*{var}^{e}" for e in sorted(a))
 
 
-def _laurent_as_dense(p):
-    lo, hi = min(p), max(p)
-    dense = [F(0)] * (hi - lo + 1)
-    for e, c in p.items():
-        dense[e - lo] = c
-    return lo, dense
+def _x_polys(num, den):
+    """The Laurent quotient num/den (reference terms) as two Polys in x,
+    both multiplied by the power of x that clears every negative exponent."""
+    low = min([0, *num, *den])
+    return tuple(Poly("x", [p.get(e, 0) for e in range(low, max(p, default=low) + 1)])
+                 for p in (num, den))
 
 
-def _root_multiplicity(dense, root):
-    """Deflate a dense polynomial by (x - root) as long as it divides exactly."""
-    mult = 0
-    cur = dense
-    while len(cur) > 1 or (cur and cur[0]):
-        out = [F(0)] * (len(cur) - 1)
-        acc = F(0)
-        for i in range(len(cur) - 1, -1, -1):
-            if i == 0:
-                rem = cur[0] + acc * root
-                break
-            out[i - 1] = cur[i] + acc * root
-            acc = out[i - 1]
-        else:
-            rem = cur[0]
-        if rem != 0 or len(cur) == 1:
-            break
-        cur = out
-        mult += 1
-    return mult, cur
-
-
-def _mul_linear(dense, root):
-    out = [F(0)] * (len(dense) + 1)
-    for i, c in enumerate(dense):
-        out[i + 1] += c
-        out[i] -= c * root
-    return out
-
-
-def _ref_normal(num, den):
-    """(num, den) terms of the reference RationalFunc normal form."""
-    if not num:
-        return {}, {0: F(1)}
-    shift = min(den)
-    num = {e - shift: c for e, c in num.items()}
-    den = {e - shift: c for e, c in den.items()}
-    nlo, ndense = _laurent_as_dense(num)
-    dlo, ddense = _laurent_as_dense(den)
-    for root in (F(1), F(-1)):
-        mn, ncand = _root_multiplicity(ndense, root)
-        if mn == 0:
-            continue
-        md, dcand = _root_multiplicity(ddense, root)
-        common = min(mn, md)
-        if common:
-            for _ in range(mn - common):
-                ncand = _mul_linear(ncand, root)
-            for _ in range(md - common):
-                dcand = _mul_linear(dcand, root)
-            ndense, ddense = ncand, dcand
-    c0 = ddense[0]
-    return (_lref({nlo + i: c / c0 for i, c in enumerate(ndense)}),
-            _lref({dlo + i: c / c0 for i, c in enumerate(ddense)}))
+def _ref_reduce(a, b):
+    """(a, b) in the PolyFraction normal form of a/b: divided by the
+    Euclidean gcd, the denominator scaled to leading coefficient 1."""
+    if a.is_zero():
+        return a, Poly("x", [1])
+    g = poly_gcd_euclid(a, b)
+    a, b = a // g, b // g
+    return a.scale(1 / b.leading), b.scale(1 / b.leading)
 
 
 _laurent = st.dictionaries(st.integers(-4, 4), _coeff, max_size=4).map(_lref)
@@ -426,7 +380,6 @@ def test_laurent_matches_fraction_reference(a, b, c, k, s):
         "add_scalar": (pa + c, _lref_add(a, {0: c})),
         "pow": (pa ** k, _lref_pow(a, k)),
         "shift_exp": (pa.shift_exp(s), {e + s: v for e, v in a.items()}),
-        "inverse_var": (pa.inverse_var(), {-e: v for e, v in a.items()}),
     }
     for name, (p, ref) in cases.items():
         _assert_laurent(p, ref, name)
@@ -448,29 +401,30 @@ _planting = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_laurent, _laurent, _planting, _planting, _laurent, _planting)
 def test_rational_func_matches_root_multiplicity_reference(u, v, pn, pd, w, pw):
-    # (x -+ 1) factors planted in numerator and denominator, with the
-    # normal forms of products, sums and 1/x against the reference
-    num, den = _plant_factors(u, *pn), _plant_factors(v, *pd)
+    # x^s (x -+ 1)^i factors planted in numerator and denominator, with the
+    # normal forms of products, sums, cubes and x -> 1/x against the reference
+    num, den, wn = _plant_factors(u, *pn), _plant_factors(v, *pd), _plant_factors(w, *pw)
     if not den:
         with pytest.raises(ZeroDenominator):
-            RationalFunc(LaurentPoly("x", num), LaurentPoly("x", den))
+            PolyFraction(*_x_polys(num, den))
         return
-    f = RationalFunc(LaurentPoly("x", num), LaurentPoly("x", den))
-    g = RationalFunc(LaurentPoly("x", _plant_factors(w, *pw)), LaurentPoly("x", den))
-    rf, rg = _ref_normal(num, den), _ref_normal(_plant_factors(w, *pw), den)
+    f = PolyFraction(*_x_polys(num, den))
+    g = PolyFraction(*_x_polys(wn, den))
+    (fa, fb), (ga, gb) = _ref_reduce(*_x_polys(num, den)), _ref_reduce(*_x_polys(wn, den))
     cases = {
-        "init": (f, rf),
-        "mul": (f * g, _ref_normal(_lref_mul(rf[0], rg[0]), _lref_mul(rf[1], rg[1]))),
-        "add": (f + g, _ref_normal(_lref_add(_lref_mul(rf[0], rg[1]), _lref_mul(rg[0], rf[1])),
-                                   _lref_mul(rf[1], rg[1]))),
-        "pow": (f * f * f, _ref_normal(_lref_pow(rf[0], 3), _lref_pow(rf[1], 3))),
-        "inverse_var": (f.inverse_var(), _ref_normal({-e: c for e, c in rf[0].items()},
-                                                     {-e: c for e, c in rf[1].items()})),
+        "init": (f, (fa, fb)),
+        "mul": (f * g, _ref_reduce(fa * ga, fb * gb)),
+        "add": (f + g, _ref_reduce(fa * gb + ga * fb, fb * gb)),
+        "pow": (f * f * f, (fa ** 3, fb ** 3)),        # coprime and monic already
+        "inverse_var": (f.inverse_var(), _ref_reduce(*_x_polys({-e: c for e, c in num.items()},
+                                                               {-e: c for e, c in den.items()}))),
     }
     for name, (h, (rnum, rden)) in cases.items():
-        _assert_laurent(h.num, rnum, name)
-        _assert_laurent(h.den, rden, name)
-        assert repr(h) == f"({_lref_repr(rnum)}) / ({_lref_repr(rden)})", name
+        assert (h.num, h.den) == (rnum, rden), name
+        text = repr(rnum) if rden.degree == 0 else f"({rnum!r}) / ({rden!r})"
+        assert repr(h) == text, name
+    back = f.inverse_var().inverse_var()
+    assert (back.num, back.den) == (f.num, f.den)
 
 
 def test_poly_fraction_basics():

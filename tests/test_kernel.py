@@ -13,7 +13,7 @@ from conftest import (
 )
 from heatkernel import kernel, taudarboux
 from heatkernel.bessel import alpha_table, bessel_row
-from heatkernel.exactcore import LaurentPoly, Poly, RationalFunc, series_at_zero
+from heatkernel.exactcore import LaurentPoly, Poly, series_at_zero
 from heatkernel.kernel import (
     InternalInconsistency,
     ZeroNode,
@@ -27,6 +27,7 @@ from heatkernel.kernel import (
     symmetry_transport,
     _check_degrees,
 )
+from heatkernel.oracle import QuadratureSpec, circle_quadrature
 from heatkernel.taudarboux import (
     ParamVector,
     SingularTau,
@@ -91,7 +92,7 @@ def wave_product_gammas(params, n, m, J):
     """gamma_0..gamma_J through the wave functions: the series at x = 0 of
     x^{m-n} p_n(x) p_m(1/x), built as a rational function of x."""
     prod = wave_p(params, n) * wave_p(params, m).inverse_var()
-    seg = series_at_zero(RationalFunc(prod.num.shift_exp(m - n), prod.den), J + 1)
+    seg = series_at_zero(prod / Poly.variable("x") ** (n - m), J + 1)
     return tuple(seg.coefficient(d) for d in range(J + 1))
 
 
@@ -213,6 +214,14 @@ def test_kernel_eval_delta_limit():
         kernel_eval(assemble_kernel(PARAMS[(0, 0)], 0, 0), -1.0)
 
 
+def test_kernel_eval_rejects_nonfinite_time_and_nan_value():
+    # scipy's ive is NaN for arguments above 2^30 - 1, so t = 6e8 has no value
+    f = assemble_kernel(ParamVector(1, 0, ["1/2"]), 0, 0)
+    for t in (math.inf, math.nan, 6e8):
+        with pytest.raises(ValueError):
+            kernel_eval(f, t)
+
+
 def test_kernel_eval_one_step_value():
     f = assemble_kernel(ParamVector(1, 0, [F(1, 2)]), 0, 0)
     row = bessel_row(2.0, 2)
@@ -252,6 +261,21 @@ def test_kernel_properties_at_random_admissible_draws(R, S, r, n, m):
     assert f.max_degree() <= max(2 * max(R, S) - 1, 0)
     back = symmetry_transport(params, n, m, symmetry_transport(params, m, n, f))
     assert back.terms == f.terms
+    assert pde_residual(f).passed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.lists(_small_r, min_size=1, max_size=4),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_kernel_quadratures_at_random_admissible_draws(R, S, r, n, m):
+    # the contour integrals over p_n p_m(1/x) and over p_n p*_{m+1} x, both
+    # built from the wave functions, give the assembled kernel at t = 1
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    u = kernel_eval(assemble_kernel(params, n, m), 1.0)
+    for integrand in ("kernel", "kernel_adjoint"):
+        value = circle_quadrature(QuadratureSpec(integrand=integrand), params, n, m, t=1.0)
+        assert abs(value - u) <= 1e-10 * max(1.0, abs(u)), (integrand, value, u)
 
 
 def test_degree_guard_trips_on_corrupt_formula():
@@ -361,9 +385,12 @@ def test_combo_to_basis_recurrence():
 
 
 def test_decomposition_residual_small():
-    for k in (0, 1, 2):
-        for T in (1, 2):
-            assert decomposition_residual(k, T, 1.0) < 1e-10
+    # scaled values and a series that grows with t keep the residual small
+    # where e^{2t} is large (t = 300) as well as at t = 1
+    for t in (1.0, 10.0, 50.0, 300.0):
+        for k in (0, 1, 2):
+            for T in (1, 2):
+                assert decomposition_residual(k, T, t) < 1e-10, (t, k, T)
 
 
 def test_kernel_json_and_text():

@@ -162,11 +162,8 @@ def test_quadrature_geometric_convergence():
     pn = wave_p(params, 1)
     pm = wave_p(params, 1).inverse_var()
 
-    def ev(lp, z):
-        out = np.zeros_like(z)
-        for e, c in lp.terms.items():
-            out = out + float(c) * z ** e
-        return out
+    def ev(p, z):
+        return np.polyval([float(c) for c in reversed(p.coeffs)], z)
 
     def quad(N):
         theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N

@@ -7,10 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import PARAMS, SEED, two_step_tau, two_step_wave
 from heatkernel.exactcore import (
-    LaurentPoly,
     Poly,
     PolyFraction,
-    RationalFunc,
     eval_int,
     integer_roots,
 )
@@ -31,6 +29,9 @@ from heatkernel.taudarboux import (
     wave_p_star,
     wave_p_star_via_adjoint,
 )
+
+X = Poly.variable("x")
+
 
 def test_param_vector_padding_and_validation():
     pv = ParamVector(1, 1, [F(1, 4)])
@@ -269,8 +270,8 @@ def test_band_operator_support_and_json():
 
 
 def test_wave_free():
-    assert wave_p(PARAMS[(0, 0)], 3) == RationalFunc.from_laurent(LaurentPoly.term(3))
-    assert wave_p(PARAMS[(0, 0)], -2) == RationalFunc.from_laurent(LaurentPoly.term(-2))
+    assert wave_p(PARAMS[(0, 0)], 3) == PolyFraction(X ** 3)
+    assert wave_p(PARAMS[(0, 0)], -2) == 1 / PolyFraction(X ** 2)
 
 
 def test_wave_two_step_matches_determinant_form():
@@ -287,8 +288,8 @@ def test_wave_leading_behavior_at_infinity():
         params = PARAMS[key]
         for n in (-3, 0, 4):
             p = wave_p(params, n)
-            assert p.num.max_exp - p.den.max_exp == n, (key, n)
-            assert p.num.coeff(p.num.max_exp) == p.den.coeff(p.den.max_exp), (key, n)
+            assert p.num.degree - p.den.degree == n, (key, n)
+            assert p.num.leading == p.den.leading, (key, n)
 
 
 def test_values_are_immutable():
@@ -300,16 +301,16 @@ def test_values_are_immutable():
         L.coeffs = {}
     p = wave_p(PARAMS[(1, 1)], 0)
     with pytest.raises(AttributeError):
-        p.num = LaurentPoly("x")
+        p.num = Poly("x")
 
 
 def test_wave_eigen_relation():
-    lam = RationalFunc(LaurentPoly("x", {1: 1, 0: -2, -1: 1}), LaurentPoly.const(1))
+    lam = PolyFraction(Poly("x", [1, -2, 1]), X)         # x - 2 + 1/x
     for key in [(1, 0), (0, 1), (1, 1), (2, 1)]:
         params = PARAMS[key]
         L = operator_build(params)
         for n in (-3, 0, 2):
-            lhs = RationalFunc(LaurentPoly("x"), LaurentPoly.const(1))
+            lhs = PolyFraction(Poly("x"))
             for j in (-1, 0, 1):
                 c = L.coeff_at(j, n)
                 if c:
@@ -321,14 +322,12 @@ def test_wave_denominator_structure():
     # p_n(x) (x-1)^R (x+1)^S clears every pole away from 0 and infinity
     params = PARAMS[(2, 1)]
     p = wave_p(params, 2)
-    cleared = p * RationalFunc.from_laurent(
-        (LaurentPoly("x", {1: 1, 0: -1}) ** 2) * LaurentPoly("x", {1: 1, 0: 1}))
-    assert cleared.den.max_exp == cleared.den.min_exp == 0
+    cleared = p * (Poly("x", [-1, 1]) ** 2 * Poly("x", [1, 1]))
+    assert cleared.den.num[:-1] == (0,) * cleared.den.degree      # a monomial
 
 
 def test_wave_p_star_free():
-    assert wave_p_star(PARAMS[(0, 0)], 4) == \
-        RationalFunc.from_laurent(LaurentPoly.term(-4))
+    assert wave_p_star(PARAMS[(0, 0)], 4) == 1 / PolyFraction(X ** 4)
 
 
 def test_duality_between_routes():
@@ -339,7 +338,7 @@ def test_duality_between_routes():
         for n in (-2, 0, 2):
             lhs = wave_p(params, n).inverse_var() * tau.value(n)
             ps = wave_p_star_via_adjoint(params, n + 1)
-            rhs = RationalFunc(ps.num.shift_exp(1), ps.den) * tau.value(n + 1)
+            rhs = ps * X * tau.value(n + 1)
             assert lhs == rhs, (key, n)
 
 
@@ -536,9 +535,9 @@ def test_wave_properties_at_random_admissible_draws(R, S, r, n):
     params = ParamVector(R, S, r)
     assume(tau_build(params).zeros == ())
     L = operator_build(params)
-    lhs = RationalFunc(LaurentPoly("x"), LaurentPoly.const(1))
+    lhs = PolyFraction(Poly("x"))
     for j in (-1, 0, 1):
         lhs = lhs + wave_p(params, n + j) * L.coeff_at(j, n)
-    lam = RationalFunc(LaurentPoly("x", {1: 1, 0: -2, -1: 1}), LaurentPoly.const(1))
+    lam = PolyFraction(Poly("x", [1, -2, 1]), X)
     assert lhs == lam * wave_p(params, n)
     assert wave_p_star(params, n) == wave_p_star_via_adjoint(params, n)
