@@ -1,9 +1,10 @@
 """Modified Bessel functions I_k and the exact tail-resummation calculus.
 
-The numeric side computes exponentially scaled rows e^{-t} I_k(t) by Miller's
-backward recurrence, normalized with e^{-t}(I_0 + 2 sum_k I_k) = 1.  The
-scaled form is what the kernel evaluator needs (its closed forms carry a
-global e^{-2t}) and it never overflows.
+The numeric side computes exponentially scaled rows e^{-t} I_k(t), the one
+Bessel evaluator of the package: a downward recurrence started by Miller's
+algorithm (normalized with e^{-t}(I_0 + 2 sum_k I_k) = 1) or, at large t, by
+Hankel's expansion.  The scaled form is what the kernel evaluator needs (its
+closed forms carry a global e^{-2t}) and it never overflows.
 
 The symbolic side builds the polynomial table alpha^n_j(t) whose defining
 recursion turns odd-monomial-weighted Bessel tails
@@ -70,29 +71,51 @@ def worst_of(values) -> float:
     return max(values, key=lambda v: (math.isnan(v), v), default=0.0)
 
 
-def bessel_row(t: float, K: int) -> BesselRow:
-    """Backward-recurrence row of e^{-t} I_k(t), k = 0..K.
+def _hankel(nu: int, x: float) -> float:
+    """e^{-x} I_nu(x) by Hankel's expansion (2 pi x)^{-1/2} sum_k (-1)^k a_k(nu) / x^k,
+    a_k(nu) = prod_{i <= k} (4 nu^2 - (2i-1)^2) / (k! 8^k) (Abramowitz & Stegun
+    9.7.1), summed to the first term below 1e-17 of the sum or while terms shrink."""
+    mu = 4.0 * nu * nu
+    term = total = 1.0
+    k = 1
+    while abs(term) >= 1e-17 * total:
+        nxt = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
+        if abs(nxt) >= abs(term):
+            break
+        total += nxt
+        term, k = nxt, k + 1
+    return total / math.sqrt(2 * math.pi) / math.sqrt(x)
 
-    Starts the downward recurrence I_{k-1} = I_{k+1} + (2k/t) I_k at order
-    K + 20 + ceil(t) and normalizes by the sum rule, which pins every value
-    to about 1e-14 relative accuracy for moderate t.
+
+def bessel_row(t: float, K: int) -> BesselRow:
+    """Row of e^{-t} I_k(t), k = 0..K, by the downward recurrence
+    I_{k-1} = I_{k+1} + (2k/t) I_k, which is stable for I.
+
+    For t >= max(40, 2(K+2)^2) the recurrence starts from orders K+1 and K
+    of Hankel's expansion, so the cost does not grow with t.  Below, Miller's
+    algorithm starts it at order K + 20 + ceil(t) and normalizes by the sum
+    rule.  For t < 1e-20, where one step of it would overflow, the values are
+    e^{-t} (t/2)^k / k!, exact to 1e-40.  Every value is within a few eps.
     """
     if t <= 0:
         raise NonpositiveArgument(f"t must be positive, got {t}")
     if K < 0:
         raise ValueError("K must be >= 0")
-    start = K + 20 + math.ceil(t)
-    y = [0.0] * (start + 2)
-    y[start + 1] = 0.0
-    y[start] = 1e-280
+    if t < 1e-20:
+        y = [math.exp(-t)]
+        for k in range(1, K + 1):
+            y.append(y[-1] * t / (2 * k))
+        return BesselRow(t=float(t), values=tuple(y))
+    hankel = t >= max(40, 2 * (K + 2) ** 2)
+    start = K if hankel else K + 20 + math.ceil(t)
+    y = [0.0] * start + ([_hankel(K, t), _hankel(K + 1, t)] if hankel else [1e-280, 0.0])
     for k in range(start, 0, -1):
         y[k - 1] = y[k + 1] + (2.0 * k / t) * y[k]
         if y[k - 1] > _BIG:
             scale = 1.0 / y[k - 1]
             for i in range(k - 1, start + 2):
                 y[i] *= scale
-    total = y[0] + 2.0 * math.fsum(y[1:])
-    inv = 1.0 / total
+    inv = 1.0 if hankel else 1.0 / (y[0] + 2.0 * math.fsum(y[1:]))
     return BesselRow(t=float(t), values=tuple(v * inv for v in y[: K + 1]))
 
 

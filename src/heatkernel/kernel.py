@@ -315,16 +315,24 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
                          provenance=dict(f.provenance, transported=True))
 
 
+@lru_cache(maxsize=1024)
+def _bessel_values(x: float, K: int) -> tuple[float, ...]:
+    """e^{-x} I_k(x), k = 0..K: one bessel_row, shared by every kernel of top
+    order K evaluated at t = x/2."""
+    return bessel_row(x, K).values
+
+
 def kernel_eval(f: KernelFormula, t: float) -> float:
     """Numeric value e^{-2t} sum_j beta_j(t) I_j(2t).
 
     Each beta_j(t) is exact (integer Horner at t = x/y), rounded once to
-    float; the scaled Bessel values e^{-2t} I_j(2t) come from one vectorised
-    scipy.special.ive call over the kernel's orders, so the product never
-    overflows.  The rounding errors of the Bessel values are independent, so
-    the relative error is about kappa eps for kappa = sum_j |beta_j(t)|
-    e^{-2t} I_j(2t) / |u|.  t = 0 returns the exact delta limit.  ValueError
-    for a t not finite and >= 0, and for a NaN value (ive's past 2^30 - 1).
+    float; the scaled Bessel values e^{-2t} I_j(2t) are one bessel_row at 2t
+    up to the kernel's top order (cached on both), so the product never
+    overflows and one value costs a few polynomial evaluations and at most
+    one row whatever t is.  Each Bessel
+    value is within a few eps, so the relative error is about kappa eps for
+    kappa = sum_j |beta_j(t)| e^{-2t} I_j(2t) / |u|.  t = 0 returns the exact
+    delta limit.  ValueError for a t not finite and >= 0.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
@@ -332,16 +340,10 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
         return 1.0 if f.n == f.m else 0.0
     if not f.terms:
         return 0.0
-    from scipy.special import ive
-
     x, y = float(t).as_integer_ratio()
-    scaled = ive(list(f.terms), 2.0 * t)
-    parts = []
-    for p, b in zip(f.terms.values(), scaled):
-        parts.append(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * float(b))
-    if math.isnan(value := math.fsum(parts)):
-        raise ValueError(f"kernel value at t = {t!r} is NaN: no Bessel values that far out")
-    return value
+    scaled = _bessel_values(2.0 * t, max(f.terms))
+    return math.fsum(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * scaled[j]
+                     for j, p in f.terms.items())
 
 
 # ---------------------------------------------------------------------------

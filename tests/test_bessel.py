@@ -1,8 +1,11 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SEED, bessel_i_series
 from heatkernel.bessel import (
@@ -60,6 +63,34 @@ def test_three_term_identity():
         lhs = k * row.scaled(k)
         rhs = 0.5 * (row.scaled(k - 1) - row.scaled(k + 1))
         assert abs(lhs - rhs) < 1e-12
+
+
+def _mp_scaled(k: int, x: float):
+    with mpmath.workdps(40):
+        return mpmath.besseli(k, x) * mpmath.exp(-mpmath.mpf(x))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 25), st.floats(-24, 16))
+def test_row_against_mpmath_on_both_sides_of_the_hankel_threshold(K, u):
+    # x >= max(40, 2(K+2)^2) starts the recurrence from Hankel's expansion,
+    # below it from Miller's algorithm
+    x = max(40, 2 * (K + 2) ** 2) * 2.0 ** u
+    row = bessel_row(x, K)
+    for k in range(K + 1):
+        ref = _mp_scaled(k, x)
+        assert abs(row.scaled(k) - ref) <= 16 * sys.float_info.epsilon * ref, (K, x, k)
+
+
+def test_row_at_tiny_argument():
+    # below 1e-20 a Miller step (2k/t) would overflow; values are (t/2)^k/k!,
+    # and those below the float range round to 0
+    for t in (1e-300, 1e-100, 1e-57, 1e-21, 1e-19):
+        row = bessel_row(t, 3)
+        for k in range(4):
+            ref = _mp_scaled(k, t)
+            assert abs(row.scaled(k) - ref) <= 16 * sys.float_info.epsilon * ref + math.ulp(0.0), \
+                (t, k)
 
 
 def test_reflection():

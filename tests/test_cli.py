@@ -97,6 +97,13 @@ def test_bessel_csv(capsys):
     assert float(lines[1].split(",")[2]) == pytest.approx(0.30850832255367105, abs=1e-14)
 
 
+def test_bessel_at_huge_t(capsys):
+    # e^{-t} I_k(t) -> (2 pi t)^{-1/2} for every order, at a cost independent of t
+    code, out = run_cli(capsys, ["bessel", "--t", "1e300", "--kmax", "3"])
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["3.989422804014327e-151"] * 4
+
+
 def test_verify_pde(capsys):
     code, out = run_cli(capsys, ["verify", "--mode", "pde", "--R", "1", "--S", "1",
                                  "--alpha", "1/4", "--beta", "1",

@@ -1,6 +1,5 @@
 """The float layer: kernel_eval's accuracy against high-precision values of
-the same exact beta_j, scipy staying off the import path and scipy.sparse
-off the lattice route."""
+the same exact beta_j, and every runtime path running without scipy."""
 
 import subprocess
 import sys
@@ -13,6 +12,9 @@ from heatkernel import ParamVector, assemble_kernel, kernel_eval
 from test_cli import SUBPROCESS_ENV
 
 HIGH_ORDER = [ParamVector(R, R, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)]) for R in (2, 3, 4)]
+# the one-step kernel too: its top orders are the lowest, so its rows switch to
+# Hankel's expansion at the smallest t
+PARAMS = [ParamVector(1, 0, [F(1, 2)]), *HIGH_ORDER]
 
 
 def _reference(f, t: float):
@@ -29,36 +31,38 @@ def _reference(f, t: float):
         return value, scale
 
 
-@pytest.mark.parametrize("params", HIGH_ORDER, ids=lambda p: f"{p.R},{p.S}")
+@pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"{p.R},{p.S}")
 def test_kernel_eval_error_within_condition_number(params):
     # |error| <= 4 kappa eps |u| with kappa = sum_j |beta_j| e^{-2t} I_j(2t) / |u|
     for n, m in ((2, 0), (0, 0), (4, -4)):
         f = assemble_kernel(params, n, m)
-        for t in (0.5, 1.0, 10.0, 1e2, 1e3, 1e4):
+        for t in (1e-30, 0.5, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6, 6e8):
             value, scale = _reference(f, t)
             err = abs(mpmath.mpf(kernel_eval(f, t)) - value)
             assert err <= 4 * sys.float_info.epsilon * scale, (n, m, t, float(err), float(scale))
 
 
-def test_import_leaves_scipy_unloaded():
-    code = ("import sys, heatkernel; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=SUBPROCESS_ENV, check=True)
-    assert proc.stdout.strip() == "[]"
-
-
-def test_lattice_route_leaves_scipy_sparse_unloaded():
-    # the README oracle check, then lattice_evolve; scipy.special may load
+def test_runtime_paths_run_with_scipy_blocked():
+    # scipy is a test dependency only: with every scipy import made to fail,
+    # import, the README oracle check, kernel_eval, lattice_evolve, the bessel
+    # row and the Bessel identity suite all run, and no scipy module loads
     code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from fractions import Fraction\n"
-            "from heatkernel import ParamVector, lattice_evolve, operator_build\n"
+            "from heatkernel import ParamVector, assemble_kernel, kernel_eval, lattice_evolve, "
+            "operator_build\n"
             "from heatkernel.cli import main\n"
-            "code = main(['verify', '--mode', 'oracle', '--R', '1', '--S', '0', '--r', '1/2',\n"
-            "             '--range', '4', '--t', '0.5,1,2'])\n"
-            "lattice_evolve(operator_build(ParamVector(1, 0, [Fraction(1, 2)])), 200, 0, 1.0)\n"
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+            "params = ParamVector(1, 0, [Fraction(1, 2)])\n"
+            "codes = [main(['verify', '--mode', 'oracle', '--R', '1', '--S', '0', '--r', '1/2',\n"
+            "               '--range', '4', '--t', '0.5,1,2'])]\n"
+            "kernel_eval(assemble_kernel(params, 2, 0), 1.0)\n"
+            "lattice_evolve(operator_build(params), 200, 0, 1.0)\n"
+            "codes += [main(['bessel', '--t', '2', '--kmax', '5']),\n"
+            "          main(['verify', '--mode', 'identities'])]\n"
+            "print(codes, sorted(m for m, mod in sys.modules.items()\n"
+            "                    if m.split('.')[0] == 'scipy' and mod is not None))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=SUBPROCESS_ENV, check=True)
+                          env=SUBPROCESS_ENV)
+    assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

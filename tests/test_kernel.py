@@ -215,9 +215,8 @@ def test_kernel_eval_delta_limit():
 
 
 def test_kernel_eval_rejects_nonfinite_time_and_nan_value():
-    # scipy's ive is NaN for arguments above 2^30 - 1, so t = 6e8 has no value
     f = assemble_kernel(ParamVector(1, 0, ["1/2"]), 0, 0)
-    for t in (math.inf, math.nan, 6e8):
+    for t in (math.inf, math.nan):
         with pytest.raises(ValueError):
             kernel_eval(f, t)
 
