@@ -42,6 +42,30 @@ def test_kernel_eval_error_within_condition_number(params):
             assert err <= 4 * sys.float_info.epsilon * scale, (n, m, t, float(err), float(scale))
 
 
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, heatkernel; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SUBPROCESS_ENV, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_lattice_route_leaves_scipy_sparse_unloaded():
+    # the README oracle check, then lattice_evolve, with scipy importable
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from heatkernel import ParamVector, lattice_evolve, operator_build\n"
+            "from heatkernel.cli import main\n"
+            "code = main(['verify', '--mode', 'oracle', '--R', '1', '--S', '0', '--r', '1/2',\n"
+            "             '--range', '4', '--t', '0.5,1,2'])\n"
+            "lattice_evolve(operator_build(ParamVector(1, 0, [Fraction(1, 2)])), 200, 0, 1.0)\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SUBPROCESS_ENV, check=True)
+    assert "PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_runtime_paths_run_with_scipy_blocked():
     # scipy is a test dependency only: with every scipy import made to fail,
     # import, the README oracle check, kernel_eval, lattice_evolve, the bessel
