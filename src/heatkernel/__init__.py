@@ -21,17 +21,6 @@ from .bessel import (
     bessel_row,
     tail_resum,
 )
-from .chebring import (
-    NodeSet,
-    NotMember,
-    WVCertificate,
-    av_membership,
-    chebyshev_U,
-    F_build,
-    interp_Q,
-    lagrange_vanishing_sum,
-    reduce_to_wx,
-)
 from .exactcore import (
     LaurentPoly,
     Poly,
@@ -53,15 +42,6 @@ from .kernel import (
     pde_residual,
     symmetry_transport,
 )
-from .oracle import (
-    ComparisonReport,
-    QuadratureSpec,
-    circle_quadrature,
-    compare_kernel_to_lattice,
-    compare_report,
-    lattice_evolve,
-    orthogonality_gram,
-)
 from .taudarboux import (
     BandOperator,
     ParamVector,
@@ -77,3 +57,40 @@ from .taudarboux import (
 )
 
 __version__ = "0.1.0"
+
+#: names loaded on first use: the float oracle brings numpy, and no exact path
+#: needs it or the Chebyshev ring
+_LAZY = {
+    **dict.fromkeys(["ComparisonReport", "QuadratureSpec", "circle_quadrature",
+                     "compare_kernel_to_lattice", "compare_report", "lattice_evolve",
+                     "orthogonality_gram"], "oracle"),
+    **dict.fromkeys(["NodeSet", "NotMember", "WVCertificate", "av_membership", "chebyshev_U",
+                     "F_build", "interp_Q", "lagrange_vanishing_sum", "reduce_to_wx"],
+                    "chebring"),
+}
+
+__all__ = [
+    "AlphaTable", "BesselCombo", "BesselRow", "alpha_table", "bessel_row", "tail_resum",
+    "LaurentPoly", "Poly", "PolyFraction", "Rational", "SeriesSegment", "rat",
+    "series_at_zero",
+    "ExactZeroReport", "GammaSeries", "KernelFormula", "assemble_kernel",
+    "decomposition_residual", "gamma_series", "kernel_eval", "node_poly", "pde_residual",
+    "symmetry_transport",
+    "BandOperator", "ParamVector", "SingularTau", "TauFunction", "darboux_one_step",
+    "operator_build", "qp_build", "schur_component", "tau_build", "wave_p", "wave_p_star",
+    *_LAZY,
+]
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

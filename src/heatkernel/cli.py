@@ -29,7 +29,6 @@ from .kernel import (
     decomposition_residual,
     pde_residual,
 )
-from .oracle import WindowTooSmall, compare_kernel_to_lattice, orthogonality_gram
 from .taudarboux import (
     ParamVector,
     SingularTau,
@@ -293,11 +292,16 @@ def cmd_verify(args) -> int:
         return _verify_report(args, not failures, detail)
 
     if args.mode == "oracle":
+        from .oracle import WindowTooSmall, compare_kernel_to_lattice
+
         half = args.range if args.range is not None else 4
         tol = args.tol if args.tol is not None else 1e-10
         pairs = [(n, m) for n in range(-half, half + 1) for m in range(-half, half + 1)]
-        report = compare_kernel_to_lattice(params, operator_build(params),
-                                           pairs, ts, W=args.W, tolerance=tol)
+        try:
+            report = compare_kernel_to_lattice(params, operator_build(params),
+                                               pairs, ts, W=args.W, tolerance=tol)
+        except WindowTooSmall as exc:
+            raise UsageError(str(exc)) from exc
         detail = {"max_abs": report.max_abs, "max_rel": report.max_rel,
                   "tolerance": report.tolerance, "points": len(report.grid)}
         if not report.passed:
@@ -308,6 +312,8 @@ def cmd_verify(args) -> int:
         return _verify_report(args, report.passed, detail)
 
     if args.mode == "orth":
+        from .oracle import orthogonality_gram
+
         size = (args.range if args.range is not None else 5) + 1
         tol = args.tol if args.tol is not None else 1e-10
         tau = ensure_regular(params)
@@ -372,7 +378,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return _COMMANDS[args.command](args)
-    except (UsageError, WindowTooSmall) as exc:
+    except UsageError as exc:
         print(f"heatkernel: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SingularTau as exc:

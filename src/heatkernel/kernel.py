@@ -327,12 +327,14 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
 
     Each beta_j(t) is exact (integer Horner at t = x/y), rounded once to
     float; the scaled Bessel values e^{-2t} I_j(2t) are one bessel_row at 2t
-    up to the kernel's top order (cached on both), so the product never
-    overflows and one value costs a few polynomial evaluations and at most
-    one row whatever t is.  Each Bessel
+    up to the kernel's top order (cached on both), so one value costs a few
+    polynomial evaluations and at most one row whatever t is.  Where a
+    beta_j(t) or the sum passes float range, the sum is taken again in exact
+    rationals (each Bessel float read exactly) and rounded once.  Each Bessel
     value is within a few eps, so the relative error is about kappa eps for
     kappa = sum_j |beta_j(t)| e^{-2t} I_j(2t) / |u|.  t = 0 returns the exact
-    delta limit.  ValueError for a t not finite and >= 0.
+    delta limit.  ValueError for a t not finite and >= 0, or a u beyond
+    float range.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
@@ -342,8 +344,16 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
         return 0.0
     x, y = float(t).as_integer_ratio()
     scaled = _bessel_values(2.0 * t, max(f.terms))
-    return math.fsum(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * scaled[j]
-                     for j, p in f.terms.items())
+    try:
+        return math.fsum(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * scaled[j]
+                         for j, p in f.terms.items())
+    except OverflowError:
+        exact = sum(Fraction(eval_homogeneous(p.num, x, y), p.den * y ** p.degree)
+                    * Fraction(scaled[j]) for j, p in f.terms.items())
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ValueError(f"kernel value at t = {t!r} lies beyond float range") from None
 
 
 # ---------------------------------------------------------------------------
