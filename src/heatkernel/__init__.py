@@ -22,7 +22,6 @@ from .bessel import (
     tail_resum,
 )
 from .exactcore import (
-    LaurentPoly,
     Poly,
     PolyFraction,
     Rational,
@@ -71,7 +70,7 @@ _LAZY = {
 
 __all__ = [
     "AlphaTable", "BesselCombo", "BesselRow", "alpha_table", "bessel_row", "tail_resum",
-    "LaurentPoly", "Poly", "PolyFraction", "Rational", "SeriesSegment", "rat",
+    "Poly", "PolyFraction", "Rational", "SeriesSegment", "rat",
     "series_at_zero",
     "ExactZeroReport", "GammaSeries", "KernelFormula", "assemble_kernel",
     "decomposition_residual", "gamma_series", "kernel_eval", "node_poly", "pde_residual",

@@ -1,6 +1,7 @@
 """The ring of Laurent polynomials generated by w = (x + 1/x)/2 and the
 curve function v, together with the Chebyshev / Lagrange machinery used to
-certify membership.
+certify membership.  Laurent polynomials in x are PolyFractions over a power
+of x.
 
 Membership of a Laurent polynomial f(x) in C[w, v] is decided
 constructively: f is rewritten as A(w) + B(w) x, and if (w-1)^R (w+1)^S
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import LaurentPoly, Poly, rat
+from .exactcore import Poly, PolyFraction, rat
 
 W = "w"
 
@@ -124,16 +125,13 @@ def interp_Q(nodes: NodeSet) -> Poly:
     return out
 
 
-def F_build(nodes: NodeSet) -> LaurentPoly:
+def F_build(nodes: NodeSet) -> PolyFraction:
     """The Laurent polynomial sum of x^{s_k} / (s_k prod_{j!=k}(s_k^2 - s_j^2))."""
     ns = nodes.nodes
-    out = LaurentPoly("x")
-    for k, s in enumerate(ns):
-        out = out + LaurentPoly.term(s, _weight(ns, k))
-    return out
+    return PolyFraction.laurent("x", {s: _weight(ns, k) for k, s in enumerate(ns)})
 
 
-def reduce_to_wx(f: LaurentPoly) -> tuple[Poly, Poly]:
+def reduce_to_wx(f: PolyFraction) -> tuple[Poly, Poly]:
     """Rewrite f(x) as A(w) + B(w) x under w = (x + 1/x)/2.
 
     Positive powers use x^k = U_{k-1}(w) x - U_{k-2}(w); negative powers the
@@ -141,7 +139,7 @@ def reduce_to_wx(f: LaurentPoly) -> tuple[Poly, Poly]:
     """
     A = Poly(W)
     B = Poly(W)
-    for e, c in f.terms.items():
+    for e, c in f.laurent_terms().items():
         if e == 0:
             A = A + Poly.const(W, c)
         elif e > 0:
@@ -153,16 +151,16 @@ def reduce_to_wx(f: LaurentPoly) -> tuple[Poly, Poly]:
     return A, B
 
 
-def w_of_x() -> LaurentPoly:
+def w_of_x() -> PolyFraction:
     """w = (x + 1/x)/2 as a Laurent polynomial in x."""
-    return LaurentPoly("x", {1: Fraction(1, 2), -1: Fraction(1, 2)})
+    return PolyFraction.laurent("x", {1: Fraction(1, 2), -1: Fraction(1, 2)})
 
 
-def v_of_x(R: int, S: int) -> LaurentPoly:
+def v_of_x(R: int, S: int) -> PolyFraction:
     """v = (x-1)^{2R+1} (x+1)^{2S+1} / (2^{R+S+1} x^{R+S+1}) as a Laurent polynomial."""
-    p = (LaurentPoly("x", {1: 1, 0: -1}) ** (2 * R + 1)) * \
-        (LaurentPoly("x", {1: 1, 0: 1}) ** (2 * S + 1))
-    return p.shift_exp(-(R + S + 1)) * Fraction(1, 2 ** (R + S + 1))
+    K = R + S
+    p = Poly("x", [-1, 1]) ** (2 * R + 1) * Poly("x", [1, 1]) ** (2 * S + 1)
+    return PolyFraction(p, Poly.from_ints("x", [0] * (K + 1) + [2 ** (K + 1)]))
 
 
 @dataclass(frozen=True)
@@ -174,13 +172,10 @@ class WVCertificate:
     R: int
     S: int
 
-    def substitute(self) -> LaurentPoly:
+    def substitute(self) -> PolyFraction:
         """Expand the certificate back into a Laurent polynomial of x."""
         wx = w_of_x()
-        vx = v_of_x(self.R, self.S)
-        out = self.A.subs(wx)
-        out = _lift(out) + _lift(self.B.subs(wx)) * vx
-        return out
+        return self.A.subs(wx) + self.B.subs(wx) * v_of_x(self.R, self.S)
 
     def to_json(self) -> dict:
         return {
@@ -191,13 +186,7 @@ class WVCertificate:
         }
 
 
-def _lift(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    return LaurentPoly.const(value)
-
-
-def av_membership(f: LaurentPoly, R: int, S: int) -> WVCertificate | NotMember:
+def av_membership(f: PolyFraction, R: int, S: int) -> WVCertificate | NotMember:
     """Constructive membership test of f in C[w, v].
 
     Returns a WVCertificate (already verified by substitution) or NotMember

@@ -271,11 +271,13 @@ def cmd_verify(args) -> int:
           for piece in args.t.split(",") if piece.strip()]
     if not ts:
         raise UsageError("--t must name at least one time")
-    # the self-checks' residual limits are set for Bessel arguments up to 709
+    # the bounds cap the series_orders(x)-long Bessel rows the self-checks sum,
+    # at x = 2t for decomp and x = t for identities
     top = {"decomp": UNSCALED_T_MAX / 2, "identities": UNSCALED_T_MAX}.get(args.mode, math.inf)
     if max(ts) > top:
-        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}, the range "
-                         f"its residual limits are set for")
+        x = "2t" if args.mode == "decomp" else "t"
+        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}, which caps the "
+                         f"Bessel rows its self-check sums at x + 12 sqrt(x) + 20 orders, x = {x}")
 
     if args.mode == "pde":
         if args.range is not None:

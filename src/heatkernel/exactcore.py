@@ -1,14 +1,15 @@
-"""Exact arithmetic kernel: rationals, polynomials, Laurent polynomials,
-rational functions, and truncated Laurent expansions at the origin.
+"""Exact arithmetic kernel: rationals, polynomials, rational functions, and
+truncated Laurent expansions at the origin.
 
 No floating point ever enters a computation here.  A `Poly` is integer
 numerators over one positive denominator, so its ring operations run on ints
-with one gcd per result, and a `LaurentPoly` is var^low times such a `Poly`,
-so it has no arithmetic of its own; the `coeffs` and `terms` views and
-`divmod` work in :class:`fractions.Fraction`.  `PolyFraction`, gcd-reduced
-with a monic denominator, is the one rational-function type: the operator
-coefficients in n and the wave functions in x.  All values are immutable
-after construction and every operation is a pure function.
+with one gcd per result; its `coeffs` view and `divmod` work in
+:class:`fractions.Fraction`.  `PolyFraction`, gcd-reduced with a monic
+denominator, is the one rational-function type: the operator coefficients in
+n, the wave functions in x, and the Laurent polynomials, which are those over
+a power of the variable (`PolyFraction.laurent` builds one and
+`laurent_terms` reads its {exponent: coefficient} view).  All values are
+immutable after construction and every operation is a pure function.
 
 Polynomials are tagged with a variable name; binary operations require the
 same variable on both sides.  ``poly_gcd`` runs the heuristic gcd of Char,
@@ -174,7 +175,9 @@ class Poly:
         return Poly.from_ints(self.var, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -Fraction(other))
+        if not (isinstance(other, Poly) or _is_scalar(other)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -430,134 +433,6 @@ def poly_gcd_euclid(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.leading)
 
 
-class LaurentPoly:
-    """Finite Laurent polynomial var^low * poly.
-
-    `poly` is an integer-numerator `Poly` whose constant term is nonzero (the
-    zero Laurent polynomial has low = 0 and the zero poly), so the form is
-    canonical and every ring operation is the `Poly` one on ints.  `terms`
-    is the Fraction view {exponent: coefficient}, built on each access.
-    """
-
-    __slots__ = ("low", "poly")
-
-    def __init__(self, var: str = "x", terms: dict | None = None):
-        terms = {int(k): c for k, c in (terms or {}).items() if c}
-        low, high = min(terms, default=0), max(terms, default=-1)
-        self._set(low, Poly(var, [terms.get(k, 0) for k in range(low, high + 1)]))
-
-    def _set(self, low: int, poly: Poly) -> "LaurentPoly":
-        zeros = next((i for i, c in enumerate(poly.num) if c), 0)
-        if zeros:
-            poly = Poly.from_ints(poly.var, poly.num[zeros:], poly.den)
-        object.__setattr__(self, "low", low + zeros if poly else 0)
-        object.__setattr__(self, "poly", poly)
-        return self
-
-    @classmethod
-    def from_poly(cls, poly: Poly, low: int = 0) -> "LaurentPoly":
-        """var^low * poly, in the variable of poly."""
-        return object.__new__(cls)._set(low, poly)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def term(cls, k: int, c=1, var: str = "x") -> "LaurentPoly":
-        return cls(var, {k: c})
-
-    @classmethod
-    def const(cls, c, var: str = "x") -> "LaurentPoly":
-        return cls(var, {0: c})
-
-    @property
-    def var(self) -> str:
-        return self.poly.var
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        return {self.low + i: Fraction(c, self.poly.den) for i, c in enumerate(self.poly.num) if c}
-
-    def is_zero(self) -> bool:
-        return not self.poly
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    @property
-    def min_exp(self) -> int:
-        if not self.poly:
-            raise ValueError("zero Laurent polynomial has no support")
-        return self.low
-
-    @property
-    def max_exp(self) -> int:
-        return self.min_exp + self.poly.degree
-
-    def coeff(self, k: int) -> Fraction:
-        return self.poly.coeff(k - self.low)
-
-    def _check(self, other: "LaurentPoly"):
-        self.poly._check(other.poly)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.low == other.low and self.poly == other.poly
-        if _is_scalar(other):
-            return self.low == 0 and self.poly == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.low, self.poly))
-
-    def _raised(self, low: int) -> Poly:
-        """poly * var^(self.low - low), for low <= self.low."""
-        p = self.poly
-        return Poly.from_ints(p.var, (0,) * (self.low - low) + p.num, p.den)
-
-    def __add__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly.const(other, self.var)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        low = min(self.low, other.low)
-        return LaurentPoly.from_poly(self._raised(low) + other._raised(low), low)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly.from_poly(-self.poly, self.low)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return LaurentPoly.from_poly(self.poly.scale(other), self.low)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly.from_poly(self.poly * other.poly, self.low + other.low)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        return LaurentPoly.from_poly(self.poly ** k, self.low * k)
-
-    def shift_exp(self, k: int) -> "LaurentPoly":
-        """Multiply by var**k."""
-        return LaurentPoly.from_poly(self.poly, self.low + k)
-
-    def __repr__(self):
-        if not self.poly:
-            return "0"
-        return " + ".join(f"{c}" if e == 0 else f"{c}*{self.var}^{e}"
-                          for e, c in self.terms.items())
-
-
 class SeriesSegment:
     """First `len(coeffs)` Laurent coefficients of a function at the origin.
 
@@ -618,8 +493,9 @@ def series_at_zero(f: PolyFraction, count: int) -> SeriesSegment:
 
 class PolyFraction:
     """Rational function of one variable: an operator coefficient in the
-    site n, a wave function in x.  Stored as num/den, two Polys reduced by
-    their monic gcd, den monic; a power of the variable sits in one of them.
+    site n, a wave function in x, a Laurent polynomial (den a power of the
+    variable).  Stored as num/den, two Polys reduced by their monic gcd, den
+    monic; a power of the variable sits in one of them.
     """
 
     __slots__ = ("num", "den")
@@ -635,10 +511,16 @@ class PolyFraction:
         if num.is_zero():
             den = Poly.const(num.var, 1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+            if any(den.num[:-1]):
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num // g
+                    den = den // g
+            else:       # den = c var^k: the gcd is the power of var that num holds
+                k = min(den.degree, next(i for i, c in enumerate(num.num) if c))
+                if k:
+                    num = Poly.from_ints(num.var, num.num[k:], num.den)
+                    den = Poly.from_ints(den.var, den.num[k:], den.den)
             lead = den.leading
             if lead != 1:
                 num = num.scale(1 / lead)
@@ -652,6 +534,23 @@ class PolyFraction:
     @classmethod
     def const(cls, var: str, c) -> "PolyFraction":
         return cls(Poly.const(var, c))
+
+    @classmethod
+    def laurent(cls, var: str, terms: dict) -> "PolyFraction":
+        """The Laurent polynomial sum of c var^e over terms {e: c}: its
+        coefficients from the lowest exponent up, over var^-lowest."""
+        terms = {int(e): c for e, c in terms.items() if c}
+        low = min([0, *terms])
+        num = Poly(var, [terms.get(e, 0) for e in range(low, max(terms, default=-1) + 1)])
+        return cls(num, Poly.from_ints(var, [0] * -low + [1]))
+
+    def laurent_terms(self) -> dict[int, Fraction]:
+        """{exponent: coefficient} of a Laurent polynomial; ValueError when
+        the denominator is not a power of the variable."""
+        if any(self.den.num[:-1]):
+            raise ValueError(f"not a Laurent polynomial in {self.var}: {self!r}")
+        low = 1 - len(self.den.num)
+        return {e: Fraction(c, self.num.den) for e, c in enumerate(self.num.num, low) if c}
 
     @property
     def var(self) -> str:
@@ -723,6 +622,9 @@ class PolyFraction:
         if o is None:
             return NotImplemented
         return o / self
+
+    def __pow__(self, k: int) -> "PolyFraction":
+        return PolyFraction(self.num ** k, self.den ** k)
 
     def shift(self, a) -> "PolyFraction":
         """Substitute var -> var + a."""

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bessel import bessel_row, series_orders, tail_resum, worst_of
-from .exactcore import LaurentPoly, Poly, eval_homogeneous
+from .exactcore import Poly, PolyFraction, eval_homogeneous
 from .taudarboux import (
     ParamVector,
     SingularTau,
@@ -374,12 +374,13 @@ def _integer_rows(parts: list) -> tuple[dict[int, dict[int, int]], int]:
     return rows, D
 
 
-def combo_to_basis(terms) -> tuple[LaurentPoly, LaurentPoly]:
+def combo_to_basis(terms) -> tuple[PolyFraction, PolyFraction]:
     """Collapse {order j -> coefficient in t} onto (I_0(2t), I_1(2t)).
 
     `terms` is that dict or a list of (j, coefficient) pairs, whose repeated
-    orders add up.  Coefficients may be Poly or LaurentPoly in t; the result
-    is the exact pair of Laurent polynomials multiplying the basis functions.
+    orders add up.  Coefficients may be Poly in t or PolyFraction over a power
+    of t; the result is the exact pair of Laurent polynomials, as
+    PolyFractions, multiplying the basis functions.
     Orders are folded by I_{-j} = I_j, then removed from the top down with the
     three-term relation I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t).
     The reduction runs on integer numerators over one common denominator D,
@@ -387,8 +388,11 @@ def combo_to_basis(terms) -> tuple[LaurentPoly, LaurentPoly]:
     """
     parts = []
     for j, p in (terms.items() if isinstance(terms, dict) else terms):
-        low, p = (0, p) if isinstance(p, Poly) else (p.low, p.poly)
-        parts.append((abs(j), enumerate(p.num, low), 1, p.den))
+        if isinstance(p, Poly):
+            parts.append((abs(j), enumerate(p.num), 1, p.den))
+        else:
+            parts += [(abs(j), [(e, c.numerator)], 1, c.denominator)
+                      for e, c in p.laurent_terms().items()]
     rows, D = _integer_rows(parts)
     for j in range(max(rows, default=0), 1, -1):
         row = rows.pop(j, {})
@@ -397,7 +401,7 @@ def combo_to_basis(terms) -> tuple[LaurentPoly, LaurentPoly]:
         for e, c in row.items():
             lower[e] = lower.get(e, 0) + c
             mid[e - 1] = mid.get(e - 1, 0) - (j - 1) * c
-    return tuple(LaurentPoly(T_VAR, {e: Fraction(c, D) for e, c in rows.get(i, {}).items()})
+    return tuple(PolyFraction.laurent(T_VAR, {e: Fraction(c, D) for e, c in rows.get(i, {}).items()})
                  for i in (0, 1))
 
 

@@ -9,7 +9,6 @@ from conftest import SEED, solve_exact, two_step_gamma, two_step_tau, two_step_w
 from heatkernel import exactcore
 from heatkernel.exactcore import (
     DivisionByZeroPolynomial,
-    LaurentPoly,
     OutOfRange,
     Poly,
     PolyFraction,
@@ -58,14 +57,14 @@ def test_variable_mismatch():
     with pytest.raises(VariableMismatch):
         Poly("t", [1]) + Poly("w", [1])
     with pytest.raises(VariableMismatch):
-        LaurentPoly("x", {0: 1}) + LaurentPoly("t", {0: 1})
+        PolyFraction.laurent("x", {0: 1}) + PolyFraction.laurent("t", {0: 1})
 
 
 def test_substitute_half_sum_into_chebyshev():
     # U_2(w) at w = (x + 1/x)/2 collapses to x^2 + 1 + x^-2
     U2 = Poly("w", [-1, 0, 4])
-    wx = LaurentPoly("x", {1: F(1, 2), -1: F(1, 2)})
-    assert U2.subs(wx) == LaurentPoly("x", {2: 1, 0: 1, -2: 1})
+    wx = PolyFraction.laurent("x", {1: F(1, 2), -1: F(1, 2)})
+    assert U2.subs(wx) == PolyFraction.laurent("x", {2: 1, 0: 1, -2: 1})
     rng = random.Random(SEED)
     for _ in range(5):
         x = F(rng.randint(1, 40), rng.randint(41, 90))
@@ -240,11 +239,11 @@ def test_series_of_wave_product_against_sampled_reconstruction():
 
 
 def test_coefficient_access():
-    f = LaurentPoly("x", {-1: 1, 0: 2})
-    assert f.coeff(-1) == 1
-    assert f.coeff(5) == 0
-    g = (LaurentPoly("x", {0: 1, 1: 1})) ** 2
-    assert g.coeff(1) == 2
+    f = PolyFraction.laurent("x", {-1: 1, 0: 2}).laurent_terms()
+    assert f[-1] == 1
+    assert f.get(5, 0) == 0
+    g = PolyFraction.laurent("x", {0: 1, 1: 1}) ** 2
+    assert g.laurent_terms()[1] == 2
     seg = series_at_zero(PolyFraction(Poly("x", [1]), Poly("x", [0, 1, -1])), 5)
     assert seg.coefficient(-1) == 1           # residue of a simple pole
     assert seg.coefficient(-3) == 0           # certified zero below the order
@@ -253,18 +252,19 @@ def test_coefficient_access():
 
 
 def test_round_trip_laurent_series():
-    f = LaurentPoly("x", {-2: F(3), 0: F(-1, 2), 5: F(7, 3)})
-    seg = series_at_zero(PolyFraction(f.poly, Poly("x", [0, 0, 1])), 9)     # f.low = -2
+    terms = {-2: F(3), 0: F(-1, 2), 5: F(7, 3)}
+    seg = series_at_zero(PolyFraction.laurent("x", terms), 9)
     for k in range(-2, 6):
-        assert seg.coefficient(k) == f.coeff(k)
+        assert seg.coefficient(k) == terms.get(k, 0)
 
 
 def test_residue_linearity():
     rng = random.Random(SEED + 1)
     for _ in range(20):
-        f = LaurentPoly("x", {rng.randint(-4, 4): F(rng.randint(-5, 5)) for _ in range(4)})
-        g = LaurentPoly("x", {rng.randint(-4, 4): F(rng.randint(-5, 5)) for _ in range(4)})
-        assert (f + g).coeff(-1) == f.coeff(-1) + g.coeff(-1)
+        f, g = (PolyFraction.laurent("x", {rng.randint(-4, 4): F(rng.randint(-5, 5))
+                                           for _ in range(4)}) for _ in range(2))
+        assert (f + g).laurent_terms().get(-1, 0) == \
+            f.laurent_terms().get(-1, 0) + g.laurent_terms().get(-1, 0)
 
 
 def test_rational_func_normalization():
@@ -299,8 +299,8 @@ def test_rational_func_arithmetic():
     assert five_x2.inverse_var() == 5 / PolyFraction(Poly("x", [0, 0, 1]))
 
 
-# The dict-of-Fraction LaurentPoly that the var^low * Poly form replaced, and
-# the PolyFraction normal form on the Euclidean gcd, kept as the reference.
+# Laurent polynomials as dicts {exponent: Fraction}, and the PolyFraction
+# normal form on the Euclidean gcd, kept as the reference.
 
 def _lref(terms):
     return {int(k): F(c) for k, c in terms.items() if c}
@@ -328,12 +328,6 @@ def _lref_pow(a, k):
     return out
 
 
-def _lref_repr(a, var="x"):
-    if not a:
-        return "0"
-    return " + ".join(f"{a[e]}" if e == 0 else f"{a[e]}*{var}^{e}" for e in sorted(a))
-
-
 def _x_polys(num, den):
     """The Laurent quotient num/den (reference terms) as two Polys in x,
     both multiplied by the power of x that clears every negative exponent."""
@@ -355,22 +349,11 @@ def _ref_reduce(a, b):
 _laurent = st.dictionaries(st.integers(-4, 4), _coeff, max_size=4).map(_lref)
 
 
-def _assert_laurent(p, ref, name):
-    assert p.terms == ref and all(type(c) is F for c in p.terms.values()), name
-    assert repr(p) == _lref_repr(ref), name
-    same = LaurentPoly("x", {max(ref, default=0) + 1: 0, **ref})
-    assert p == same and hash(p) == hash(same), name
-    assert p.poly.num[:1] != (0,) and (p or p.low == 0), name
-    for e in range(-20, 21):
-        assert p.coeff(e) == ref.get(e, 0), (name, e)
-    if ref:
-        assert (p.min_exp, p.max_exp) == (min(ref), max(ref)), name
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_laurent, _laurent, _coeff, st.integers(0, 3), st.integers(-5, 5))
-def test_laurent_matches_fraction_reference(a, b, c, k, s):
-    pa, pb = LaurentPoly("x", a), LaurentPoly("x", b)
+def test_laurent_poly_fraction_matches_dict_reference(a, b, c, k, s):
+    # Laurent polynomials are PolyFractions over a power of x
+    pa, pb = PolyFraction.laurent("x", a), PolyFraction.laurent("x", b)
     cases = {
         "init": (pa, a),
         "add": (pa + pb, _lref_add(a, b)),
@@ -379,11 +362,35 @@ def test_laurent_matches_fraction_reference(a, b, c, k, s):
         "scale": (pa * c, _lref({e: v * c for e, v in a.items()})),
         "add_scalar": (pa + c, _lref_add(a, {0: c})),
         "pow": (pa ** k, _lref_pow(a, k)),
-        "shift_exp": (pa.shift_exp(s), {e + s: v for e, v in a.items()}),
+        "times_x^s": (pa * PolyFraction.laurent("x", {s: 1}), {e + s: v for e, v in a.items()}),
     }
     for name, (p, ref) in cases.items():
-        _assert_laurent(p, ref, name)
-    assert (pa * pb) == (pb * pa) and hash(pa + pb) == hash(pb + pa)
+        terms = p.laurent_terms()
+        assert terms == ref and all(type(v) is F for v in terms.values()), name
+        back = PolyFraction.laurent("x", terms)
+        assert back == p and hash(back) == hash(p), name
+        assert p.den == Poly("x", [0] * -min([0, *ref]) + [1]), name
+
+
+def test_laurent_terms_needs_a_power_of_the_variable():
+    from heatkernel.kernel import combo_to_basis
+
+    for den in ([1, 1], [0, 0, 2, 1], [0, 1, 0, 1]):
+        f = PolyFraction(Poly("t", [1]), Poly("t", den))
+        with pytest.raises(ValueError):
+            f.laurent_terms()
+        with pytest.raises(ValueError):
+            combo_to_basis({0: f})
+    assert PolyFraction(Poly("t", [1]), Poly("t", [0, 0, 2])).laurent_terms() == {-2: F(1, 2)}
+
+
+def test_poly_minus_laurent_poly_fraction():
+    # Poly.__sub__ defers to PolyFraction as + and * do
+    p = Poly("x", [F(1, 3), 0, -2])
+    f = PolyFraction.laurent("x", {-2: 5, 1: F(-1, 7)})
+    assert p - f == -(f - p)
+    assert (p - f).laurent_terms() == {-2: -5, 0: F(1, 3), 1: F(1, 7), 2: -2}
+    assert p - 1 == Poly("x", [F(-2, 3), 0, -2]) and p - p == 0
 
 
 _X_MINUS_1, _X_PLUS_1 = {0: F(-1), 1: F(1)}, {0: F(1), 1: F(1)}
@@ -415,7 +422,7 @@ def test_rational_func_matches_root_multiplicity_reference(u, v, pn, pd, w, pw):
         "init": (f, (fa, fb)),
         "mul": (f * g, _ref_reduce(fa * ga, fb * gb)),
         "add": (f + g, _ref_reduce(fa * gb + ga * fb, fb * gb)),
-        "pow": (f * f * f, (fa ** 3, fb ** 3)),        # coprime and monic already
+        "pow": (f ** 3, (fa ** 3, fb ** 3)),        # coprime and monic already
         "inverse_var": (f.inverse_var(), _ref_reduce(*_x_polys({-e: c for e, c in num.items()},
                                                                {-e: c for e, c in den.items()}))),
     }

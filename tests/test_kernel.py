@@ -13,7 +13,7 @@ from conftest import (
 )
 from heatkernel import kernel, taudarboux
 from heatkernel.bessel import alpha_table, bessel_row
-from heatkernel.exactcore import LaurentPoly, Poly, series_at_zero
+from heatkernel.exactcore import Poly, PolyFraction, series_at_zero
 from heatkernel.kernel import (
     InternalInconsistency,
     ZeroNode,
@@ -351,10 +351,10 @@ def test_pde_residual_detects_corruption():
 def basis_table(max_order):
     """(A_j, B_j) with I_j(2t) = A_j I_0(2t) + B_j I_1(2t), built upwards by
     I_{j+1}(2t) = I_{j-1}(2t) - (j/t) I_j(2t)."""
-    one, zero = LaurentPoly("t", {0: 1}), LaurentPoly("t")
+    one, zero = PolyFraction.const("t", 1), PolyFraction.const("t", 0)
     reps = [(one, zero), (zero, one)]
     for j in range(1, max_order):
-        inv_t = LaurentPoly("t", {-1: j})
+        inv_t = PolyFraction.laurent("t", {-1: j})
         reps.append((reps[j - 1][0] - inv_t * reps[j][0],
                      reps[j - 1][1] - inv_t * reps[j][1]))
     return reps
@@ -368,17 +368,20 @@ def basis_table(max_order):
 def test_combo_to_basis_matches_basis_table(combo):
     terms = {j: Poly("t", cs) for j, cs in combo.items()}
     reps = basis_table(max([abs(j) for j in terms] + [1]))
-    A, B = LaurentPoly("t"), LaurentPoly("t")
+    A, B = PolyFraction.const("t", 0), PolyFraction.const("t", 0)
     for j, p in terms.items():
-        lp = LaurentPoly("t", dict(enumerate(p.coeffs)))
-        A, B = A + lp * reps[abs(j)][0], B + lp * reps[abs(j)][1]
+        A, B = A + p * reps[abs(j)][0], B + p * reps[abs(j)][1]
     assert combo_to_basis(terms) == (A, B)
+    # Laurent coefficients: every coefficient times t^-2
+    inv_t2 = PolyFraction.laurent("t", {-2: 1})
+    shifted = {j: p * inv_t2 for j, p in terms.items()}
+    assert combo_to_basis(shifted) == (A * inv_t2, B * inv_t2)
 
 
 def test_combo_to_basis_recurrence():
     # t I_0(2t) - I_1(2t) - t I_2(2t) == 0
-    combo = {0: LaurentPoly("t", {1: 1}), 1: LaurentPoly("t", {0: -1}),
-             2: LaurentPoly("t", {1: -1})}
+    combo = {0: PolyFraction.laurent("t", {1: 1}), 1: PolyFraction.laurent("t", {0: -1}),
+             2: PolyFraction.laurent("t", {1: -1})}
     A, B = combo_to_basis(combo)
     assert A.is_zero() and B.is_zero()
 
