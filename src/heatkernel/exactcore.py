@@ -511,16 +511,10 @@ class PolyFraction:
         if num.is_zero():
             den = Poly.const(num.var, 1)
         else:
-            if any(den.num[:-1]):
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
-            else:       # den = c var^k: the gcd is the power of var that num holds
-                k = min(den.degree, next(i for i, c in enumerate(num.num) if c))
-                if k:
-                    num = Poly.from_ints(num.var, num.num[k:], num.den)
-                    den = Poly.from_ints(den.var, den.num[k:], den.den)
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
             lead = den.leading
             if lead != 1:
                 num = num.scale(1 / lead)

@@ -390,9 +390,10 @@ def combo_to_basis(terms) -> tuple[PolyFraction, PolyFraction]:
     for j, p in (terms.items() if isinstance(terms, dict) else terms):
         if isinstance(p, Poly):
             parts.append((abs(j), enumerate(p.num), 1, p.den))
-        else:
-            parts += [(abs(j), [(e, c.numerator)], 1, c.denominator)
-                      for e, c in p.laurent_terms().items()]
+        else:           # PolyFraction num / t^k, den monic
+            if any(p.den.num[:-1]):
+                raise ValueError(f"coefficient of I_{j} is not a Laurent polynomial in t: {p!r}")
+            parts.append((abs(j), enumerate(p.num.num, -p.den.degree), 1, p.num.den))
     rows, D = _integer_rows(parts)
     for j in range(max(rows, default=0), 1, -1):
         row = rows.pop(j, {})
