@@ -15,7 +15,6 @@ The main entry points:
 
 from .bessel import (
     AlphaTable,
-    BesselCombo,
     BesselRow,
     alpha_table,
     bessel_row,
@@ -25,7 +24,6 @@ from .exactcore import (
     Poly,
     PolyFraction,
     Rational,
-    SeriesSegment,
     rat,
     series_at_zero,
 )
@@ -69,9 +67,8 @@ _LAZY = {
 }
 
 __all__ = [
-    "AlphaTable", "BesselCombo", "BesselRow", "alpha_table", "bessel_row", "tail_resum",
-    "Poly", "PolyFraction", "Rational", "SeriesSegment", "rat",
-    "series_at_zero",
+    "AlphaTable", "BesselRow", "alpha_table", "bessel_row", "tail_resum",
+    "Poly", "PolyFraction", "Rational", "rat", "series_at_zero",
     "ExactZeroReport", "GammaSeries", "KernelFormula", "assemble_kernel",
     "decomposition_residual", "gamma_series", "kernel_eval", "node_poly", "pde_residual",
     "symmetry_transport",

@@ -12,7 +12,8 @@ recursion turns odd-monomial-weighted Bessel tails
     sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(t)
 
 into finite combinations sum_s alpha^n_{s-k}(t) I_s(t); `tail_resum` applies
-it monomial by monomial to an arbitrary odd polynomial weight.
+it monomial by monomial to an odd polynomial weight, at the kernel's
+argument 2t.
 """
 
 from __future__ import annotations
@@ -171,41 +172,6 @@ def alpha_table(N: int) -> AlphaTable:
     return AlphaTable(depth=N, entries=entries)
 
 
-@dataclass(frozen=True)
-class BesselCombo:
-    """Finite combination sum_j beta_j(t) I_j(arg), arg in {'t', '2t'}.
-
-    Orders are canonical (j >= 0) via the reflection I_{-j} = I_j.
-    """
-
-    terms: dict
-    arg: str
-
-    def __post_init__(self):
-        if self.arg not in ("t", "2t"):
-            raise ValueError(f"Bessel argument must be 't' or '2t', got {self.arg!r}")
-
-    def coeff(self, j: int) -> Poly:
-        return self.terms.get(abs(j), Poly(T))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
-
-
-def _fold(raw: dict) -> dict:
-    out: dict = {}
-    for j, p in raw.items():
-        jj = abs(j)
-        out[jj] = out.get(jj, Poly(T)) + p
-    return {j: p for j, p in out.items() if not p.is_zero()}
-
-
-def _poly_arg_2t(p: Poly) -> Poly:
-    """p(theta) restated in t via theta = 2t."""
-    return Poly.from_ints(T, [c << d for d, c in enumerate(p.num)], p.den)
-
-
 def identity_residuals(t: float) -> dict:
     """Max residuals over the orders k <= 20 of the three-term relation, the
     derivative relation and the modified Bessel ODE (derivatives by central
@@ -250,32 +216,28 @@ def identity_residuals(t: float) -> dict:
             "generating": worst_of(gen)}
 
 
-def tail_resum(q: Poly, k: int, arg: str = "t") -> BesselCombo:
-    """Resummation of sum_{j > k, j = k+1 mod 2} q(j) I_j(theta).
+def tail_resum(q: Poly, k: int) -> dict:
+    """Resummation of sum_{j > k, j = k+1 mod 2} q(j) I_j(2t), as the finite
+    {order j >= 0: Poly in t} it equals.
 
-    q must contain only odd-degree monomials.  The result is a finite
-    BesselCombo supported in [k - 2N, k + 2N] (then folded to j >= 0) where
-    deg q = 2N + 1; with arg='2t' the coefficient polynomials are expressed
-    in t for theta = 2t.
+    q must contain only odd-degree monomials; with deg q = 2N + 1 the alpha
+    table gives orders in [k - 2N, k + 2N], folded to j >= 0 by I_{-j} = I_j,
+    and each alpha(theta) is restated in t at theta = 2t.
     """
-    if arg not in ("t", "2t"):
-        raise ValueError("arg must be 't' or '2t'")
     if q.is_zero():
-        return BesselCombo(terms={}, arg=arg)
+        return {}
     if any(c and d % 2 == 0 for d, c in enumerate(q.coeffs)):
         raise NotOddPolynomial(f"even-degree monomial in {q!r}")
-    N = (q.degree - 1) // 2
-    table = alpha_table(N)
-    raw: dict = {}
+    table = alpha_table((q.degree - 1) // 2)
+    out: dict = {}
     for d, c in enumerate(q.coeffs):
         if not c:
             continue
         n = (d - 1) // 2
         for s in range(k - 2 * n, k + 2 * n + 1):
             a = table.get(n, s - k)
-            if not a.is_zero():
-                raw[s] = raw.get(s, Poly(T)) + a.scale(c)
-    terms = _fold(raw)
-    if arg == "2t":
-        terms = {j: _poly_arg_2t(p) for j, p in terms.items()}
-    return BesselCombo(terms=terms, arg=arg)
+            if a:
+                out[abs(s)] = out.get(abs(s), Poly(T)) + a.scale(c)
+    # theta = 2t multiplies the coefficient of t^e by 2^e
+    return {j: Poly.from_ints(T, [c << e for e, c in enumerate(p.num)], p.den)
+            for j, p in out.items() if p}

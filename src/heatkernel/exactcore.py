@@ -34,10 +34,6 @@ class ZeroDenominator(ZeroDivisionError):
     """Rational function with identically zero denominator."""
 
 
-class OutOfRange(IndexError):
-    """Coefficient index beyond the certified truncation of a series."""
-
-
 class VariableMismatch(ValueError):
     """Binary operation between polynomials in different variables."""
 
@@ -149,6 +145,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its Fraction, so it hashes as one
+        if len(self.num) < 2:
+            return hash(Fraction(self.num[0], self.den) if self.num else 0)
         return hash((self.var, self.num, self.den))
 
     def __add__(self, other):
@@ -433,48 +432,13 @@ def poly_gcd_euclid(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.leading)
 
 
-class SeriesSegment:
-    """First `len(coeffs)` Laurent coefficients of a function at the origin.
+def series_at_zero(f: PolyFraction, count: int) -> tuple[int, tuple[Fraction, ...]]:
+    """(first, coeffs): the first `count` exact Laurent coefficients of f at
+    x = 0, coeffs[i] multiplying x^(first+i); those below x^first vanish.
 
-    Represents sum of coeffs[i] * x**(first+i) with a certified remainder of
-    order first+len(coeffs).  Coefficients below `first` are exactly zero.
-    """
-
-    __slots__ = ("first", "coeffs")
-
-    def __init__(self, first: int, coeffs: Iterable[Fraction]):
-        object.__setattr__(self, "first", int(first))
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SeriesSegment is immutable")
-
-    @property
-    def truncation_order(self) -> int:
-        return self.first + len(self.coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        if k >= self.truncation_order:
-            raise OutOfRange(f"coefficient {k} beyond certified order {self.truncation_order}")
-        if k < self.first:
-            return Fraction(0)
-        return self.coeffs[k - self.first]
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesSegment):
-            return NotImplemented
-        return self.first == other.first and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"SeriesSegment(first={self.first}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def series_at_zero(f: PolyFraction, count: int) -> SeriesSegment:
-    """First `count` exact Laurent coefficients of f at x = 0.
-
-    With num = x^a u and den = x^b v, u(0) and v(0) nonzero, the leading
-    exponent is a - b and the coefficients are those of the power series
-    u / v, each step dividing by v(0).
+    With num = x^a u and den = x^b v, u(0) and v(0) nonzero, first = a - b
+    and the coefficients are those of the power series u / v, each step
+    dividing by v(0).
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -488,7 +452,7 @@ def series_at_zero(f: PolyFraction, count: int) -> SeriesSegment:
         for i in range(1, min(k, len(v) - 1) + 1):
             acc -= v[i] * out[k - i]
         out.append(acc / v[0])
-    return SeriesSegment(a - b, out)
+    return a - b, tuple(out)
 
 
 class PolyFraction:
@@ -557,14 +521,17 @@ class PolyFraction:
         return bool(self.num)
 
     def __eq__(self, other):
-        if _is_scalar(other):
-            return self.den.degree == 0 and self.num == Fraction(other) * self.den
+        # the reduced form with a monic den is canonical; a Poly or a scalar
+        # is that form over 1, as the arithmetic coerces it
+        if isinstance(other, Poly) or _is_scalar(other):
+            return self.den.degree == 0 and self.num == other
         if not isinstance(other, PolyFraction):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # over 1 a PolyFraction equals its numerator, so it hashes as that
+        return hash(self.num) if self.den.degree == 0 else hash((self.num, self.den))
 
     def _coerce(self, other) -> "PolyFraction | None":
         if _is_scalar(other):

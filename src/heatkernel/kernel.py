@@ -102,27 +102,26 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     return GammaSeries(n=n, m=m, gammas=gammas)
 
 
-def node_poly(k: int, eps: int, i: int, T: int) -> Poly:
+def node_poly(first: int, i: int, T: int) -> Poly:
     """Odd cardinal polynomial of degree 2T-1 on the node grid
-    {k+eps+2l : l = 0..T-1}: value 1 at j = k+eps+2i, 0 at the other nodes.
+    {first+2l : l = 0..T-1}: value 1 at j = first+2i, 0 at the other nodes.
 
+    The tail at offset k and parity branch eps in {1, 2} has first = k + eps.
     q(j) = (j / node_i) prod_{l != i} (j^2 - node_l^2)/(node_i^2 - node_l^2),
     so the tail decomposition's cross terms cancel exactly: this is also the
     weight ratio that matches the corrected tail bracket to the universal
     ring element built on the same nodes.
     """
-    if eps not in (1, 2):
-        raise ValueError("eps must be 1 or 2")
     if not (0 <= i <= T - 1):
         raise ValueError("slot i must lie in [0, T-1]")
-    node = k + eps + 2 * i
+    node = first + 2 * i
     if node == 0:
-        raise ZeroNode(f"node k+eps+2i = 0 for k={k}, eps={eps}, i={i}")
+        raise ZeroNode(f"node first+2i = 0 for first={first}, i={i}")
     q = Poly(J_VAR, [0, Fraction(1, node)])
     for l in range(T):
         if l == i:
             continue
-        other = k + eps + 2 * l
+        other = first + 2 * l
         q = q * Poly(J_VAR, [-Fraction(other) ** 2, 0, 1])
         q = q.scale(1 / (Fraction(node) ** 2 - Fraction(other) ** 2))
     return q
@@ -255,8 +254,7 @@ def _tail(first: int, i: int, T: int) -> tuple:
     depend on k + eps only, so every site pair with the same offset shares
     it, and the eps = 2 branch at offset k is the eps = 1 branch at k + 1.
     """
-    q = node_poly(first - 1, 1, i, T)
-    return tuple(tail_resum(q, first + 2 * i - 1, arg="2t").terms.items())
+    return tuple(tail_resum(node_poly(first, i, T), first + 2 * i - 1).items())
 
 
 def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
@@ -374,26 +372,18 @@ def _integer_rows(parts: list) -> tuple[dict[int, dict[int, int]], int]:
     return rows, D
 
 
-def combo_to_basis(terms) -> tuple[PolyFraction, PolyFraction]:
-    """Collapse {order j -> coefficient in t} onto (I_0(2t), I_1(2t)).
+def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
+    """Collapse sum_j p_j(t) I_j(2t) onto (I_0(2t), I_1(2t)).
 
-    `terms` is that dict or a list of (j, coefficient) pairs, whose repeated
-    orders add up.  Coefficients may be Poly in t or PolyFraction over a power
-    of t; the result is the exact pair of Laurent polynomials, as
-    PolyFractions, multiplying the basis functions.
+    `pairs` is an iterable of (order j, Poly in t), whose repeated orders add
+    up; the result is the exact pair of Laurent polynomials, as PolyFractions
+    over a power of t, multiplying the basis functions.
     Orders are folded by I_{-j} = I_j, then removed from the top down with the
     three-term relation I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t).
     The reduction runs on integer numerators over one common denominator D,
     the lcm of the coefficients' denominators; only the result holds Fractions.
     """
-    parts = []
-    for j, p in (terms.items() if isinstance(terms, dict) else terms):
-        if isinstance(p, Poly):
-            parts.append((abs(j), enumerate(p.num), 1, p.den))
-        else:           # PolyFraction num / t^k, den monic
-            if any(p.den.num[:-1]):
-                raise ValueError(f"coefficient of I_{j} is not a Laurent polynomial in t: {p!r}")
-            parts.append((abs(j), enumerate(p.num.num, -p.den.degree), 1, p.num.den))
+    parts = [(abs(j), enumerate(p.num), 1, p.den) for j, p in pairs]
     rows, D = _integer_rows(parts)
     for j in range(max(rows, default=0), 1, -1):
         row = rows.pop(j, {})
@@ -435,7 +425,7 @@ def decomposition_residual(k: int, T: int, t: float) -> float:
             bracket = x ** (-j)
             for i in range(T):
                 node = k + eps + 2 * i
-                bracket -= float(node_poly(k, eps, i, T).subs(Fraction(j))) * x ** (-node)
+                bracket -= float(node_poly(k + eps, i, T).subs(Fraction(j))) * x ** (-node)
             total += row.scaled(j) * bracket
         for d, value in tails.items():
             total += value * x ** (-(k + d))

@@ -104,7 +104,7 @@ def test_criterion_02_one_step_kernel_exact():
                     for j, p in ref.items():
                         jj = abs(j)
                         diff[jj] = diff.get(jj, Poly("t")) - p
-                    A, B = combo_to_basis(diff)
+                    A, B = combo_to_basis(diff.items())
                     ok = ok and A.is_zero() and B.is_zero()
     elapsed = time.time() - start
     report(2, "one-step kernel exact", ok and elapsed < 10.0, f"{elapsed:.2f}s")

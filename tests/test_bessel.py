@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SEED, bessel_i_series
 from heatkernel.bessel import (
-    BesselCombo,
     NonpositiveArgument,
     NotOddPolynomial,
     alpha_table,
@@ -151,20 +150,35 @@ def test_resummation_identity_numeric():
 
 
 def test_tail_resum_linear_weight():
-    combo = tail_resum(Poly("j", [0, 1]), 7, arg="t")
-    assert combo.terms == {7: Poly("t", [0, F(1, 2)])}
-    combo = tail_resum(Poly("j", [0, 1]), -2, arg="2t")
-    assert combo.terms == {2: Poly("t", [0, 1])}
+    # sum_{j > k, j = k+1 mod 2} j I_j(2t) = t I_k(2t)
+    assert tail_resum(Poly("j", [0, 1]), 7) == {7: Poly("t", [0, 1])}
+    assert tail_resum(Poly("j", [0, 1]), -2) == {2: Poly("t", [0, 1])}
 
 
 def test_tail_resum_cubic_weight():
-    combo = tail_resum(Poly("j", [0, 0, 0, 1]), 0, arg="t")
-    assert set(combo.terms) <= {0, 1, 2}
-    t = 1.0
-    row = bessel_row(t, 90)
+    terms = tail_resum(Poly("j", [0, 0, 0, 1]), 0)
+    assert set(terms) <= {0, 1, 2}
+    row = bessel_row(1.0, 90)            # theta = 2t at t = 1/2
     lhs = sum(j ** 3 * row.unscaled(j) for j in range(1, 86, 2))
-    rhs = sum(float(p.subs(F(1))) * row.unscaled(j) for j, p in combo.terms.items())
+    rhs = sum(float(p.subs(F(1, 2))) * row.unscaled(j) for j, p in terms.items())
     assert abs(lhs - rhs) < 1e-11
+
+
+# weights c1 j + c3 j^3 + c5 j^5 + c7 j^7
+_odd_weight = st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+                       min_size=4, max_size=4).map(
+    lambda cs: Poly("j", [c for odd in cs for c in (0, odd)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_odd_weight, st.integers(-4, 6), st.sampled_from([0.25, 1.0, 3.0]))
+def test_tail_resum_matches_the_direct_tail(q, k, t):
+    # the finite combination at 2t against the tail summed order by order
+    row = bessel_row(2.0 * t, 200)
+    direct = [float(q.subs(F(j))) * row.scaled(j) for j in range(k + 1, 201, 2)]
+    resummed = [float(p.subs(F(t))) * row.scaled(j) for j, p in tail_resum(q, k).items()]
+    scale = math.fsum(abs(v) for v in direct + resummed)
+    assert abs(math.fsum(direct) - math.fsum(resummed)) <= 1e-12 * scale, (q, k, t)
 
 
 def test_tail_resum_support_bound():
@@ -176,11 +190,11 @@ def test_tail_resum_support_bound():
         for d in range(1, 2 * N + 1, 2):
             coeffs[d] = F(rng.randint(-5, 5))
         k = rng.randint(-4, 6)
-        combo = tail_resum(Poly("j", coeffs), k, arg="t")
+        terms = tail_resum(Poly("j", coeffs), k)
         assert all(k - 2 * N <= j <= k + 2 * N or -(k - 2 * N) >= j
-                   for j in combo.terms)
-        assert all(abs(j) <= abs(k) + 2 * N for j in combo.terms)
-        assert all(p.degree <= 2 * N + 1 for p in combo.terms.values())
+                   for j in terms)
+        assert all(abs(j) <= abs(k) + 2 * N for j in terms)
+        assert all(p.degree <= 2 * N + 1 for p in terms.values())
 
 
 def test_tail_resum_rejects_even_weight():
@@ -188,12 +202,6 @@ def test_tail_resum_rejects_even_weight():
         tail_resum(Poly("j", [0, 1, 1]), 0)
     with pytest.raises(NotOddPolynomial):
         tail_resum(Poly("j", [1]), 0)
-
-
-def test_bessel_combo_rejects_unknown_argument():
-    assert BesselCombo(terms={}, arg="2t").arg == "2t"
-    with pytest.raises(ValueError):
-        BesselCombo(terms={}, arg="3t")
 
 
 def test_generating_function_partial_sums():

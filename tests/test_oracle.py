@@ -299,3 +299,16 @@ def test_expm_near_singular_window(params):
             for n in range(-4, 5):
                 u = float(_reference(assemble_kernel(params, n, m), t)[0])
                 assert abs(got[W + n, i] - u) <= 1e-10 * max(1.0, abs(u)), (t, n, m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.integers(0, 2), st.lists(_small_r, min_size=1, max_size=4),
+       st.integers(-4, 4), st.integers(-4, 4))
+def test_lattice_agreement_at_random_admissible_draws(R, S, r, n, m):
+    # the assembled kernel against exp(t L_W) on the window, t <= 4
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    rep = compare_kernel_to_lattice(params, operator_build(params), [(n, m)],
+                                    [0.5, 1.0, 2.0, 4.0], W=200)
+    for g, c, o in zip(rep.grid, rep.closed, rep.oracle):
+        assert abs(c - o) <= 1e-10 * max(1.0, abs(c)), (g, c, o)
