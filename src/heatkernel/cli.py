@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .bessel import UNSCALED_T_MAX, bessel_row, identity_residuals, worst_of
+from .bessel import bessel_row, identity_residuals, worst_of
 from .exactcore import rat
 from .kernel import (
     InternalInconsistency,
@@ -44,6 +44,10 @@ EXIT_INCONSISTENT = 3
 EXIT_USAGE = 64
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+#: largest --t per self-check: identities' rows grow like t (0.09 s at 1e4,
+#: 2 s at 1e5), decomp's error grows with t (1.7e-9 at 3000, --tol is 1e-10)
+VERIFY_T_MAX = {"decomp": 354.5, "identities": 1e4}
 
 
 class UsageError(Exception):
@@ -271,13 +275,12 @@ def cmd_verify(args) -> int:
           for piece in args.t.split(",") if piece.strip()]
     if not ts:
         raise UsageError("--t must name at least one time")
-    # the bounds cap the series_orders(x)-long Bessel rows the self-checks sum,
-    # at x = 2t for decomp and x = t for identities
-    top = {"decomp": UNSCALED_T_MAX / 2, "identities": UNSCALED_T_MAX}.get(args.mode, math.inf)
+    top = VERIFY_T_MAX.get(args.mode, math.inf)
     if max(ts) > top:
-        x = "2t" if args.mode == "decomp" else "t"
-        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}, which caps the "
-                         f"Bessel rows its self-check sums at x + 12 sqrt(x) + 20 orders, x = {x}")
+        why = ("its reconstruction error grows with t toward the 1e-10 default --tol"
+               if args.mode == "decomp" else
+               "its Bessel rows, t + 12 sqrt(t) + 20 orders long, grow with t")
+        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}: {why}")
 
     if args.mode == "pde":
         if args.range is not None:

@@ -372,6 +372,27 @@ def _integer_rows(parts: list) -> tuple[dict[int, dict[int, int]], int]:
     return rows, D
 
 
+def _reduced_rows(pairs) -> tuple[dict[int, dict[int, int]], int]:
+    """(rows, D): sum_j p_j(t) I_j(2t) over (order j, Poly in t) pairs as
+    integer rows on orders 0 and 1 over D, folded by I_{-j} = I_j and, from
+    the top order down, I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t)."""
+    rows, D = _integer_rows([(abs(j), enumerate(p.num), 1, p.den) for j, p in pairs])
+    for j in range(max(rows, default=0), 1, -1):
+        row = rows.pop(j, {})
+        lower = rows.setdefault(j - 2, {})
+        mid = rows.setdefault(j - 1, {})
+        for e, c in row.items():
+            lower[e] = lower.get(e, 0) + c
+            mid[e - 1] = mid.get(e - 1, 0) - (j - 1) * c
+    return rows, D
+
+
+def _laurent_pair(rows: dict[int, dict[int, int]], D: int) -> tuple[PolyFraction, PolyFraction]:
+    """Rows 0 and 1 over D as Laurent polynomials in t."""
+    return tuple(PolyFraction.laurent(T_VAR, {e: Fraction(c, D) for e, c in rows.get(i, {}).items()})
+                 for i in (0, 1))
+
+
 def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
     """Collapse sum_j p_j(t) I_j(2t) onto (I_0(2t), I_1(2t)).
 
@@ -383,17 +404,17 @@ def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
     The reduction runs on integer numerators over one common denominator D,
     the lcm of the coefficients' denominators; only the result holds Fractions.
     """
-    parts = [(abs(j), enumerate(p.num), 1, p.den) for j, p in pairs]
-    rows, D = _integer_rows(parts)
-    for j in range(max(rows, default=0), 1, -1):
-        row = rows.pop(j, {})
-        lower = rows.setdefault(j - 2, {})
-        mid = rows.setdefault(j - 1, {})
-        for e, c in row.items():
-            lower[e] = lower.get(e, 0) + c
-            mid[e - 1] = mid.get(e - 1, 0) - (j - 1) * c
-    return tuple(PolyFraction.laurent(T_VAR, {e: Fraction(c, D) for e, c in rows.get(i, {}).items()})
-                 for i in (0, 1))
+    return _laurent_pair(*_reduced_rows(pairs))
+
+
+@lru_cache(maxsize=1024)
+def _basis_form(items: frozenset) -> tuple:
+    """(A, B, D) with sum_j beta_j(t) I_j(2t) = (A I_0(2t) + B I_1(2t)) / D for
+    the kernel terms `items`, A and B as integer (exponent, numerator) pairs.
+    Keyed on the terms, not the sites: an edited kernel is reduced on its own
+    terms, and each kernel once for the certificates at n and n -+ 1."""
+    rows, D = _reduced_rows(items)
+    return tuple(rows.get(0, {}).items()), tuple(rows.get(1, {}).items()), D
 
 
 def decomposition_residual(k: int, T: int, t: float) -> float:
@@ -449,28 +470,29 @@ class ExactZeroReport:
 def pde_residual(f: KernelFormula) -> ExactZeroReport:
     """Certify d/dt u - (L u) = 0 symbolically for the assembled kernel.
 
-    Kernels at the band sites n-1, n, n+1 are assembled, each beta I_j(2t)
-    is differentiated through the Bessel recurrences, and the residual's
-    terms go unsummed to the integer reduction onto the (I_0(2t), I_1(2t))
-    basis over Laurent polynomials in t.  Pass means both basis coefficients
-    vanish identically.
+    The kernels at the band sites n-1, n, n+1 are taken in their basis form
+    u = e^{-2t} (A I_0(2t) + B I_1(2t)) (`_basis_form`, cached per kernel's
+    terms).  By d/dt I_0(2t) = 2 I_1(2t), d/dt I_1(2t) = 2 I_0(2t) - I_1(2t)/t
+    the residual is e^{-2t} (R_0 I_0(2t) + R_1 I_1(2t)), summed on integers:
+      R_0 = A' + 2B - (2+c_0)A - A_{n+1} - c_{-1}A_{n-1},
+      R_1 = B' + 2A - B/t - (2+c_0)B - B_{n+1} - c_{-1}B_{n-1}.
+    I_0 and I_1 are independent over rational functions of t, so pass means
+    both Laurent polynomials vanish identically.
     """
     params, n, m = f.params, f.n, f.m
     L = operator_build(params)
-    up = assemble_kernel(params, n + 1, m)
-    um = assemble_kernel(params, n - 1, m)
-    c0 = L.coeff_at(0, n)
-    cm = L.coeff_at(-1, n)
-    res = []
-    for j, p in f.terms.items():
-        res += [(j, p.derivative()), (j, p.scale(-2 - c0)),    # (e^{-2t} beta_j)' - c0 beta_j
-                (j - 1, p), (j + 1, p)]                     # beta_j d/dt I_j(2t)
-    res += [(j, -p) for j, p in up.terms.items()]
-    res += [(j, p.scale(-cm)) for j, p in um.terms.items()]
-
-    A, B = combo_to_basis(res)
+    s, cm = -2 - L.coeff_at(0, n), L.coeff_at(-1, n)
+    (A, B, D), (Au, Bu, Du), (Am, Bm, Dm) = (
+        _basis_form(frozenset(g.terms.items()))
+        for g in (f, assemble_kernel(params, n + 1, m), assemble_kernel(params, n - 1, m)))
+    parts = []
+    for i, (X, Y, Xu, Xm) in enumerate(((A, B, Au, Am), (B, A, Bu, Bm))):
+        parts += [(i, [(e - 1, (e - i) * c) for e, c in X], 1, D),     # A', or B' - B/t
+                  (i, Y, 2, D), (i, X, s.numerator, s.denominator * D),
+                  (i, Xu, -1, Du), (i, Xm, -cm.numerator, cm.denominator * Dm)]
+    R0, R1 = _laurent_pair(*_integer_rows(parts))
     return ExactZeroReport(
         params=params, n=n, m=m,
-        passed=A.is_zero() and B.is_zero(),
-        residual_I0=repr(A), residual_I1=repr(B),
+        passed=R0.is_zero() and R1.is_zero(),
+        residual_I0=repr(R0), residual_I1=repr(R1),
     )

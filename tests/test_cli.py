@@ -193,7 +193,7 @@ def test_usage_exit_codes():
             (["--mode", "oracle", "--R", "1", "--r", "1/2", "--range", "1", "--t", "400"],
              "too small at t = 400.0"),
             (["--mode", "decomp", "--k", "1", "--T", "2", "--t", "400"], "--t <= 354.5"),
-            (["--mode", "identities", "--t", "800"], "--t <= 709"),
+            (["--mode", "identities", "--t", "20000"], "--t <= 10000"),
             (["--mode", "identities", "--t", ","], "at least one time")):
         proc = subprocess.run([sys.executable, "-m", "heatkernel.cli", "verify", *argv],
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
@@ -378,3 +378,11 @@ def test_golden_cli_output_in_one_process(capsys):
         assert captured.out == (GOLDEN / f"{name}.out").read_text(), name
         if code == 64:
             assert captured.out == "" and "Traceback" not in captured.err, name
+
+
+def test_identities_pass_past_float_range_up_to_the_work_cap(capsys):
+    # the rows are scaled by e^{-t}, so e^t overflowing at t = 709.78 does not bound them
+    code, out = run_cli(capsys, ["verify", "--mode", "identities", "--t", "800,3000,10000",
+                                 "--format", "json"])
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True, report

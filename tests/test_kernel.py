@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -349,6 +350,42 @@ def test_pde_residual_detects_corruption():
     assert not pde_residual(bad).passed
 
 
+def term_wise_residual(f):
+    """Reference certificate: each beta_j I_j(2t) differentiated through
+    d/dt I_j(2t) = I_{j-1}(2t) + I_{j+1}(2t), the neighbour kernels' terms
+    appended, and the whole list reduced by combo_to_basis."""
+    L = operator_build(f.params)
+    c0, cm = L.coeff_at(0, f.n), L.coeff_at(-1, f.n)
+    res = []
+    for j, p in f.terms.items():
+        res += [(j, p.derivative()), (j, p.scale(-2 - c0)), (j - 1, p), (j + 1, p)]
+    res += [(j, -p) for j, p in assemble_kernel(f.params, f.n + 1, f.m).terms.items()]
+    res += [(j, p.scale(-cm)) for j, p in assemble_kernel(f.params, f.n - 1, f.m).terms.items()]
+    A, B = combo_to_basis(res)
+    return A.is_zero() and B.is_zero(), repr(A), repr(B)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.lists(_small_r, min_size=1, max_size=6),
+       st.integers(-4, 4), st.integers(-4, 4), st.data())
+def test_pde_residual_matches_the_term_wise_reduction(R, S, r, n, m, data):
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    f = assemble_kernel(params, max(n, m), min(n, m))
+    transported = assemble_kernel(params, min(n, m), max(n, m))
+    j = data.draw(st.integers(0, max(f.terms) + 1), label="perturbed order")
+    cs = data.draw(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 9)), max_size=3))
+    delta = Poly("t", cs + [data.draw(st.sampled_from([-3, -1, F(1, 7), 2]))])
+    # certified first, so a basis cache keyed on the sites would serve f's form
+    # to the perturbed kernel
+    perturbed = replace(f, terms={**f.terms, j: f.beta(j) + delta})
+    empty = replace(f, terms={})
+    for g, passes in ((f, True), (transported, True), (perturbed, False), (empty, None)):
+        rep = pde_residual(g)
+        assert (rep.passed, rep.residual_I0, rep.residual_I1) == term_wise_residual(g), (g.n, g.m)
+        assert passes is None or rep.passed == passes, (g.n, g.m, g.terms)
+
+
 def basis_table(max_order):
     """(A_j, B_j) with I_j(2t) = A_j I_0(2t) + B_j I_1(2t), built upwards by
     I_{j+1}(2t) = I_{j-1}(2t) - (j/t) I_j(2t)."""
@@ -434,6 +471,6 @@ def test_memoised_kernel_cannot_be_changed_by_a_caller():
 
 
 def test_kernel_caches_are_bounded():
-    for cache in (kernel._assemble, kernel._tail, tau_build, operator_build, alpha_table,
-                  taudarboux._columns, taudarboux._solution):
+    for cache in (kernel._assemble, kernel._tail, kernel._basis_form, tau_build, operator_build,
+                  alpha_table, taudarboux._columns, taudarboux._solution):
         assert cache.cache_info().maxsize is not None, cache
