@@ -338,6 +338,8 @@ def cmd_verify(args) -> int:
         return _verify_report(args, passed, detail)
 
     if args.mode == "decomp":
+        if -2 * args.T <= args.k <= -1:
+            raise UsageError(f"--k must lie outside [-2T, -1] = [{-2 * args.T}, -1], got {args.k}")
         tol = args.tol if args.tol is not None else 1e-10
         worst = worst_of(decomposition_residual(args.k, args.T, t) for t in ts)
         detail = {"k": args.k, "T": args.T, "max_err": worst, "tolerance": tol}

@@ -3,19 +3,19 @@ truncated Laurent expansions at the origin.
 
 No floating point ever enters a computation here.  A `Poly` is integer
 numerators over one positive denominator, so its ring operations run on ints
-with one gcd per result; its `coeffs` view and `divmod` work in
-:class:`fractions.Fraction`.  `PolyFraction`, gcd-reduced with a monic
-denominator, is the one rational-function type: the operator coefficients in
-n, the wave functions in x, and the Laurent polynomials, which are those over
-a power of the variable (`PolyFraction.laurent` builds one and
-`laurent_terms` reads its {exponent: coefficient} view).  All values are
-immutable after construction and every operation is a pure function.
+with one gcd per result, `divmod` is one integer pseudo-division and only the
+`coeffs` view is :class:`fractions.Fraction`.  `PolyFraction`, gcd-reduced
+with a monic denominator, is the one rational-function type: the operator
+coefficients in n, the wave functions in x, and the Laurent polynomials,
+which are those over a power of the variable (`PolyFraction.laurent` builds
+one and `laurent_terms` reads its {exponent: coefficient} view).  All values
+are immutable after construction and every operation is a pure function.
 
 Polynomials are tagged with a variable name; binary operations require the
 same variable on both sides.  ``poly_gcd`` runs the heuristic gcd of Char,
 Geddes & Gonnet (J. Symb. Comput. 7, 1989) on primitive integer parts,
-accepts its candidate only after exact trial division, and falls back to the
-Euclidean algorithm (``poly_gcd_euclid``), which stays as the reference.
+accepts its candidate only when both pseudo-remainders by it vanish, and
+falls back to the Euclidean algorithm (``poly_gcd_euclid``), the reference.
 """
 
 from __future__ import annotations
@@ -217,24 +217,17 @@ class Poly:
         return out
 
     def __divmod__(self, other: "Poly"):
-        """Exact division with remainder; requires field (Fraction) coefficients."""
+        """Quotient and remainder over Q: the pseudo-division s a = q b + r
+        of the numerators gives a/A = (q B/(A s)) (b/B) + r/(A s)."""
         if not isinstance(other, Poly):
             raise TypeError("divmod expects a Poly divisor")
         self._check(other)
         if other.is_zero():
             raise DivisionByZeroPolynomial(f"division by zero polynomial in {self.var!r}")
-        rem, div = list(self.coeffs), other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return Poly(self.var), self
-        quot = [Fraction(0)] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + len(div) - 1] / div[-1]
-            quot[i] = c
-            if c:
-                for j, b in enumerate(div):
-                    rem[i + j] -= c * b
-        return Poly(self.var, quot), Poly(self.var, rem)
+        q, r, s = _pseudo_divmod(self.num, other.num)
+        den = self.den * s
+        return (Poly.from_ints(self.var, [c * other.den for c in q], den),
+                Poly.from_ints(self.var, r, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -366,18 +359,22 @@ def _brackets(coeffs: list[int], lo: int, hi: int) -> list[int]:
     return sorted(set(points + found))
 
 
-def _divides(g: list[int], a: list[int]) -> bool:
-    """Whether g divides a in Z[x], by trial division (lowest degree first)."""
-    rem = list(a)
-    dg, lead = len(g) - 1, g[-1]
-    for i in range(len(rem) - 1, dg - 1, -1):
-        q, r = divmod(rem[i], lead)
-        if r:
-            return False
-        if q:
-            for k in range(dg + 1):
-                rem[i - dg + k] -= q * g[k]
-    return not any(rem[:dg])
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s a = q b + r, deg r < deg b, for integer coefficient
+    sequences a and b != 0 (lowest degree first).  Each step scales in only
+    the factor of |lead(b)| its leading coefficient lacks, so s > 0 divides a
+    power of lead(b), and s = 1 whenever b divides a in Z[x]."""
+    rem, n, lead, s = list(a), len(b) - 1, b[-1], 1
+    quot = [0] * max(len(rem) - n, 0)
+    for i in reversed(range(len(quot))):
+        if c := rem[i + n]:
+            if c % lead:
+                f = abs(lead) // gcd(c, lead)
+                rem, quot, s, c = [x * f for x in rem], [x * f for x in quot], s * f, c * f
+            quot[i] = c = c // lead
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    return quot, rem[:n], s
 
 
 def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
@@ -399,7 +396,7 @@ def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
             gamma = (gamma - d) // xi
         content = gcd(*digits)
         g = [d // content for d in digits]
-        if _divides(g, a) and _divides(g, b):
+        if not any(_pseudo_divmod(a, g)[1]) and not any(_pseudo_divmod(b, g)[1]):
             return g
         xi = xi * 73794 // 27011
     return None
@@ -409,8 +406,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Fraction coefficients.
 
     Nonconstant inputs go through the heuristic gcd on their primitive
-    integer parts; the Euclidean reference decides the rest and whatever the
-    heuristic gives up on.
+    integer parts (candidate checked by pseudo-division, Gauss's lemma); the
+    Euclidean reference decides the rest and whatever the heuristic gives up on.
     """
     a._check(b)
     if a.degree > 0 and b.degree > 0:

@@ -285,6 +285,7 @@ BAD_VALUES = [
     (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--t", "-1"], "--t"),
     (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--W", "-3"], "--W"),
     (["verify", "--mode", "decomp", "--T", "0"], "--T"),
+    (["verify", "--mode", "decomp", "--k", "-3", "--T", "2"], "--k"),
 ]
 
 

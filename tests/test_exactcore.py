@@ -149,11 +149,19 @@ def _assert_canonical(p):
 
 
 _ref_poly = st.lists(_coeff, max_size=5).map(_trim)
+# degree up to 12, numerators up to 2^64 and a divisor whose leading numerator
+# is at least 2^32: divisions whose steps scale in a large leading coefficient
+_wide = st.builds(F, st.integers(-2**64, 2**64), st.integers(1, 12))
+_wide_pair = st.tuples(
+    st.lists(_wide, min_size=7, max_size=13).map(_trim),
+    st.builds(lambda cs, lead: (*cs, lead), st.lists(_wide, max_size=6),
+              st.builds(F, st.integers(2**32, 2**64) | st.integers(-2**64, -2**32),
+                        st.integers(1, 12))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_ref_poly, _ref_poly, _coeff, st.integers(0, 3))
-def test_poly_matches_fraction_reference(a, b, c, k):
+@given(_ref_poly, _ref_poly, _coeff, st.integers(0, 3), _wide_pair)
+def test_poly_matches_fraction_reference(a, b, c, k, wide):
     # integer-numerator Poly against plain Fraction lists; the empty and
     # one-term draws give the zero polynomial and constants
     pa, pb = Poly("t", a), Poly("t", b)
@@ -175,9 +183,10 @@ def test_poly_matches_fraction_reference(a, b, c, k):
         "shift": (pa.shift(c), _trim(shifted)),
         "pow": (pa ** k, power),
     }
-    if b:
-        (q, r), (rq, rr) = divmod(pa, pb), _ref_divmod(a, b)
-        cases.update(quot=(q, rq), rem=(r, rr))
+    for name, (x, y) in {"": (a, b), "wide_": wide}.items():
+        if y:
+            (q, r), (rq, rr) = divmod(Poly("t", x), Poly("t", y)), _ref_divmod(x, y)
+            cases.update({name + "quot": (q, rq), name + "rem": (r, rr)})
     for name, (p, ref) in cases.items():
         _assert_canonical(p)
         assert p.coeffs == ref, name

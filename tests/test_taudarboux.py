@@ -235,8 +235,11 @@ def test_qp_factorization_one_step_symbolic():
 
 
 def test_qp_factorization_generic():
-    for key in [(0, 1), (1, 1), (2, 0), (0, 2), (1, 2), (2, 1), (2, 2)]:
-        params = PARAMS[key]
+    # (3,3) and (4,4) with the vectors of test_acceptance.PDE_PARAMS
+    vectors = {**PARAMS, **{(K, K): ParamVector(K, K, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)])
+                            for K in (3, 4)}}
+    for key in [(0, 1), (1, 1), (2, 0), (0, 2), (1, 2), (2, 1), (2, 2), (3, 3), (4, 4)]:
+        params = vectors[key]
         Q, P = qp_build(params)
         assert P * Q == factorization_target(params.R, params.S), key
 
