@@ -222,22 +222,22 @@ def tail_resum(q: Poly, k: int) -> dict:
 
     q must contain only odd-degree monomials; with deg q = 2N + 1 the alpha
     table gives orders in [k - 2N, k + 2N], folded to j >= 0 by I_{-j} = I_j,
-    and each alpha(theta) is restated in t at theta = 2t.
+    and each alpha(theta) is restated in t at theta = 2t.  The pieces are
+    summed as integer rows over one denominator, one Poly per order.
     """
     if q.is_zero():
         return {}
-    if any(c and d % 2 == 0 for d, c in enumerate(q.coeffs)):
+    if any(c and d % 2 == 0 for d, c in enumerate(q.num)):
         raise NotOddPolynomial(f"even-degree monomial in {q!r}")
     table = alpha_table((q.degree - 1) // 2)
-    out: dict = {}
-    for d, c in enumerate(q.coeffs):
-        if not c:
-            continue
-        n = (d - 1) // 2
-        for s in range(k - 2 * n, k + 2 * n + 1):
-            a = table.get(n, s - k)
-            if a:
-                out[abs(s)] = out.get(abs(s), Poly(T)) + a.scale(c)
+    pieces = [(abs(s), c, a) for d, c in enumerate(q.num) if c
+              for s in range(k - d + 1, k + d) if (a := table.get((d - 1) // 2, s - k))]
+    D = math.lcm(*(a.den for *_, a in pieces))
+    rows: dict = {}
+    for j, c, a in pieces:
+        row, f = rows.setdefault(j, [0] * len(q.num)), c * (D // a.den)
+        for e, x in enumerate(a.num):
+            row[e] += x * f
     # theta = 2t multiplies the coefficient of t^e by 2^e
-    return {j: Poly.from_ints(T, [c << e for e, c in enumerate(p.num)], p.den)
-            for j, p in out.items() if p}
+    return {j: p for j, row in rows.items()
+            if (p := Poly.from_ints(T, [c << e for e, c in enumerate(row)], D * q.den))}

@@ -382,9 +382,11 @@ def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
 
     The symmetric base-xi digits of gcd(a(xi), b(xi)) are the coefficients of
     a candidate; with xi >= 2 min(|a|, |b|) + 2 its primitive part is the gcd
-    as soon as it divides both inputs.  None when six points all fail.
+    as soon as it divides both inputs.  None when six points all fail.  xi
+    starts at 31 or more (SymPy's start for unit-norm inputs): at a small xi,
+    inputs such as (x-1)(x+1) share factors of their values by accident.
     """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    xi = max(2 * min(max(map(abs, a)), max(map(abs, b))) + 2, 31)
     for _ in range(6):
         gamma = gcd(eval_int(a, xi), eval_int(b, xi))
         digits = []

@@ -21,7 +21,9 @@ A_n(x) = sum_k q_k(n) x^k, so
 gamma_d is therefore a bilinear form in the (integer-scaled) coefficients at
 n and m: a truncated product of two polynomials of degree K and the fixed
 integer power series of the denominator.  The resummed tails depend only on
-k = n - m and T, and are shared between sites.
+k = n - m and T: one cached integer matrix per (k, T) holds I_k(2t) and the
+2T tails over one denominator, and a kernel is that matrix times the site's
+2T+1 integer weights gamma_d tau(m) (over tau(m+1)), all on integers.
 
 beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 """
@@ -32,9 +34,10 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .bessel import bessel_row, series_orders, tail_resum, worst_of
-from .exactcore import Poly, PolyFraction, eval_homogeneous
+from .exactcore import Poly, PolyFraction, eval_homogeneous, eval_int
 from .taudarboux import (
     ParamVector,
     SingularTau,
@@ -58,14 +61,21 @@ class ZeroNode(ValueError):
 
 @dataclass(frozen=True)
 class GammaSeries:
-    """Exact coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x) at x=0."""
+    """Exact coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x) at x=0,
+    as integer numerators `num` over one nonzero integer `den`; `gammas` is
+    the Fraction view, built on each access and not stored."""
 
     n: int
     m: int
-    gammas: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def gammas(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def gamma(self, d: int) -> Fraction:
-        return self.gammas[d]
+        return Fraction(self.num[d], self.den)
 
 
 def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
@@ -78,8 +88,10 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     of a(x) b(x) / ((1-x)^{2R} (1+x)^{2S}).  The truncated product a b is
     divided by each factor 1 -+ x in turn, one running sum per factor.
 
-    gamma_0 always equals tau(n+1)/tau(n); that identity is asserted as a
-    construction guard.  Raises SingularTau for inadmissible parameters.
+    The result keeps the numerators over (-1)^R D_n D_m.  gamma_0 always
+    equals tau(n+1)/tau(n); that identity is asserted, cross-multiplied on
+    integers, as a construction guard.  Raises SingularTau for inadmissible
+    parameters.
     """
     if n - m < 0:
         raise ValueError("gamma_series expects n - m >= 0; transport the kernel instead")
@@ -95,11 +107,10 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
         for d in range(1, count):       # divide by 1 - sign x
             series[d] += sign * series[d - 1]
     scale = (-1) ** params.R * An.den * Am.den
-    gammas = tuple(Fraction(c, scale) for c in series)
-    if gammas[0] != tau.ratio(n + 1, n):
+    if series[0] * eval_int(tau.polyn.num, n) != scale * eval_int(tau.polyn.num, n + 1):
         raise InternalInconsistency(
-            f"gamma_0 = {gammas[0]} != tau({n+1})/tau({n})")
-    return GammaSeries(n=n, m=m, gammas=gammas)
+            f"gamma_0 = {Fraction(series[0], scale)} != tau({n+1})/tau({n})")
+    return GammaSeries(n=n, m=m, num=tuple(series), den=scale)
 
 
 def node_poly(first: int, i: int, T: int) -> Poly:
@@ -257,6 +268,28 @@ def _tail(first: int, i: int, T: int) -> tuple:
     return tuple(tail_resum(node_poly(first, i, T), first + 2 * i - 1).items())
 
 
+@lru_cache(maxsize=256)
+def _tail_matrix(k: int, T: int) -> tuple:
+    """(orders, rows, D): the kernel at offset k, linear in its 2T+1 weights,
+    as integer numerators over one denominator D.
+
+    Column 0 is I_k(2t); then come the tails of branch eps = 1, slots i < T,
+    then those of eps = 2.  orders[c] lists the orders column c reaches, in
+    the order its tail gives them; rows[j][e][c] is column c's numerator of
+    the t^e coefficient in order j, for every e below the longest column
+    polynomial's length.  Parameter-free, so shared by every draw.
+    """
+    cols = [((k, Poly.const(T_VAR, 1)),)] + [_tail(k + eps, i, T) for eps in (1, 2)
+                                             for i in range(T)]
+    D = math.lcm(*(p.den for col in cols for _, p in col))
+    cells = {(j, e, c): x * (D // p.den) for c, col in enumerate(cols)
+             for j, p in col for e, x in enumerate(p.num)}
+    width = max(len(p.num) for col in cols for _, p in col)
+    rows = {j: tuple(tuple(cells.get((j, e, c), 0) for c in range(len(cols))) for e in range(width))
+            for j in {j for j, _, _ in cells}}
+    return tuple(tuple(j for j, _ in col) for col in cols), rows, D
+
+
 def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
     """Exact closed form of the fundamental solution at sites (n, m).
 
@@ -277,18 +310,15 @@ def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     eps_branches = (1, 2) if T else ()
     J = k + 2 * T + 2 if T else 0
     gs = gamma_series(params, n, m, J)      # decides admissibility
-    prefactor = tau_build(params).ratio(m, m + 1)
-    g0 = gs.gamma(0) * prefactor
-    parts = [(k, [(0, 1)], g0.numerator, g0.denominator)]
-    for eps in eps_branches:
-        for i in range(T):
-            w = gs.gamma(eps + 2 * i) * prefactor
-            if w:
-                parts += [(j, enumerate(p.num), w.numerator, w.denominator * p.den)
-                          for j, p in _tail(k + eps, i, T)]
-    rows, D = _integer_rows(parts)
-    terms = {j: p for j, row in rows.items()
-             if (p := Poly.from_ints(T_VAR, [row.get(e, 0) for e in range(max(row) + 1)], D))}
+    tau = tau_build(params).polyn.num
+    # the weight of the column of I_k (d = 0) or of tail (eps, i) (d = eps + 2i)
+    # is gamma_d tau(m); all are over gs.den tau(m+1)
+    w = [gs.num[d] * eval_int(tau, m) for d in (0, *range(1, 2 * T, 2), *range(2, 2 * T + 1, 2))]
+    orders, rows, D = _tail_matrix(k, T)
+    den = D * gs.den * eval_int(tau, m + 1)
+    # orders as the columns first reach them, skipping zero weights
+    terms = {j: p for j in dict.fromkeys(j for c, js in enumerate(orders) if w[c] for j in js)
+             if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], den))}
     _check_degrees(terms, T)
     return KernelFormula(params=params, n=n, m=m, terms=terms,
                          provenance={"T": T, "eps": eps_branches, "J": J})
@@ -303,12 +333,12 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
     """
     if (f.n, f.m) != (m, n):
         raise ValueError(f"formula is for sites {(f.n, f.m)}, expected {(m, n)}")
-    tau = tau_build(params)
-    den = tau.value(m + 1) * tau.value(n)
-    if den == 0:
-        raise SingularTau(m + 1 if tau.value(m + 1) == 0 else n)
-    factor = tau.value(m) * tau.value(n + 1) / den
-    terms = {j: p.scale(factor) for j, p in f.terms.items() if not p.is_zero()}
+    tau = tau_build(params).polyn.num
+    a, b = eval_int(tau, m) * eval_int(tau, n + 1), eval_int(tau, m + 1) * eval_int(tau, n)
+    if b == 0:
+        raise SingularTau(m + 1 if eval_int(tau, m + 1) == 0 else n)
+    terms = {j: Poly.from_ints(T_VAR, [c * a for c in p.num], p.den * b)
+             for j, p in f.terms.items() if not p.is_zero()}
     return KernelFormula(params=params, n=n, m=m, terms=terms,
                          provenance=dict(f.provenance, transported=True))
 
@@ -359,38 +389,35 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(parts: list) -> tuple[dict[int, dict[int, int]], int]:
-    """(rows, D): the sum over parts (j, (e, c) pairs, a, b) of (a c / b) t^e
-    in order j, all integers, as integer numerators rows[j][e] over D, the
-    lcm of the b."""
-    D = math.lcm(*(b for *_, b in parts))
-    rows: dict[int, dict[int, int]] = {}
-    for j, items, a, b in parts:
-        row, f = rows.setdefault(j, {}), a * (D // b)
-        for e, c in items:
-            row[e] = row.get(e, 0) + c * f
-    return rows, D
+def _reduced_rows(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """(low, row0, row1, D): sum_j p_j(t) I_j(2t) over (order j, Poly in t)
+    pairs as dense integer rows on orders 0 and 1 over D, the lcm of the
+    coefficients' denominators, entry i the numerator of t^(low+i); folded by
+    I_{-j} = I_j and, from the top order down, by
+    I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t)."""
+    pairs = [(abs(j), p) for j, p in pairs]
+    top = max((j for j, _ in pairs), default=0)
+    off = max(top - 1, 0)            # each fold step lowers the exponent by one
+    D = math.lcm(*(p.den for _, p in pairs))
+    width = off + max((len(p.num) for _, p in pairs), default=0)
+    rows = [[0] * width for _ in range(max(top, 1) + 1)]
+    for j, p in pairs:
+        row, f = rows[j], D // p.den
+        for x, c in enumerate(p.num, off):
+            row[x] += c * f
+    for j in range(top, 1, -1):
+        lower, mid = rows[j - 2], rows[j - 1]
+        for x, c in enumerate(rows[j]):
+            if c:
+                lower[x] += c
+                mid[x - 1] -= (j - 1) * c
+    return -off, tuple(rows[0]), tuple(rows[1]), D
 
 
-def _reduced_rows(pairs) -> tuple[dict[int, dict[int, int]], int]:
-    """(rows, D): sum_j p_j(t) I_j(2t) over (order j, Poly in t) pairs as
-    integer rows on orders 0 and 1 over D, folded by I_{-j} = I_j and, from
-    the top order down, I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t)."""
-    rows, D = _integer_rows([(abs(j), enumerate(p.num), 1, p.den) for j, p in pairs])
-    for j in range(max(rows, default=0), 1, -1):
-        row = rows.pop(j, {})
-        lower = rows.setdefault(j - 2, {})
-        mid = rows.setdefault(j - 1, {})
-        for e, c in row.items():
-            lower[e] = lower.get(e, 0) + c
-            mid[e - 1] = mid.get(e - 1, 0) - (j - 1) * c
-    return rows, D
-
-
-def _laurent_pair(rows: dict[int, dict[int, int]], D: int) -> tuple[PolyFraction, PolyFraction]:
-    """Rows 0 and 1 over D as Laurent polynomials in t."""
-    return tuple(PolyFraction.laurent(T_VAR, {e: Fraction(c, D) for e, c in rows.get(i, {}).items()})
-                 for i in (0, 1))
+def _laurent_pair(low: int, row0, row1, D: int) -> tuple[PolyFraction, PolyFraction]:
+    """Dense rows from exponent low over D as Laurent polynomials in t."""
+    return tuple(PolyFraction.laurent(T_VAR, {e: Fraction(c, D) for e, c in enumerate(row, low) if c})
+                 for row in (row0, row1))
 
 
 def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
@@ -401,7 +428,7 @@ def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
     over a power of t, multiplying the basis functions.
     Orders are folded by I_{-j} = I_j, then removed from the top down with the
     three-term relation I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t).
-    The reduction runs on integer numerators over one common denominator D,
+    The reduction runs on dense integer rows over one common denominator D,
     the lcm of the coefficients' denominators; only the result holds Fractions.
     """
     return _laurent_pair(*_reduced_rows(pairs))
@@ -409,12 +436,11 @@ def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
 
 @lru_cache(maxsize=1024)
 def _basis_form(items: frozenset) -> tuple:
-    """(A, B, D) with sum_j beta_j(t) I_j(2t) = (A I_0(2t) + B I_1(2t)) / D for
-    the kernel terms `items`, A and B as integer (exponent, numerator) pairs.
-    Keyed on the terms, not the sites: an edited kernel is reduced on its own
-    terms, and each kernel once for the certificates at n and n -+ 1."""
-    rows, D = _reduced_rows(items)
-    return tuple(rows.get(0, {}).items()), tuple(rows.get(1, {}).items()), D
+    """(low, A, B, D) with sum_j beta_j(t) I_j(2t) = (A I_0(2t) + B I_1(2t)) / D
+    for the kernel terms `items`, A and B as dense integer rows from exponent
+    low.  Keyed on the terms, not the sites: an edited kernel is reduced on its
+    own terms, and each kernel once for the certificates at n and n -+ 1."""
+    return _reduced_rows(items)
 
 
 def decomposition_residual(k: int, T: int, t: float) -> float:
@@ -467,6 +493,14 @@ class ExactZeroReport:
     residual_I1: str
 
 
+@lru_cache(maxsize=1024)
+def _band_at(params: ParamVector, n: int) -> tuple[Fraction, Fraction]:
+    """(-2 - c_0(n), c_{-1}(n)) for L's coefficients at site n, shared by the
+    certificates at every m."""
+    L = operator_build(params)
+    return -2 - L.coeff_at(0, n), L.coeff_at(-1, n)
+
+
 def pde_residual(f: KernelFormula) -> ExactZeroReport:
     """Certify d/dt u - (L u) = 0 symbolically for the assembled kernel.
 
@@ -480,19 +514,22 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     both Laurent polynomials vanish identically.
     """
     params, n, m = f.params, f.n, f.m
-    L = operator_build(params)
-    s, cm = -2 - L.coeff_at(0, n), L.coeff_at(-1, n)
-    (A, B, D), (Au, Bu, Du), (Am, Bm, Dm) = (
+    s, cm = _band_at(params, n)
+    (low, A, B, D), (lu, Au, Bu, Du), (lm, Am, Bm, Dm) = (
         _basis_form(frozenset(g.terms.items()))
-        for g in (f, assemble_kernel(params, n + 1, m), assemble_kernel(params, n - 1, m)))
-    parts = []
+        for g in (f, _assemble(params, n + 1, m), _assemble(params, n - 1, m)))
+    E = math.lcm(s.denominator * D, Du, cm.denominator * Dm)
+    lo = min(low - 1, lu, lm)
+    rows = [[0] * (max(low + len(A), lu + len(Au), lm + len(Am)) - lo) for _ in "01"]
     for i, (X, Y, Xu, Xm) in enumerate(((A, B, Au, Am), (B, A, Bu, Bm))):
-        parts += [(i, [(e - 1, (e - i) * c) for e, c in X], 1, D),     # A', or B' - B/t
-                  (i, Y, 2, D), (i, X, s.numerator, s.denominator * D),
-                  (i, Xu, -1, Du), (i, Xm, -cm.numerator, cm.denominator * Dm)]
-    R0, R1 = _laurent_pair(*_integer_rows(parts))
-    return ExactZeroReport(
-        params=params, n=n, m=m,
-        passed=R0.is_zero() and R1.is_zero(),
-        residual_I0=repr(R0), residual_I1=repr(R1),
-    )
+        row = rows[i]
+        for x, c in enumerate(X, low - 1 - lo):     # A', or B' - B/t
+            row[x] += (x + lo + 1 - i) * c * (E // D)
+        for start, vec, a in ((low, Y, 2 * (E // D)), (low, X, s.numerator * (E // (s.denominator * D))),
+                              (lu, Xu, -(E // Du)), (lm, Xm, -cm.numerator * (E // (cm.denominator * Dm)))):
+            for x, c in enumerate(vec, start - lo):
+                row[x] += c * a
+    passed = not any(rows[0]) and not any(rows[1])
+    R0, R1 = ("0", "0") if passed else map(repr, _laurent_pair(lo, *rows, E))
+    return ExactZeroReport(params=params, n=n, m=m, passed=passed,
+                           residual_I0=R0, residual_I1=R1)

@@ -13,7 +13,7 @@ from conftest import (
     two_step_kernel,
 )
 from heatkernel import kernel, taudarboux
-from heatkernel.bessel import alpha_table, bessel_row
+from heatkernel.bessel import alpha_table, bessel_row, tail_resum
 from heatkernel.exactcore import Poly, PolyFraction, series_at_zero
 from heatkernel.kernel import (
     InternalInconsistency,
@@ -127,6 +127,22 @@ def test_gamma_series_matches_wave_product_series_random(R, S, r, m, k):
     J = k + 2 * max(R, S) + 2
     got = gamma_series(params, m + k, m, J).gammas
     assert got == wave_product_gammas(params, m + k, m, J)
+
+
+def test_gamma_series_guard_trips_on_a_corrupt_wave_numerator(monkeypatch):
+    # gamma_0 = a_0 b_0 / scale: one coefficient of A_n off by one breaks
+    # gamma_0 = tau(n+1)/tau(n), which the guard checks by cross-multiplying
+    params = PARAMS[(2, 1)]
+    assert gamma_series(params, 2, 0, 8).gammas     # the guard holds on intact data
+    wave_numerator = kernel.wave_numerator
+
+    def corrupt(params, site, starred=False):
+        p = wave_numerator(params, site, starred)
+        return Poly.from_ints("x", [p.num[0] + 1, *p.num[1:]], p.den) if site == 2 else p
+
+    monkeypatch.setattr(kernel, "wave_numerator", corrupt)
+    with pytest.raises(InternalInconsistency):
+        gamma_series(params, 2, 0, 8)
 
 
 def test_gamma_series_requires_ordered_sites():
@@ -263,6 +279,50 @@ def test_kernel_properties_at_random_admissible_draws(R, S, r, n, m):
     back = symmetry_transport(params, n, m, symmetry_transport(params, m, n, f))
     assert back.terms == f.terms
     assert pde_residual(f).passed
+
+
+def reference_kernel(params, n, m):
+    """The kernel at n - m >= 0 summed through Fraction and Poly arithmetic:
+    gamma_0 I_k(2t) plus gamma_{eps+2i} times each resummed tail, all times
+    tau(m)/tau(m+1), zero weights skipped; orders as the pieces first reach
+    them, which is the order the formula's repr shows."""
+    k, T = n - m, max(params.R, params.S)
+    gs, tau = gamma_series(params, n, m, 2 * T), tau_build(params)
+    prefactor = tau.value(m) / tau.value(m + 1)
+    terms = {k: Poly("t", [gs.gamma(0) * prefactor])}
+    for eps in (1, 2):
+        for i in range(T):
+            if w := gs.gamma(eps + 2 * i) * prefactor:
+                for j, p in tail_resum(node_poly(k + eps, i, T), k + eps + 2 * i - 1).items():
+                    terms[j] = terms.get(j, Poly("t")) + p.scale(w)
+    return {j: p for j, p in terms.items() if p}
+
+
+def check_against_reference(params, n, m):
+    f = assemble_kernel(params, n, m)
+    if n >= m:
+        assert list(f.terms.items()) == list(reference_kernel(params, n, m).items()), (n, m)
+    else:
+        tau = tau_build(params)
+        factor = tau.value(m) * tau.value(n + 1) / (tau.value(m + 1) * tau.value(n))
+        expect = {j: p.scale(factor) for j, p in reference_kernel(params, m, n).items()}
+        assert list(f.terms.items()) == list(expect.items()), (n, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.lists(_small_r, min_size=1, max_size=6),
+       st.integers(-4, 4), st.integers(-4, 4))
+def test_assembly_matches_the_fraction_reference_at_random_admissible_draws(R, S, r, n, m):
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    check_against_reference(params, n, m)
+
+
+def test_assembly_matches_the_fraction_reference_at_4_4():
+    params = ParamVector(4, 4, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)])
+    for n in range(-4, 5):
+        for m in range(-4, 5):
+            check_against_reference(params, n, m)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -471,6 +531,7 @@ def test_memoised_kernel_cannot_be_changed_by_a_caller():
 
 
 def test_kernel_caches_are_bounded():
-    for cache in (kernel._assemble, kernel._tail, kernel._basis_form, tau_build, operator_build,
+    for cache in (kernel._assemble, kernel._tail, kernel._tail_matrix, kernel._basis_form,
+                  kernel._band_at, tau_build, operator_build,
                   alpha_table, taudarboux._columns, taudarboux._solution):
         assert cache.cache_info().maxsize is not None, cache
