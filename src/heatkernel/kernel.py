@@ -23,7 +23,9 @@ n and m: a truncated product of two polynomials of degree K and the fixed
 integer power series of the denominator.  The resummed tails depend only on
 k = n - m and T: one cached integer matrix per (k, T) holds I_k(2t) and the
 2T tails over one denominator, and a kernel is that matrix times the site's
-2T+1 integer weights gamma_d tau(m) (over tau(m+1)), all on integers.
+2T+1 integer weights gamma_d tau(m) (over tau(m+1)), all on integers.  A
+kernel keeps its weights and builds its beta_j Polys on first read; the PDE
+certificate reads its (I_0, I_1) form as weights times the folded matrix.
 
 beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 """
@@ -31,9 +33,9 @@ beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .bessel import bessel_row, series_orders, tail_resum, worst_of
@@ -138,15 +140,53 @@ def node_poly(first: int, i: int, T: int) -> Poly:
     return q
 
 
+class _Weights:
+    """A kernel as _tail_matrix(k, T) times integer weights w over den (D
+    included); its Polys and their `_reduced_rows` form are built on first use."""
+
+    def __init__(self, k: int, T: int, w: tuple, den: int):
+        self.k, self.T, self.w, self.den = k, T, w, den
+
+    @cached_property
+    def terms(self) -> dict:
+        orders, rows, _ = _tail_matrix(self.k, self.T)
+        w = self.w
+        # orders as the columns first reach them, skipping zero weights
+        return {j: p for j in dict.fromkeys(j for c, js in enumerate(orders) if w[c] for j in js)
+                if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], self.den))}
+
+    @cached_property
+    def basis(self) -> tuple:
+        low, *rows = _basis_matrix(self.k, self.T)
+        return (low, *(tuple(sum(map(mul, cell, self.w)) for cell in r) for r in rows), self.den)
+
+    def kernel(self, params: ParamVector, n: int, m: int, provenance: dict) -> KernelFormula:
+        # once the Polys are built a copy takes them at once, else on first read
+        f = KernelFormula(params, n, m, dict(self.terms) if "terms" in vars(self) else None, provenance)
+        object.__setattr__(f, "_weights", self)
+        if f.terms is None:
+            object.__delattr__(f, "terms")
+        return f
+
+
 @dataclass(frozen=True)
 class KernelFormula:
-    """u(n,m,t) = e^{-2t} sum_j beta_j(t) I_j(2t), finitely many j >= 0."""
+    """u(n,m,t) = e^{-2t} sum_j beta_j(t) I_j(2t), finitely many j >= 0.
+
+    An assembled kernel builds `terms` on first read, its own dict of Polys
+    shared with the memo, and keeps it.  `replace` drops the weights."""
 
     params: ParamVector
     n: int
     m: int
     terms: dict          # order j >= 0 -> Poly in t
     provenance: dict
+    _weights: _Weights | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _intact(self) -> _Weights | None:
+        """The weights, unless a caller has edited the terms they built."""
+        w = self._weights
+        return w if w is not None and ("terms" not in vars(self) or self.terms == w.terms) else None
 
     def beta(self, j: int) -> Poly:
         return self.terms.get(abs(j), Poly(T_VAR))
@@ -186,14 +226,14 @@ class KernelFormula:
     def to_latex(self) -> str:
         if not self.terms:
             return "u(n,m,t) = 0"
-        parts = [
-            rf"\left({_poly_latex(self.terms[j])}\right) I_{{{j}}}(2t)"
-            for j in self.support
-        ]
-        body = " + ".join(parts)
-        return (
-            rf"u({self.n},{self.m},t) = e^{{-2t}}\left[ {body} \right]"
-        )
+        body = " + ".join(rf"\left({_poly_latex(self.terms[j])}\right) I_{{{j}}}(2t)"
+                          for j in self.support)
+        return rf"u({self.n},{self.m},t) = e^{{-2t}}\left[ {body} \right]"
+
+
+# an assembled kernel without terms builds them on first read, into its __dict__
+KernelFormula.terms = cached_property(lambda f: dict(f._weights.terms))
+KernelFormula.terms.__set_name__(KernelFormula, "terms")
 
 
 def _poly_text(p: Poly) -> str:
@@ -281,6 +321,8 @@ def _tail_matrix(k: int, T: int) -> tuple:
     """
     cols = [((k, Poly.const(T_VAR, 1)),)] + [_tail(k + eps, i, T) for eps in (1, 2)
                                              for i in range(T)]
+    for col in cols:                # no weighted sum of the columns has a higher degree
+        _check_degrees(dict(col), T)
     D = math.lcm(*(p.den for col in cols for _, p in col))
     cells = {(j, e, c): x * (D // p.den) for c, col in enumerate(cols)
              for j, p in col for e, x in enumerate(p.num)}
@@ -298,7 +340,7 @@ def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
     its own terms and provenance dicts, so a caller cannot change the memo.
     """
     f = _assemble(params, n, m)
-    return replace(f, terms=dict(f.terms), provenance=dict(f.provenance))
+    return f._weights.kernel(params, n, m, dict(f.provenance))
 
 
 @lru_cache(maxsize=1024)
@@ -313,15 +355,9 @@ def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     tau = tau_build(params).polyn.num
     # the weight of the column of I_k (d = 0) or of tail (eps, i) (d = eps + 2i)
     # is gamma_d tau(m); all are over gs.den tau(m+1)
-    w = [gs.num[d] * eval_int(tau, m) for d in (0, *range(1, 2 * T, 2), *range(2, 2 * T + 1, 2))]
-    orders, rows, D = _tail_matrix(k, T)
-    den = D * gs.den * eval_int(tau, m + 1)
-    # orders as the columns first reach them, skipping zero weights
-    terms = {j: p for j in dict.fromkeys(j for c, js in enumerate(orders) if w[c] for j in js)
-             if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], den))}
-    _check_degrees(terms, T)
-    return KernelFormula(params=params, n=n, m=m, terms=terms,
-                         provenance={"T": T, "eps": eps_branches, "J": J})
+    w = tuple(gs.num[d] * eval_int(tau, m) for d in (0, *range(1, 2 * T, 2), *range(2, 2 * T + 1, 2)))
+    den = _tail_matrix(k, T)[2] * gs.den * eval_int(tau, m + 1)
+    return _Weights(k, T, w, den).kernel(params, n, m, {"T": T, "eps": eps_branches, "J": J})
 
 
 def symmetry_transport(params: ParamVector, n: int, m: int,
@@ -329,7 +365,7 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
     """Carry a kernel assembled at (m, n) over to (n, m).
 
     u(n,m,t) = [tau(m) tau(n+1) / (tau(m+1) tau(n))] u(m,n,t); the transport
-    is an involution.
+    is an involution; it scales an assembled kernel's weights, not its terms.
     """
     if (f.n, f.m) != (m, n):
         raise ValueError(f"formula is for sites {(f.n, f.m)}, expected {(m, n)}")
@@ -337,10 +373,12 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
     a, b = eval_int(tau, m) * eval_int(tau, n + 1), eval_int(tau, m + 1) * eval_int(tau, n)
     if b == 0:
         raise SingularTau(m + 1 if eval_int(tau, m + 1) == 0 else n)
+    provenance = dict(f.provenance, transported=True)
+    if (w := f._intact()) is not None:
+        return _Weights(w.k, w.T, tuple(c * a for c in w.w), w.den * b).kernel(params, n, m, provenance)
     terms = {j: Poly.from_ints(T_VAR, [c * a for c in p.num], p.den * b)
              for j, p in f.terms.items() if not p.is_zero()}
-    return KernelFormula(params=params, n=n, m=m, terms=terms,
-                         provenance=dict(f.provenance, transported=True))
+    return KernelFormula(params=params, n=n, m=m, terms=terms, provenance=provenance)
 
 
 @lru_cache(maxsize=1024)
@@ -368,16 +406,16 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     if t == 0:
         return 1.0 if f.n == f.m else 0.0
-    if not f.terms:
+    if not (terms := f.terms):
         return 0.0
     x, y = float(t).as_integer_ratio()
-    scaled = _bessel_values(2.0 * t, max(f.terms))
+    scaled = _bessel_values(2.0 * t, max(terms))
     try:
         return math.fsum(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * scaled[j]
-                         for j, p in f.terms.items())
+                         for j, p in terms.items())
     except OverflowError:
         exact = sum(Fraction(eval_homogeneous(p.num, x, y), p.den * y ** p.degree)
-                    * Fraction(scaled[j]) for j, p in f.terms.items())
+                    * Fraction(scaled[j]) for j, p in terms.items())
     try:
         return float(exact)
     except OverflowError:
@@ -389,29 +427,43 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_rows(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
-    """(low, row0, row1, D): sum_j p_j(t) I_j(2t) over (order j, Poly in t)
-    pairs as dense integer rows on orders 0 and 1 over D, the lcm of the
-    coefficients' denominators, entry i the numerator of t^(low+i); folded by
-    I_{-j} = I_j and, from the top order down, by
+def _fold(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(low, row0, row1): sum_j P_j(t) I_j(2t) over (order j, integer
+    coefficients of P_j) pairs as dense rows on orders 0 and 1, entry i that
+    of t^(low+i); folded by I_{-j} = I_j and, from the top order down, by
     I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t)."""
-    pairs = [(abs(j), p) for j, p in pairs]
+    pairs = [(abs(j), cs) for j, cs in pairs]
     top = max((j for j, _ in pairs), default=0)
     off = max(top - 1, 0)            # each fold step lowers the exponent by one
-    D = math.lcm(*(p.den for _, p in pairs))
-    width = off + max((len(p.num) for _, p in pairs), default=0)
+    width = off + max((len(cs) for _, cs in pairs), default=0)
     rows = [[0] * width for _ in range(max(top, 1) + 1)]
-    for j, p in pairs:
-        row, f = rows[j], D // p.den
-        for x, c in enumerate(p.num, off):
-            row[x] += c * f
+    for j, cs in pairs:
+        for x, c in enumerate(cs, off):
+            rows[j][x] += c
     for j in range(top, 1, -1):
         lower, mid = rows[j - 2], rows[j - 1]
         for x, c in enumerate(rows[j]):
             if c:
                 lower[x] += c
                 mid[x - 1] -= (j - 1) * c
-    return -off, tuple(rows[0]), tuple(rows[1]), D
+    return -off, tuple(rows[0]), tuple(rows[1])
+
+
+def _reduced_rows(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """(low, row0, row1, D): `_fold` of (order j, Poly) pairs over D, the lcm of their dens."""
+    pairs = list(pairs)
+    D = math.lcm(*(p.den for _, p in pairs))
+    return (*_fold((j, [c * (D // p.den) for c in p.num]) for j, p in pairs), D)
+
+
+@lru_cache(maxsize=256)
+def _basis_matrix(k: int, T: int) -> tuple:
+    """(low, rows0, rows1): each column of _tail_matrix(k, T), folded over all
+    its orders, so with one low; rows0[x][c] (rows1[x][c]) is column c's
+    numerator of t^(low+x) on I_0(2t) (I_1(2t)) over the matrix's D."""
+    orders, rows, _ = _tail_matrix(k, T)
+    cols = [_fold((j, [cell[c] for cell in rows[j]]) for j in rows) for c in range(len(orders))]
+    return cols[0][0], *(tuple(zip(*(col[i] for col in cols))) for i in (1, 2))
 
 
 def _laurent_pair(low: int, row0, row1, D: int) -> tuple[PolyFraction, PolyFraction]:
@@ -425,22 +477,10 @@ def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
 
     `pairs` is an iterable of (order j, Poly in t), whose repeated orders add
     up; the result is the exact pair of Laurent polynomials, as PolyFractions
-    over a power of t, multiplying the basis functions.
-    Orders are folded by I_{-j} = I_j, then removed from the top down with the
-    three-term relation I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t).
-    The reduction runs on dense integer rows over one common denominator D,
-    the lcm of the coefficients' denominators; only the result holds Fractions.
+    over a power of t, multiplying the basis functions.  The fold (`_fold`)
+    runs on integer rows over one denominator; only the result holds Fractions.
     """
     return _laurent_pair(*_reduced_rows(pairs))
-
-
-@lru_cache(maxsize=1024)
-def _basis_form(items: frozenset) -> tuple:
-    """(low, A, B, D) with sum_j beta_j(t) I_j(2t) = (A I_0(2t) + B I_1(2t)) / D
-    for the kernel terms `items`, A and B as dense integer rows from exponent
-    low.  Keyed on the terms, not the sites: an edited kernel is reduced on its
-    own terms, and each kernel once for the certificates at n and n -+ 1."""
-    return _reduced_rows(items)
 
 
 def decomposition_residual(k: int, T: int, t: float) -> float:
@@ -505,9 +545,9 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     """Certify d/dt u - (L u) = 0 symbolically for the assembled kernel.
 
     The kernels at the band sites n-1, n, n+1 are taken in their basis form
-    u = e^{-2t} (A I_0(2t) + B I_1(2t)) (`_basis_form`, cached per kernel's
-    terms).  By d/dt I_0(2t) = 2 I_1(2t), d/dt I_1(2t) = 2 I_0(2t) - I_1(2t)/t
-    the residual is e^{-2t} (R_0 I_0(2t) + R_1 I_1(2t)), summed on integers:
+    u = e^{-2t} (A I_0 + B I_1), each I_j at 2t: an assembled kernel's weights times
+    `_basis_matrix`, kept with its memo entry, or another kernel's terms by `_reduced_rows`.  By
+    d/dt I_0 = 2 I_1, d/dt I_1 = 2 I_0 - I_1/t the residual is e^{-2t} (R_0 I_0 + R_1 I_1):
       R_0 = A' + 2B - (2+c_0)A - A_{n+1} - c_{-1}A_{n-1},
       R_1 = B' + 2A - B/t - (2+c_0)B - B_{n+1} - c_{-1}B_{n-1}.
     I_0 and I_1 are independent over rational functions of t, so pass means
@@ -516,7 +556,7 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     params, n, m = f.params, f.n, f.m
     s, cm = _band_at(params, n)
     (low, A, B, D), (lu, Au, Bu, Du), (lm, Am, Bm, Dm) = (
-        _basis_form(frozenset(g.terms.items()))
+        w.basis if (w := g._intact()) is not None else _reduced_rows(g.terms.items())
         for g in (f, _assemble(params, n + 1, m), _assemble(params, n - 1, m)))
     E = math.lcm(s.denominator * D, Du, cm.denominator * Dm)
     lo = min(low - 1, lu, lm)

@@ -1,6 +1,8 @@
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import cached_property
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +14,7 @@ from conftest import (
     two_step_gamma,
     two_step_kernel,
 )
-from heatkernel import kernel, taudarboux
+from heatkernel import cli, kernel, taudarboux
 from heatkernel.bessel import alpha_table, bessel_row, tail_resum
 from heatkernel.exactcore import Poly, PolyFraction, series_at_zero
 from heatkernel.kernel import (
@@ -531,7 +533,94 @@ def test_memoised_kernel_cannot_be_changed_by_a_caller():
 
 
 def test_kernel_caches_are_bounded():
-    for cache in (kernel._assemble, kernel._tail, kernel._tail_matrix, kernel._basis_form,
+    for cache in (kernel._assemble, kernel._tail, kernel._tail_matrix, kernel._basis_matrix,
                   kernel._band_at, tau_build, operator_build,
                   alpha_table, taudarboux._columns, taudarboux._solution):
         assert cache.cache_info().maxsize is not None, cache
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-8, 8), st.integers(0, 4), st.data())
+def test_basis_matrix_times_weights_is_the_reduced_combination(k, T, data):
+    # the fold of the parameter-free matrix, times any weights, is the
+    # (I_0, I_1) form of the same combination of I_k and the tails: reduced on
+    # its own terms, and summed from the basis table built upwards
+    assume(not -2 * T <= k <= -1)           # a tail node k + eps + 2i is zero
+    w = data.draw(st.lists(st.integers(-50, 50), min_size=2 * T + 1, max_size=2 * T + 1))
+    low, rows0, rows1 = kernel._basis_matrix(k, T)
+    got = kernel._laurent_pair(low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)),
+                               kernel._tail_matrix(k, T)[2])
+    cols = [((k, Poly.const("t", 1)),)] + [kernel._tail(k + eps, i, T) for eps in (1, 2) for i in range(T)]
+    combo = [(j, p.scale(c)) for c, col in zip(w, cols) for j, p in col]
+    assert got == kernel._laurent_pair(*kernel._reduced_rows(combo))
+    reps = basis_table(max([abs(j) for j, _ in combo] + [1]))
+    A, B = PolyFraction.const("t", 0), PolyFraction.const("t", 0)
+    for j, p in combo:
+        A, B = A + p * reps[abs(j)][0], B + p * reps[abs(j)][1]
+    assert got == (A, B)
+
+
+def test_pde_certificates_build_no_term_polys(monkeypatch, capsys):
+    # verify --mode pde reads each kernel's weights times the basis matrix;
+    # the beta_j Polys are built only when someone reads a kernel's terms
+    builds = []
+    build = kernel._Weights.terms.func
+    counted = cached_property(lambda w: builds.append(w) or build(w))
+    counted.__set_name__(kernel._Weights, "terms")
+    monkeypatch.setattr(kernel._Weights, "terms", counted)
+    kernel._assemble.cache_clear()
+    assert cli.main(["verify", "--mode", "pde", "--R", "2", "--S", "2",
+                     "--r", "1/3,1/7,2/5,1/11", "--range", "2"]) == 0
+    assert "PASS\n  pairs = 25\n  failures = 0" in capsys.readouterr().out
+    assert builds == []
+    f, g = (assemble_kernel(PARAMS[(2, 2)], 1, -1) for _ in range(2))
+    assert f.terms == g.terms and f.terms is not g.terms
+    assert len(builds) == 1         # one build per memo entry, shared by its copies
+
+
+def test_assembled_kernel_terms_survive_a_memo_clear():
+    # a kernel's terms equal the eager reference whether they are read before
+    # or after the memo that built the kernel is cleared
+    params = ParamVector(2, 2, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)])
+    for n, m in [(2, -1), (0, 0), (-1, 2)]:
+        if n >= m:
+            expect = reference_kernel(params, n, m)
+        else:
+            eager = replace(assemble_kernel(params, m, n), terms=reference_kernel(params, m, n))
+            expect = symmetry_transport(params, n, m, eager).terms
+        early, late = assemble_kernel(params, n, m), assemble_kernel(params, n, m)
+        read_early = list(early.terms.items())
+        kernel._assemble.cache_clear()
+        for items in (read_early, list(late.terms.items()),
+                      list(assemble_kernel(params, n, m).terms.items())):
+            assert items == list(expect.items()), (n, m)
+
+
+def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
+    # a tail column of degree 2T trips the guard when its (k, T) matrix is built
+    def corrupt(first, i, T):
+        return ((first + 2 * i - 1, Poly("t", [0] * (2 * T) + [1])),)
+
+    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(kernel, "_tail", corrupt)
+    try:
+        with pytest.raises(InternalInconsistency):
+            assemble_kernel(PARAMS[(1, 1)], 2, 0)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_terms_edited_in_place_are_certified_and_transported_as_edited():
+    params = PARAMS[(1, 1)]
+    f = assemble_kernel(params, 2, 0)
+    assert pde_residual(f).passed
+    j = max(f.terms)
+    f.terms[j] = f.terms[j] + Poly("t", [0, F(1, 7)])
+    assert not pde_residual(f).passed
+    tau = tau_build(params)
+    factor = tau.value(2) * tau.value(1) / (tau.value(3) * tau.value(0))
+    assert symmetry_transport(params, 0, 2, f).terms[j] == f.terms[j].scale(factor)
+    assert pde_residual(assemble_kernel(params, 2, 0)).passed
