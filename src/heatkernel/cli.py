@@ -190,7 +190,7 @@ def make_parser() -> _Parser:
     v.add_argument("--m", type=int, default=0)
     v.add_argument("--range", type=int, help="grid half-width (pde/oracle) or size (orth)")
     v.add_argument("--t", help="comma list of times", default="0.5,1,2")
-    v.add_argument("--tol", type=float, help="tolerance override")
+    v.add_argument("--tol", type=float, help="tolerance override (oracle, orth, decomp)")
     v.add_argument("--W", type=int, default=200, help="lattice window half-width")
     v.add_argument("--k", type=int, default=0, help="offset k for decomp mode")
     v.add_argument("--T", type=int, default=1, help="interpolation size for decomp mode")
@@ -271,6 +271,9 @@ def _verify_report(args, passed: bool, detail: dict) -> int:
 
 def cmd_verify(args) -> int:
     params = build_params(args)
+    if args.tol is not None and args.mode in ("pde", "identities"):
+        why = "its certificate is exact" if args.mode == "pde" else "its limits are fixed"
+        raise UsageError(f"--tol does not apply to verify --mode {args.mode}: {why}")
     ts = [_parse_time(piece.strip(), positive=args.mode != "oracle")
           for piece in args.t.split(",") if piece.strip()]
     if not ts:

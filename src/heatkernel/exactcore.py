@@ -100,6 +100,9 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):           # copy and pickle rebuild it, as __setattr__ refuses
+        return Poly.from_ints, (self.var, self.num, self.den)
+
     @classmethod
     def const(cls, var: str, c) -> "Poly":
         return cls(var, [c])
@@ -487,6 +490,9 @@ class PolyFraction:
 
     def __setattr__(self, *a):
         raise AttributeError("PolyFraction is immutable")
+
+    def __reduce__(self):           # copy and pickle rebuild it, as __setattr__ refuses
+        return PolyFraction, (self.num, self.den)
 
     @classmethod
     def const(cls, var: str, c) -> "PolyFraction":

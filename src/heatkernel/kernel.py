@@ -23,9 +23,9 @@ n and m: a truncated product of two polynomials of degree K and the fixed
 integer power series of the denominator.  The resummed tails depend only on
 k = n - m and T: one cached integer matrix per (k, T) holds I_k(2t) and the
 2T tails over one denominator, and a kernel is that matrix times the site's
-2T+1 integer weights gamma_d tau(m) (over tau(m+1)), all on integers.  A
-kernel keeps its weights and builds its beta_j Polys on first read; the PDE
-certificate reads its (I_0, I_1) form as weights times the folded matrix.
+2T+1 integer weights gamma_d tau(m) (over tau(m+1)), all on integers.  An
+assembled kernel is one shared, read-only memo entry that keeps its weights:
+its beta_j Polys are built on first read, its (I_0, I_1) form on first use.
 
 beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 """
@@ -140,53 +140,39 @@ def node_poly(first: int, i: int, T: int) -> Poly:
     return q
 
 
-class _Weights:
-    """A kernel as _tail_matrix(k, T) times integer weights w over den (D
-    included); its Polys and their `_reduced_rows` form are built on first use."""
+class _ReadOnly(dict):
+    """A dict whose mutators raise TypeError: an assembled kernel's shared terms and provenance."""
 
-    def __init__(self, k: int, T: int, w: tuple, den: int):
-        self.k, self.T, self.w, self.den = k, T, w, den
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("an assembled kernel is read-only; edit a dataclasses.replace copy")
 
-    @cached_property
-    def terms(self) -> dict:
-        orders, rows, _ = _tail_matrix(self.k, self.T)
-        w = self.w
-        # orders as the columns first reach them, skipping zero weights
-        return {j: p for j in dict.fromkeys(j for c, js in enumerate(orders) if w[c] for j in js)
-                if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], self.den))}
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
-    @cached_property
-    def basis(self) -> tuple:
-        low, *rows = _basis_matrix(self.k, self.T)
-        return (low, *(tuple(sum(map(mul, cell, self.w)) for cell in r) for r in rows), self.den)
-
-    def kernel(self, params: ParamVector, n: int, m: int, provenance: dict) -> KernelFormula:
-        # once the Polys are built a copy takes them at once, else on first read
-        f = KernelFormula(params, n, m, dict(self.terms) if "terms" in vars(self) else None, provenance)
-        object.__setattr__(f, "_weights", self)
-        if f.terms is None:
-            object.__delattr__(f, "terms")
-        return f
+    def __reduce__(self):           # pickle and copy would refill it item by item
+        return _ReadOnly, (dict(self),)
 
 
 @dataclass(frozen=True)
 class KernelFormula:
     """u(n,m,t) = e^{-2t} sum_j beta_j(t) I_j(2t), finitely many j >= 0.
 
-    An assembled kernel builds `terms` on first read, its own dict of Polys
-    shared with the memo, and keeps it.  `replace` drops the weights."""
+    An assembled kernel is one memo entry, shared by every caller: its `terms`
+    and `provenance` are read-only, it keeps its weights (k, T, w, den), and it
+    builds `terms` on first read and its (I_0, I_1) form on first certificate.
+    A kernel built by hand, or by `replace`, has no weights."""
 
     params: ParamVector
     n: int
     m: int
     terms: dict          # order j >= 0 -> Poly in t
     provenance: dict
-    _weights: _Weights | None = field(default=None, init=False, repr=False, compare=False)
+    _weights: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _intact(self) -> _Weights | None:
-        """The weights, unless a caller has edited the terms they built."""
-        w = self._weights
-        return w if w is not None and ("terms" not in vars(self) or self.terms == w.terms) else None
+    @cached_property
+    def _basis(self) -> tuple:
+        k, T, w, den = self._weights
+        low, *rows = _basis_matrix(k, T)
+        return (low, *(tuple(sum(map(mul, cell, w)) for cell in r) for r in rows), den)
 
     def beta(self, j: int) -> Poly:
         return self.terms.get(abs(j), Poly(T_VAR))
@@ -231,8 +217,24 @@ class KernelFormula:
         return rf"u({self.n},{self.m},t) = e^{{-2t}}\left[ {body} \right]"
 
 
-# an assembled kernel without terms builds them on first read, into its __dict__
-KernelFormula.terms = cached_property(lambda f: dict(f._weights.terms))
+def _assembled(params: ParamVector, n: int, m: int, provenance: dict, weights: tuple) -> KernelFormula:
+    """The read-only kernel _tail_matrix(k, T) times the integer weights w over
+    den (the matrix's D included), for weights = (k, T, w, den)."""
+    f = object.__new__(KernelFormula)
+    vars(f).update(params=params, n=n, m=m, provenance=_ReadOnly(provenance), _weights=weights)
+    return f
+
+
+def _weighted_terms(f: KernelFormula) -> dict:
+    k, T, w, den = f._weights
+    orders, rows, _ = _tail_matrix(k, T)
+    # orders as the columns first reach them, skipping zero weights
+    return _ReadOnly({j: p for j in dict.fromkeys(j for c, js in enumerate(orders) if w[c] for j in js)
+                      if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], den))})
+
+
+# an assembled kernel builds its terms on first read, into its __dict__
+KernelFormula.terms = cached_property(_weighted_terms)
 KernelFormula.terms.__set_name__(KernelFormula, "terms")
 
 
@@ -336,17 +338,16 @@ def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
     """Exact closed form of the fundamental solution at sites (n, m).
 
     For n - m < 0 the kernel is assembled at the swapped pair and carried
-    back by the tau-ratio symmetry.  Kernels are memoised; each call returns
-    its own terms and provenance dicts, so a caller cannot change the memo.
+    back by the tau-ratio symmetry.  Kernels are memoised: every call at
+    (params, n, m) returns the same read-only kernel.
     """
-    f = _assemble(params, n, m)
-    return f._weights.kernel(params, n, m, dict(f.provenance))
+    return _assemble(params, n, m)
 
 
 @lru_cache(maxsize=1024)
 def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     if n - m < 0:
-        return symmetry_transport(params, n, m, assemble_kernel(params, m, n))
+        return symmetry_transport(params, n, m, _assemble(params, m, n))
     k = n - m
     T = max(params.R, params.S)
     eps_branches = (1, 2) if T else ()
@@ -357,7 +358,7 @@ def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     # is gamma_d tau(m); all are over gs.den tau(m+1)
     w = tuple(gs.num[d] * eval_int(tau, m) for d in (0, *range(1, 2 * T, 2), *range(2, 2 * T + 1, 2)))
     den = _tail_matrix(k, T)[2] * gs.den * eval_int(tau, m + 1)
-    return _Weights(k, T, w, den).kernel(params, n, m, {"T": T, "eps": eps_branches, "J": J})
+    return _assembled(params, n, m, {"T": T, "eps": eps_branches, "J": J}, (k, T, w, den))
 
 
 def symmetry_transport(params: ParamVector, n: int, m: int,
@@ -374,8 +375,9 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
     if b == 0:
         raise SingularTau(m + 1 if eval_int(tau, m + 1) == 0 else n)
     provenance = dict(f.provenance, transported=True)
-    if (w := f._intact()) is not None:
-        return _Weights(w.k, w.T, tuple(c * a for c in w.w), w.den * b).kernel(params, n, m, provenance)
+    if f._weights is not None:
+        k, T, w, den = f._weights
+        return _assembled(params, n, m, provenance, (k, T, tuple(c * a for c in w), den * b))
     terms = {j: Poly.from_ints(T_VAR, [c * a for c in p.num], p.den * b)
              for j, p in f.terms.items() if not p.is_zero()}
     return KernelFormula(params=params, n=n, m=m, terms=terms, provenance=provenance)
@@ -546,7 +548,7 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
 
     The kernels at the band sites n-1, n, n+1 are taken in their basis form
     u = e^{-2t} (A I_0 + B I_1), each I_j at 2t: an assembled kernel's weights times
-    `_basis_matrix`, kept with its memo entry, or another kernel's terms by `_reduced_rows`.  By
+    `_basis_matrix`, cached on it, or a hand-built kernel's terms by `_reduced_rows`.  By
     d/dt I_0 = 2 I_1, d/dt I_1 = 2 I_0 - I_1/t the residual is e^{-2t} (R_0 I_0 + R_1 I_1):
       R_0 = A' + 2B - (2+c_0)A - A_{n+1} - c_{-1}A_{n-1},
       R_1 = B' + 2A - B/t - (2+c_0)B - B_{n+1} - c_{-1}B_{n-1}.
@@ -556,7 +558,7 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     params, n, m = f.params, f.n, f.m
     s, cm = _band_at(params, n)
     (low, A, B, D), (lu, Au, Bu, Du), (lm, Am, Bm, Dm) = (
-        w.basis if (w := g._intact()) is not None else _reduced_rows(g.terms.items())
+        g._basis if g._weights is not None else _reduced_rows(g.terms.items())
         for g in (f, _assemble(params, n + 1, m), _assemble(params, n - 1, m)))
     E = math.lcm(s.denominator * D, Du, cm.denominator * Dm)
     lo = min(low - 1, lu, lm)

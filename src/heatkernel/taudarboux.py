@@ -349,6 +349,9 @@ class BandOperator:
     def __setattr__(self, *a):
         raise AttributeError("BandOperator is immutable")
 
+    def __reduce__(self):           # copy and pickle rebuild it, as __setattr__ refuses
+        return BandOperator, (self.coeffs,)
+
     @classmethod
     def identity(cls) -> "BandOperator":
         return cls({0: 1})

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
@@ -518,18 +520,30 @@ def test_memoised_kernel_cannot_be_changed_by_a_caller():
     for (n, m) in [(2, 0), (0, 2)]:
         first = assemble_kernel(params, n, m)
         expect = dict(first.terms)
-        # nested values are immutable, so only the top-level dicts are copied
+        # every caller shares the memo entry, so each edit raises
         with pytest.raises(AttributeError):
             first.provenance["eps"].append(3)
         with pytest.raises(AttributeError):
             next(iter(first.terms.values())).coeffs = ()
-        first.terms.clear()
-        first.terms[99] = Poly("t", [1])
-        first.provenance["T"] = -1
+        for d in (first.terms, first.provenance):
+            key = next(iter(d))
+            for edit in (d.clear, d.popitem, lambda: d.pop(key), lambda: d.__delitem__(key),
+                         lambda: d.__setitem__(99, Poly("t", [1])), lambda: d.setdefault(99, 1),
+                         lambda: d.update({key: -1}), lambda: d.__ior__({99: 1})):
+                with pytest.raises(TypeError):
+                    edit()
         again = assemble_kernel(params, n, m)
         assert again.terms == expect and 99 not in again.terms, (n, m)
         assert again.provenance["T"] == 2 and again.provenance["eps"] == (1, 2)
         assert pde_residual(again).passed
+
+
+def test_assemble_kernel_returns_the_memo_entry():
+    # direct and transported pairs: one shared object, no copy per call
+    params = PARAMS[(2, 1)]
+    for (n, m) in [(2, 0), (0, 0), (0, 2), (-1, 3)]:
+        f = assemble_kernel(params, n, m)
+        assert f is assemble_kernel(params, n, m) is kernel._assemble(params, n, m), (n, m)
 
 
 def test_kernel_caches_are_bounded():
@@ -564,18 +578,18 @@ def test_pde_certificates_build_no_term_polys(monkeypatch, capsys):
     # verify --mode pde reads each kernel's weights times the basis matrix;
     # the beta_j Polys are built only when someone reads a kernel's terms
     builds = []
-    build = kernel._Weights.terms.func
-    counted = cached_property(lambda w: builds.append(w) or build(w))
-    counted.__set_name__(kernel._Weights, "terms")
-    monkeypatch.setattr(kernel._Weights, "terms", counted)
+    build = kernel.KernelFormula.terms.func
+    counted = cached_property(lambda f: builds.append(f) or build(f))
+    counted.__set_name__(kernel.KernelFormula, "terms")
+    monkeypatch.setattr(kernel.KernelFormula, "terms", counted)
     kernel._assemble.cache_clear()
     assert cli.main(["verify", "--mode", "pde", "--R", "2", "--S", "2",
                      "--r", "1/3,1/7,2/5,1/11", "--range", "2"]) == 0
     assert "PASS\n  pairs = 25\n  failures = 0" in capsys.readouterr().out
     assert builds == []
     f, g = (assemble_kernel(PARAMS[(2, 2)], 1, -1) for _ in range(2))
-    assert f.terms == g.terms and f.terms is not g.terms
-    assert len(builds) == 1         # one build per memo entry, shared by its copies
+    assert f is g and f.terms == g.terms
+    assert len(builds) == 1         # one build per memo entry
 
 
 def test_assembled_kernel_terms_survive_a_memo_clear():
@@ -614,8 +628,10 @@ def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
 
 
 def test_terms_edited_in_place_are_certified_and_transported_as_edited():
+    # a kernel built by replace has no weights: its owner's dict is certified
+    # and transported as it stands at each call
     params = PARAMS[(1, 1)]
-    f = assemble_kernel(params, 2, 0)
+    f = replace(assemble_kernel(params, 2, 0), terms=dict(assemble_kernel(params, 2, 0).terms))
     assert pde_residual(f).passed
     j = max(f.terms)
     f.terms[j] = f.terms[j] + Poly("t", [0, F(1, 7)])
@@ -624,3 +640,34 @@ def test_terms_edited_in_place_are_certified_and_transported_as_edited():
     factor = tau.value(2) * tau.value(1) / (tau.value(3) * tau.value(0))
     assert symmetry_transport(params, 0, 2, f).terms[j] == f.terms[j].scale(factor)
     assert pde_residual(assemble_kernel(params, 2, 0)).passed
+
+
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PARAMS)), st.integers(-3, 3), st.integers(-3, 3),
+       st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 9)), max_size=4))
+def test_exact_values_survive_copy_and_pickle(key, n, m, cs):
+    # the slotted values refuse setattr, so each is rebuilt by __reduce__; an
+    # assembled kernel pickled before and after its terms are read still
+    # certifies and evaluates as the memo entry does
+    params = PARAMS[key]
+    kernel._assemble.cache_clear()
+    f = assemble_kernel(params, n, m)
+    before = pickle.loads(pickle.dumps(f))
+    assert "terms" not in vars(before)
+    ts = (0.5, 3.0)
+    values = [kernel_eval(f, t) for t in ts]
+    assert pde_residual(f).passed
+    after = pickle.loads(pickle.dumps(f))
+    for g in (before, after):
+        assert g == f and pde_residual(g).passed
+        assert [kernel_eval(g, t) for t in ts] == values
+    p = Poly("t", cs)
+    for x in (p, PolyFraction(p, Poly("t", [1, F(1, 3), 1])), operator_build(params), tau_build(params),
+              alpha_table(2), f, f.terms, f.provenance, replace(f, terms=dict(f.terms))):
+        for name, trip in ROUND_TRIPS.items():
+            y = trip(x)
+            assert type(y) is type(x) and y == x, (name, x)
