@@ -462,10 +462,14 @@ def _reduced_rows(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
 def _basis_matrix(k: int, T: int) -> tuple:
     """(low, rows0, rows1): each column of _tail_matrix(k, T), folded over all
     its orders, so with one low; rows0[x][c] (rows1[x][c]) is column c's
-    numerator of t^(low+x) on I_0(2t) (I_1(2t)) over the matrix's D."""
+    numerator of t^(low+x) on I_0(2t) (I_1(2t)) over the matrix's D.  The
+    leading and trailing exponents at which every column is zero in both
+    halves (the fold's padding) are dropped: they are zero for any weights."""
     orders, rows, _ = _tail_matrix(k, T)
     cols = [_fold((j, [cell[c] for cell in rows[j]]) for j in rows) for c in range(len(orders))]
-    return cols[0][0], *(tuple(zip(*(col[i] for col in cols))) for i in (1, 2))
+    rows0, rows1 = (tuple(zip(*(col[i] for col in cols))) for i in (1, 2))
+    live = [x for x, (r0, r1) in enumerate(zip(rows0, rows1)) if any(r0) or any(r1)]
+    return cols[0][0] + live[0], rows0[live[0]:live[-1] + 1], rows1[live[0]:live[-1] + 1]
 
 
 def _laurent_pair(low: int, row0, row1, D: int) -> tuple[PolyFraction, PolyFraction]:
@@ -553,7 +557,8 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
       R_0 = A' + 2B - (2+c_0)A - A_{n+1} - c_{-1}A_{n-1},
       R_1 = B' + 2A - B/t - (2+c_0)B - B_{n+1} - c_{-1}B_{n-1}.
     I_0 and I_1 are independent over rational functions of t, so pass means
-    both Laurent polynomials vanish identically.
+    both Laurent polynomials vanish identically.  The integer rows span the
+    forms' live exponents, over one E; each form's factor to E is taken once.
     """
     params, n, m = f.params, f.n, f.m
     s, cm = _band_at(params, n)
@@ -561,16 +566,23 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
         g._basis if g._weights is not None else _reduced_rows(g.terms.items())
         for g in (f, _assemble(params, n + 1, m), _assemble(params, n - 1, m)))
     E = math.lcm(s.denominator * D, Du, cm.denominator * Dm)
+    e = E // D
+    twice, diag = 2 * e, s.numerator * (e // s.denominator)
+    up, down = -(E // Du), -cm.numerator * (E // (cm.denominator * Dm))
     lo = min(low - 1, lu, lm)
     rows = [[0] * (max(low + len(A), lu + len(Au), lm + len(Am)) - lo) for _ in "01"]
     for i, (X, Y, Xu, Xm) in enumerate(((A, B, Au, Am), (B, A, Bu, Bm))):
         row = rows[i]
-        for x, c in enumerate(X, low - 1 - lo):     # A', or B' - B/t
-            row[x] += (x + lo + 1 - i) * c * (E // D)
-        for start, vec, a in ((low, Y, 2 * (E // D)), (low, X, s.numerator * (E // (s.denominator * D))),
-                              (lu, Xu, -(E // Du)), (lm, Xm, -cm.numerator * (E // (cm.denominator * Dm)))):
+        for x, (c, y) in enumerate(zip(X, Y), low - lo):
+            if c:                       # A' - (2+c_0)A, or B' - B/t - (2+c_0)B
+                row[x - 1] += (x + lo - i) * c * e
+                row[x] += c * diag
+            if y:
+                row[x] += y * twice
+        for start, vec, a in ((lu, Xu, up), (lm, Xm, down)):
             for x, c in enumerate(vec, start - lo):
-                row[x] += c * a
+                if c:
+                    row[x] += c * a
     passed = not any(rows[0]) and not any(rows[1])
     R0, R1 = ("0", "0") if passed else map(repr, _laurent_pair(lo, *rows, E))
     return ExactZeroReport(params=params, n=n, m=m, passed=passed,

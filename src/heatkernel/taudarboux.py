@@ -500,12 +500,14 @@ def factorization_target(R: int, S: int) -> BandOperator:
     return (BandOperator({1: 1, 0: -1}) ** (2 * R)) * (BandOperator({1: 1, 0: 1}) ** (2 * S))
 
 
+@lru_cache(maxsize=1024)
 def wave_numerator(params: ParamVector, site: int, starred: bool = False) -> Poly:
     """A(x) = sum_k q_k(site) x^k for the Q (or, starred, the P*)
     coefficients q_k at the site: Lambda^k acts on x-powers (Lambda^{-k} on
     inverse powers) as multiplication by x^k, so
-    p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S).  Raises SingularTau where det
-    vanishes at the site."""
+    p_n(x) = x^n A_n(x) / ((x-1)^R (x+1)^S).  Cached per site, as every
+    gamma_series and wave function at the site reads the same one.  Raises
+    SingularTau where det vanishes at the site."""
     det, *dq = (eval_int(c, site) for c in _solution(params, starred))
     if not det:
         raise SingularTau(site)

@@ -1,6 +1,8 @@
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
@@ -16,6 +18,7 @@ from conftest import (
     two_step_gamma,
     two_step_kernel,
 )
+import heatkernel
 from heatkernel import cli, kernel, taudarboux
 from heatkernel.bessel import alpha_table, bessel_row, tail_resum
 from heatkernel.exactcore import Poly, PolyFraction, series_at_zero
@@ -547,9 +550,14 @@ def test_assemble_kernel_returns_the_memo_entry():
 
 
 def test_kernel_caches_are_bounded():
-    for cache in (kernel._assemble, kernel._tail, kernel._tail_matrix, kernel._basis_matrix,
-                  kernel._band_at, tau_build, operator_build,
-                  alpha_table, taudarboux._columns, taudarboux._solution):
+    # every lru_cache of the package, found by scanning its modules
+    modules = [importlib.import_module(f"heatkernel.{info.name}")
+               for info in pkgutil.iter_modules(heatkernel.__path__)]
+    caches = {obj for module in [heatkernel, *modules] for obj in vars(module).values()
+              if hasattr(obj, "cache_info")}
+    assert {kernel._assemble, kernel._bessel_values, taudarboux.wave_numerator,
+            cli.make_parser, alpha_table} <= caches
+    for cache in caches:
         assert cache.cache_info().maxsize is not None, cache
 
 
@@ -572,6 +580,21 @@ def test_basis_matrix_times_weights_is_the_reduced_combination(k, T, data):
     for j, p in combo:
         A, B = A + p * reps[abs(j)][0], B + p * reps[abs(j)][1]
     assert got == (A, B)
+
+
+def test_a_perturbed_weight_fails_the_certificate():
+    # the weighted path (weights times the basis matrix) is no tautology: one
+    # weight raised by 1 leaves a residual at every site pair and offset sign
+    for params in (PARAMS[(1, 0)], PARAMS[(1, 2)], PARAMS[(2, 2)],
+                   ParamVector(3, 3, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)])):
+        for n, m in [(2, 0), (0, 0), (-1, 3), (4, -4)]:
+            f = assemble_kernel(params, n, m)
+            assert pde_residual(f).passed, (params, n, m)
+            k, T, w, den = f._weights
+            for c in range(len(w)):
+                bumped = (k, T, (*w[:c], w[c] + 1, *w[c + 1:]), den)
+                g = kernel._assembled(params, n, m, dict(f.provenance), bumped)
+                assert not pde_residual(g).passed, (params, n, m, c)
 
 
 def test_pde_certificates_build_no_term_polys(monkeypatch, capsys):

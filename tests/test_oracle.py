@@ -1,19 +1,22 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm as dense_expm
 
 from conftest import PARAMS
-from heatkernel.bessel import bessel_row
+from heatkernel.bessel import UNSCALED_T_MAX, bessel_row
 from heatkernel.kernel import assemble_kernel, kernel_eval
 from heatkernel.oracle import (
+    TAIL_TOL,
     GridMismatch,
     NoConvergence,
     QuadratureSpec,
     WindowTooSmall,
+    boundary_influence,
     circle_quadrature,
     compare_kernel_to_lattice,
     compare_report,
@@ -89,6 +92,27 @@ def test_one_step_evolution_matches_closed_form():
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         lattice_evolve(free_operator(), 10, 0, 2.0)
+
+
+def test_lattice_evolution_past_the_unscaled_range_matches_closed_form():
+    # 2t = 800 > UNSCALED_T_MAX: the series bound certifies W - |m| >= 1230
+    # at t = 400 (the 40-digit threshold is 1226)
+    params = ParamVector(1, 0, [F(1, 2)])
+    res = lattice_evolve(operator_build(params), 1240, 0, 400.0)
+    closed = kernel_eval(assemble_kernel(params, 1, 0), 400.0)
+    assert res["tail_bound"] < TAIL_TOL
+    assert abs(res["values"][1 + 1240] - closed) < 1e-10
+
+
+def test_boundary_influence_bounds_the_bessel_value_on_both_sides_of_the_unscaled_range():
+    with mpmath.workdps(40):
+        for k, t in [(1226, 400.0), (1230, 400.0), (500, 360.0), (2000, 1000.0), (10, 400.0)]:
+            assert 2 * t > UNSCALED_T_MAX
+            assert boundary_influence(k, 0, t) >= mpmath.besseli(k, 2 * t), (k, t)
+        for k, t in [(5, 1.0), (40, 20.0), (300, 300.0), (800, 354.0)]:
+            bound = boundary_influence(k + 3, -3, t)
+            assert bound == bessel_row(2 * t, k).scaled(k) * math.exp(2 * t), (k, t)
+            assert abs(bound / mpmath.besseli(k, 2 * t) - 1) < 1e-12, (k, t)
 
 
 def test_source_near_boundary_rejected():
