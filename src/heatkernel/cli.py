@@ -25,8 +25,8 @@ from .bessel import bessel_row, identity_residuals, worst_of
 from .exactcore import rat
 from .kernel import (
     InternalInconsistency,
+    _decomposition_check,
     assemble_kernel,
-    decomposition_residual,
     pde_residual,
 )
 from .taudarboux import (
@@ -344,7 +344,12 @@ def cmd_verify(args) -> int:
         if -2 * args.T <= args.k <= -1:
             raise UsageError(f"--k must lie outside [-2T, -1] = [{-2 * args.T}, -1], got {args.k}")
         tol = args.tol if args.tol is not None else 1e-10
-        worst = worst_of(decomposition_residual(args.k, args.T, t) for t in ts)
+        checks = [_decomposition_check(args.k, args.T, t) for t in ts]
+        floor, t = max(zip((f for _, f in checks), ts))
+        if not floor <= tol:
+            raise UsageError(f"verify --mode decomp cannot resolve --tol {tol:g} at k={args.k}, T={args.T}, "
+                             f"t={t:g}: its float floor 2^-53 sum|terms| is {floor:.1e}")
+        worst = worst_of(e for e, _ in checks)
         detail = {"k": args.k, "T": args.T, "max_err": worst, "tolerance": tol}
         return _verify_report(args, worst <= tol, detail)
 

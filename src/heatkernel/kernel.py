@@ -21,11 +21,16 @@ A_n(x) = sum_k q_k(n) x^k, so
 gamma_d is therefore a bilinear form in the (integer-scaled) coefficients at
 n and m: a truncated product of two polynomials of degree K and the fixed
 integer power series of the denominator.  The resummed tails depend only on
-k = n - m and T: one cached integer matrix per (k, T) holds I_k(2t) and the
-2T tails over one denominator, and a kernel is that matrix times the site's
-2T+1 integer weights gamma_d tau(m) (over tau(m+1)), all on integers.  An
-assembled kernel is one shared, read-only memo entry that keeps its weights:
-its beta_j Polys are built on first read, its (I_0, I_1) form on first use.
+k = n - m and T, and both cached (k, T) tables are node-weighted sums of one
+integer primitive, S_n(k') = sum_{j > k', j = k'+1 mod 2} j^{2n+1} I_j(2t):
+the tail matrix holds I_k(2t) and the 2T tails over one denominator, the
+basis matrix the same columns folded onto (I_0, I_1).  A kernel is the
+site's 2T+1 integer weights gamma_d tau(m) (over tau(m+1)) times either
+table, all on integers.  An assembled kernel is one shared, read-only memo
+entry that keeps its weights: its beta_j Polys are built from the tail
+matrix on first read, its (I_0, I_1) form from the basis matrix on first
+certificate.  A certificate builds neither the tail matrix nor L: the band
+values at a site come from tau and the wave numerators.
 
 beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 """
@@ -38,13 +43,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .bessel import bessel_row, series_orders, tail_resum, worst_of
+from .bessel import alpha_table, bessel_row, series_orders, worst_of
 from .exactcore import Poly, PolyFraction, eval_homogeneous, eval_int
 from .taudarboux import (
     ParamVector,
     SingularTau,
     ensure_regular,
-    operator_build,
     tau_build,
     wave_numerator,
 )
@@ -80,6 +84,13 @@ class GammaSeries:
         return Fraction(self.num[d], self.den)
 
 
+@lru_cache(maxsize=1024)
+def _tau_at(params: ParamVector, n: int) -> int:
+    """tau's integer numerator at site n (tau(n) times tau's denominator), once
+    per (params, n): every ratio of tau values the kernels read is a ratio of these."""
+    return eval_int(tau_build(params).polyn.num, n)
+
+
 def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     """Series coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x), for
     n - m >= 0.
@@ -97,7 +108,7 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     """
     if n - m < 0:
         raise ValueError("gamma_series expects n - m >= 0; transport the kernel instead")
-    tau = ensure_regular(params)
+    ensure_regular(params)
     count = J + 1
     An, Am = wave_numerator(params, n), wave_numerator(params, m)
     a, b = An.num, Am.num[::-1]
@@ -109,7 +120,7 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
         for d in range(1, count):       # divide by 1 - sign x
             series[d] += sign * series[d - 1]
     scale = (-1) ** params.R * An.den * Am.den
-    if series[0] * eval_int(tau.polyn.num, n) != scale * eval_int(tau.polyn.num, n + 1):
+    if series[0] * _tau_at(params, n) != scale * _tau_at(params, n + 1):
         raise InternalInconsistency(
             f"gamma_0 = {Fraction(series[0], scale)} != tau({n+1})/tau({n})")
     return GammaSeries(n=n, m=m, num=tuple(series), den=scale)
@@ -158,8 +169,9 @@ class KernelFormula:
 
     An assembled kernel is one memo entry, shared by every caller: its `terms`
     and `provenance` are read-only, it keeps its weights (k, T, w, den), and it
-    builds `terms` on first read and its (I_0, I_1) form on first certificate.
-    A kernel built by hand, or by `replace`, has no weights."""
+    builds `terms` on first read (the tail matrix's D multiplied into den) and
+    its (I_0, I_1) form on first certificate (the basis matrix's D).  A kernel
+    built by hand, or by `replace`, has no weights."""
 
     params: ParamVector
     n: int
@@ -171,8 +183,8 @@ class KernelFormula:
     @cached_property
     def _basis(self) -> tuple:
         k, T, w, den = self._weights
-        low, *rows = _basis_matrix(k, T)
-        return (low, *(tuple(sum(map(mul, cell, w)) for cell in r) for r in rows), den)
+        low, *rows, D = _basis_matrix(k, T)
+        return (low, *(tuple(sum(map(mul, cell, w)) for cell in r) for r in rows), den * D)
 
     def beta(self, j: int) -> Poly:
         return self.terms.get(abs(j), Poly(T_VAR))
@@ -218,8 +230,9 @@ class KernelFormula:
 
 
 def _assembled(params: ParamVector, n: int, m: int, provenance: dict, weights: tuple) -> KernelFormula:
-    """The read-only kernel _tail_matrix(k, T) times the integer weights w over
-    den (the matrix's D included), for weights = (k, T, w, den)."""
+    """The read-only kernel whose (k, T) tables times the integer weights w,
+    over den times the table's own D, give its terms and its (I_0, I_1) form,
+    for weights = (k, T, w, den)."""
     f = object.__new__(KernelFormula)
     vars(f).update(params=params, n=n, m=m, provenance=_ReadOnly(provenance), _weights=weights)
     return f
@@ -227,10 +240,10 @@ def _assembled(params: ParamVector, n: int, m: int, provenance: dict, weights: t
 
 def _weighted_terms(f: KernelFormula) -> dict:
     k, T, w, den = f._weights
-    orders, rows, _ = _tail_matrix(k, T)
+    orders, rows, D = _tail_matrix(k, T)
     # orders as the columns first reach them, skipping zero weights
     return _ReadOnly({j: p for j in dict.fromkeys(j for c, js in enumerate(orders) if w[c] for j in js)
-                      if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], den))})
+                      if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], den * D))})
 
 
 # an assembled kernel builds its terms on first read, into its __dict__
@@ -291,47 +304,95 @@ def _poly_latex(p: Poly) -> str:
 
 
 def _check_degrees(terms: dict, T: int):
+    """InternalInconsistency unless every beta_j of terms {j: Poly, or its
+    integer coefficients} has degree at most 2T - 1."""
     bound = max(2 * T - 1, 0)
     for j, p in terms.items():
-        if p.degree > bound:
+        cs = p.num if isinstance(p, Poly) else p
+        if any(cs[bound + 1:]):
             raise InternalInconsistency(
-                f"beta_{j} has degree {p.degree} above the bound {bound}")
+                f"beta_{j} has degree {max(e for e, c in enumerate(cs) if c)} above the bound {bound}")
 
 
 @lru_cache(maxsize=1024)
-def _tail(first: int, i: int, T: int) -> tuple:
-    """The resummed tail attached to x^{-(first+2i)}, as (order, Poly in t)
-    pairs, for first = k + eps.
+def _power_sum(n: int, k: int) -> tuple:
+    """S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t), the one primitive
+    of both (k, T) tables, as (rows, fold, D) over one denominator D.
 
-    Its node grid {first + 2l : l < T} and its start order first + 2i - 1
-    depend on k + eps only, so every site pair with the same offset shares
-    it, and the eps = 2 branch at offset k is the eps = 1 branch at k + 1.
+    rows maps each order to the integer coefficients of its polynomial in t:
+    the depth-n alpha-table entries shifted by k, restated at theta = 2t, in
+    the order tail_resum reaches them; fold is _fold(rows.items()).  D depends
+    on n only.
     """
-    return tuple(tail_resum(node_poly(first, i, T), first + 2 * i - 1).items())
+    entries = alpha_table(n).entries
+    pieces = [(abs(s), a) for s in range(k - 2 * n, k + 2 * n + 1) if (a := entries.get((n, abs(s - k))))]
+    D = math.lcm(*(a.den for _, a in pieces))
+    rows: dict = {}
+    for j, a in pieces:
+        row, f = rows.setdefault(j, [0] * (2 * n + 2)), D // a.den
+        for e, x in enumerate(a.num):
+            row[e] += x * f << e
+    rows = {j: tuple(row) for j, row in rows.items()}
+    return rows, _fold(rows.items()), D
+
+
+def _weighted_sums(k: int, T: int) -> tuple:
+    """(sums, D): tail column (eps, i) of both (k, T) tables is
+    sum f S_n(node - 1) / D over its (f, S_n) in sums, node = k + eps + 2i.
+
+    f holds S_n's own D and the cardinal weight node_poly(k + eps, i, T) on
+    integers: j prod_{l != i} (j^2 - o_l^2) = sum_n c[n] j^{2n+1} over
+    delta = node prod_{l != i} (node^2 - o_l^2), for the nodes o_l of the
+    grid.  Raises ZeroNode for k in [-2T, -1], where some node is 0.
+    """
+    if -2 * T <= k <= -1:
+        raise ZeroNode(f"a node k+eps+2i is 0 for k={k}, T={T}")
+    M = math.lcm(*(_power_sum(n, k)[2] for n in range(T)))
+    cols = []
+    for eps in (1, 2):
+        grid = range(k + eps, k + eps + 2 * T, 2)
+        for node in grid:
+            c, delta = [1], node
+            for other in grid:
+                if other != node:       # times j^2 - other^2, a polynomial in j^2
+                    c = [b - other * other * a for a, b in zip(c + [0], [0] + c)]
+                    delta *= node * node - other * other
+            sums = [_power_sum(n, node - 1) for n in range(T)]
+            cols.append((delta, [(cn * (M // S[2]), S) for cn, S in zip(c, sums) if cn]))
+    Delta = math.lcm(*(delta for delta, _ in cols))
+    return [[(f * (Delta // delta), S) for f, S in col] for delta, col in cols], M * Delta
 
 
 @lru_cache(maxsize=256)
 def _tail_matrix(k: int, T: int) -> tuple:
     """(orders, rows, D): the kernel at offset k, linear in its 2T+1 weights,
-    as integer numerators over one denominator D.
+    as integer numerators over one denominator D, the least one.
 
     Column 0 is I_k(2t); then come the tails of branch eps = 1, slots i < T,
-    then those of eps = 2.  orders[c] lists the orders column c reaches, in
-    the order its tail gives them; rows[j][e][c] is column c's numerator of
-    the t^e coefficient in order j, for every e below the longest column
-    polynomial's length.  Parameter-free, so shared by every draw.
+    then those of eps = 2, each the node-weighted sum of the primitive's rows
+    (`_weighted_sums`).  orders[c] lists the orders column c reaches, in the
+    order tail_resum gives them; rows[j][e][c] is column c's numerator of the
+    t^e coefficient in order j.  Parameter-free, so shared by every draw.
     """
-    cols = [((k, Poly.const(T_VAR, 1)),)] + [_tail(k + eps, i, T) for eps in (1, 2)
-                                             for i in range(T)]
+    sums, D = _weighted_sums(k, T)
+    cols = [{k: [D]}]
+    for col in sums:
+        acc: dict = {}
+        for f, (rows, _, _) in col:
+            for j, row in rows.items():
+                have = acc.setdefault(j, [])
+                have.extend([0] * (len(row) - len(have)))
+                for e, x in enumerate(row):
+                    have[e] += f * x
+        cols.append({j: row for j, row in acc.items() if any(row)})
     for col in cols:                # no weighted sum of the columns has a higher degree
-        _check_degrees(dict(col), T)
-    D = math.lcm(*(p.den for col in cols for _, p in col))
-    cells = {(j, e, c): x * (D // p.den) for c, col in enumerate(cols)
-             for j, p in col for e, x in enumerate(p.num)}
-    width = max(len(p.num) for col in cols for _, p in col)
-    rows = {j: tuple(tuple(cells.get((j, e, c), 0) for c in range(len(cols))) for e in range(width))
-            for j in {j for j, _, _ in cells}}
-    return tuple(tuple(j for j, _ in col) for col in cols), rows, D
+        _check_degrees(col, T)
+    g = math.gcd(D, *(x for col in cols for row in col.values() for x in row))
+    width = max(len(row) for col in cols for row in col.values())
+    cells = [{j: [x // g for x in row] + [0] * (width - len(row)) for j, row in col.items()} for col in cols]
+    zero = [0] * width
+    rows = {j: tuple(zip(*(col.get(j, zero) for col in cells))) for j in dict.fromkeys(j for col in cols for j in col)}
+    return tuple(tuple(col) for col in cols), rows, D // g
 
 
 def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
@@ -353,12 +414,12 @@ def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     eps_branches = (1, 2) if T else ()
     J = k + 2 * T + 2 if T else 0
     gs = gamma_series(params, n, m, J)      # decides admissibility
-    tau = tau_build(params).polyn.num
     # the weight of the column of I_k (d = 0) or of tail (eps, i) (d = eps + 2i)
     # is gamma_d tau(m); all are over gs.den tau(m+1)
-    w = tuple(gs.num[d] * eval_int(tau, m) for d in (0, *range(1, 2 * T, 2), *range(2, 2 * T + 1, 2)))
-    den = _tail_matrix(k, T)[2] * gs.den * eval_int(tau, m + 1)
-    return _assembled(params, n, m, {"T": T, "eps": eps_branches, "J": J}, (k, T, w, den))
+    tm = _tau_at(params, m)
+    w = tuple(gs.num[d] * tm for d in (0, *range(1, 2 * T, 2), *range(2, 2 * T + 1, 2)))
+    return _assembled(params, n, m, {"T": T, "eps": eps_branches, "J": J},
+                      (k, T, w, gs.den * _tau_at(params, m + 1)))
 
 
 def symmetry_transport(params: ParamVector, n: int, m: int,
@@ -370,10 +431,9 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
     """
     if (f.n, f.m) != (m, n):
         raise ValueError(f"formula is for sites {(f.n, f.m)}, expected {(m, n)}")
-    tau = tau_build(params).polyn.num
-    a, b = eval_int(tau, m) * eval_int(tau, n + 1), eval_int(tau, m + 1) * eval_int(tau, n)
+    a, b = _tau_at(params, m) * _tau_at(params, n + 1), _tau_at(params, m + 1) * _tau_at(params, n)
     if b == 0:
-        raise SingularTau(m + 1 if eval_int(tau, m + 1) == 0 else n)
+        raise SingularTau(m + 1 if _tau_at(params, m + 1) == 0 else n)
     provenance = dict(f.provenance, transported=True)
     if f._weights is not None:
         k, T, w, den = f._weights
@@ -460,16 +520,38 @@ def _reduced_rows(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
 
 @lru_cache(maxsize=256)
 def _basis_matrix(k: int, T: int) -> tuple:
-    """(low, rows0, rows1): each column of _tail_matrix(k, T), folded over all
-    its orders, so with one low; rows0[x][c] (rows1[x][c]) is column c's
-    numerator of t^(low+x) on I_0(2t) (I_1(2t)) over the matrix's D.  The
-    leading and trailing exponents at which every column is zero in both
-    halves (the fold's padding) are dropped: they are zero for any weights."""
-    orders, rows, _ = _tail_matrix(k, T)
-    cols = [_fold((j, [cell[c] for cell in rows[j]]) for j in rows) for c in range(len(orders))]
-    rows0, rows1 = (tuple(zip(*(col[i] for col in cols))) for i in (1, 2))
+    """(low, rows0, rows1, D): the columns of _tail_matrix(k, T) on (I_0, I_1),
+    over their own least denominator D, without building that matrix.
+
+    Column 0 is I_k's fold, and tail column (eps, i) is the same node-weighted
+    sum of the primitive's folds as the tail matrix's of its rows; the fold is
+    linear, so this is the tail matrix folded.  rows0[x][c] (rows1[x][c]) is
+    column c's numerator of t^(low+x) on I_0(2t) (I_1(2t)).  The leading and
+    trailing exponents at which every column is zero in both halves (the fold's
+    padding) are dropped: they are zero for any weights.  The fold never raises
+    an exponent, so one above 2T - 1 trips the degree guard.
+    """
+    sums, D = _weighted_sums(k, T)
+    cols = [[(D, _fold([(k, (1,))]))]] + [[(f, fold) for f, (_, fold, _) in col] for col in sums]
+    lo = min(low for col in cols for _, (low, _, _) in col)
+    size = max(low + len(row) for col in cols for _, (low, row, _) in col) - lo
+    halves = []
+    for col in cols:
+        h0, h1 = [0] * size, [0] * size
+        for f, (low, row0, row1) in col:
+            for x, (a, b) in enumerate(zip(row0, row1), low - lo):
+                h0[x] += f * a
+                h1[x] += f * b
+        halves.append((h0, h1))
+    rows0, rows1 = (list(zip(*(h[i] for h in halves))) for i in (0, 1))
     live = [x for x, (r0, r1) in enumerate(zip(rows0, rows1)) if any(r0) or any(r1)]
-    return cols[0][0] + live[0], rows0[live[0]:live[-1] + 1], rows1[live[0]:live[-1] + 1]
+    first, last = live[0], live[-1]
+    if lo + last > max(2 * T - 1, 0):
+        raise InternalInconsistency(
+            f"the ({k}, {T}) basis matrix reaches t^{lo + last}, above the bound {max(2 * T - 1, 0)}")
+    g = math.gcd(D, *(x for r in rows0[first:last + 1] + rows1[first:last + 1] for x in r))
+    return (lo + first, *(tuple(tuple(x // g for x in r) for r in rows[first:last + 1])
+                          for rows in (rows0, rows1)), D // g)
 
 
 def _laurent_pair(low: int, row0, row1, D: int) -> tuple[PolyFraction, PolyFraction]:
@@ -495,36 +577,56 @@ def decomposition_residual(k: int, T: int, t: float) -> float:
     Reassembles e^{t(x + 1/x) - 2t} at two points of the unit circle from
     its three pieces on the scaled e^{-2t} I_j(2t): the untouched orders
     j >= 1-k plus I_k(2t) x^{-k}, the ring-member brackets for j > k+2T (up
-    to series_orders(2t)), and the resummed parity tails.  Returns the
-    maximum absolute reconstruction error over the two angles.
+    to series_orders(2t)), and the resummed parity tails, the columns of
+    _tail_matrix(k, T).  Returns the maximum absolute reconstruction error
+    over the two angles.
     """
-    terms = series_orders(2.0 * t)
+    return _decomposition_check(k, T, t)[0]
+
+
+def _decomposition_check(k: int, T: int, t: float) -> tuple[float, float]:
+    """(error, floor): decomposition_residual's error and its float floor
+    2^-53 sum |term| over both angles' sums, each term the reconstruction adds
+    or subtracts counted (each tail's pieces P_j(t) e^{-2t} I_j(2t), each
+    bracket's node weights and the target included).  The terms cancel, so
+    the error grows with this sum, not with the result."""
     if T < 1:
         raise ValueError("decomposition needs T >= 1")
+    terms = series_orders(2.0 * t)
     row = bessel_row(2.0 * t, terms + 2 * T + abs(k) + 4)
-    tq = Fraction(t)
-    tails = {eps + 2 * i: sum(float(p.subs(tq)) * row.scaled(j)
-                              for j, p in _tail(k + eps, i, T))
-             for eps in (1, 2) for i in range(T)}
-    errors = []
+    orders, rows, D = _tail_matrix(k, T)
+    tx, ty = Fraction(t).as_integer_ratio()
+    tails, mass = {}, 0.0
+    for c, d in enumerate((*range(1, 2 * T, 2), *range(2, 2 * T + 1, 2)), 1):   # P_j(t) rounded once
+        parts = [eval_homogeneous([cell[c] for cell in rows[j]], tx, ty) / (D * ty ** (len(rows[j]) - 1))
+                 * row.scaled(j) for j in orders[c]]
+        tails[d] = sum(parts)
+        mass += sum(map(abs, parts))
+    mass += sum(row.scaled(j) for j in range(1 - k, terms + 1)) + row.scaled(k)
+    brackets = {}
+    for j in range(k + 2 * T + 1, terms + 1):   # the cardinal weights of node_poly, on integers
+        grid = range(k + 2 - (j - k) % 2, k + 2 * T + 1, 2)
+        brackets[j] = [(node, j * math.prod(j * j - o * o for o in grid if o != node)
+                        / (node * math.prod(node * node - o * o for o in grid if o != node))) for node in grid]
+        mass += row.scaled(j) * (1 + sum(abs(q) for _, q in brackets[j]))
+    errors, floor = [], 0.0
     for theta in (math.pi / 7, math.pi / 3):
         x = complex(math.cos(theta), math.sin(theta))
         total = 0j
         for j in range(1 - k, terms + 1):
             total += row.scaled(j) * x ** j
         total += row.scaled(k) * x ** (-k)
-        for j in range(k + 2 * T + 1, terms + 1):
-            eps = 1 if (j - k) % 2 == 1 else 2
+        for j, weighted in brackets.items():
             bracket = x ** (-j)
-            for i in range(T):
-                node = k + eps + 2 * i
-                bracket -= float(node_poly(k + eps, i, T).subs(Fraction(j))) * x ** (-node)
+            for node, q in weighted:
+                bracket -= q * x ** (-node)
             total += row.scaled(j) * bracket
         for d, value in tails.items():
             total += value * x ** (-(k + d))
         target = complex(math.e) ** (t * (x + 1 / x) - 2 * t)
         errors.append(abs(total - target))
-    return worst_of(errors)
+        floor += 2.0 ** -53 * (mass + abs(target))
+    return worst_of(errors), floor
 
 
 @dataclass(frozen=True)
@@ -542,9 +644,16 @@ class ExactZeroReport:
 @lru_cache(maxsize=1024)
 def _band_at(params: ParamVector, n: int) -> tuple[Fraction, Fraction]:
     """(-2 - c_0(n), c_{-1}(n)) for L's coefficients at site n, shared by the
-    certificates at every m."""
-    L = operator_build(params)
-    return -2 - L.coeff_at(0, n), L.coeff_at(-1, n)
+    certificates at every m, from site values without building L: by
+    operator_build's formula, c_{-1}(n) = tau(n-1) tau(n+1) / tau(n)^2 and
+    -2 - c_0(n) = q_{K-1}(n+1) - q_{K-1}(n), read from the wave numerators
+    at n+1 and n (0 at K = 0).  SingularTau for inadmissible parameters."""
+    ensure_regular(params)
+    K, s = params.order, Fraction(0)
+    if K:
+        up, here = wave_numerator(params, n + 1), wave_numerator(params, n)
+        s = Fraction(up.num[K - 1], up.den) - Fraction(here.num[K - 1], here.den)
+    return s, Fraction(_tau_at(params, n - 1) * _tau_at(params, n + 1), _tau_at(params, n) ** 2)
 
 
 def pde_residual(f: KernelFormula) -> ExactZeroReport:

@@ -123,6 +123,16 @@ def test_verify_decomp(capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_verify_decomp_under_its_float_floor_is_a_usage_error(capsys):
+    # where the cancelling float terms put the floor above --tol the check
+    # cannot decide, so it names the floor instead of reporting FAIL
+    for k, T, t in (("1", "4", "300"), ("1", "5", "50")):
+        assert main(["verify", "--mode", "decomp", "--k", k, "--T", T, "--t", t]) == 64
+        assert "float floor" in capsys.readouterr().err, (k, T, t)
+    code, out = run_cli(capsys, ["verify", "--mode", "decomp", "--k", "1", "--T", "2", "--t", "300"])
+    assert code == 0 and "PASS" in out
+
+
 def test_verify_identities_json(capsys):
     code, out = run_cli(capsys, ["verify", "--mode", "identities",
                                  "--t", "1", "--format", "json"])

@@ -5,7 +5,7 @@ import pickle
 import pkgutil
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 
 import pytest
@@ -498,6 +498,27 @@ def test_decomposition_residual_small():
                 assert decomposition_residual(k, T, t) < 1e-10, (t, k, T)
 
 
+def test_decomposition_float_floor_bounds_the_observed_error():
+    # the cancelling float terms set the error; 2^-53 sum|terms| over both
+    # angles is at least what the check observes, up to float range of T
+    for T in range(1, 6):
+        for t in (10.0, 50.0, 300.0):
+            err, floor = kernel._decomposition_check(1, T, t)
+            assert err == decomposition_residual(1, T, t)
+            assert err <= floor, (T, t, err, floor)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.lists(_small_r, min_size=1, max_size=6))
+def test_band_values_from_sites_are_the_operator_coefficients(R, S, r):
+    # (-2 - c_0(n), c_{-1}(n)) from tau and the wave numerators, without L
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    L = operator_build(params)
+    for n in range(-8, 9):
+        assert kernel._band_at(params, n) == (-2 - L.coeff_at(0, n), L.coeff_at(-1, n)), (params, n)
+
+
 def test_kernel_json_and_text():
     f = assemble_kernel(ParamVector(1, 0, [F(1, 2)]), 0, 0)
     blob = f.to_json()
@@ -561,6 +582,62 @@ def test_kernel_caches_are_bounded():
         assert cache.cache_info().maxsize is not None, cache
 
 
+@lru_cache(maxsize=None)
+def resummed_tail(first, i, T):
+    """The resummed tail attached to x^{-(first+2i)}, as (order, Poly in t)
+    pairs, for first = k + eps: tail_resum of the Fraction cardinal
+    polynomial node_poly, the reference the kernel's integer tables match."""
+    return tuple(tail_resum(node_poly(first, i, T), first + 2 * i - 1).items())
+
+
+def table_columns(k, T):
+    """I_k(2t) and the 2T tails at offset k, in the tables' column order."""
+    return [((k, Poly.const("t", 1)),)] + [resummed_tail(k + eps, i, T) for eps in (1, 2) for i in range(T)]
+
+
+TABLE_OFFSETS = [(k, T) for T in range(6) for k in range(-12, 21) if not -2 * T <= k <= -1]
+
+
+def test_tail_matrix_is_the_resummed_tails():
+    # each column, orders in tail_resum's sequence, equals the Fraction reference
+    for k, T in TABLE_OFFSETS:
+        orders, rows, D = kernel._tail_matrix(k, T)
+        for c, col in enumerate(table_columns(k, T)):
+            assert orders[c] == tuple(j for j, _ in col), (k, T, c)
+            for j, p in col:
+                assert Poly.from_ints("t", [cell[c] for cell in rows[j]], D) == p, (k, T, c, j)
+
+
+def test_basis_matrix_is_the_folded_tail_columns():
+    # each column on (I_0, I_1) equals its tail column reduced by combo_to_basis,
+    # and the columns summed with weights 1..2T+1 equal the basis-table sum
+    reps = basis_table(40)
+    for k, T in TABLE_OFFSETS:
+        low, rows0, rows1, D = kernel._basis_matrix(k, T)
+        cols = table_columns(k, T)
+        for c, col in enumerate(cols):
+            assert kernel._laurent_pair(low, [r[c] for r in rows0], [r[c] for r in rows1], D) \
+                == combo_to_basis(col), (k, T, c)
+        w = range(1, 2 * T + 2)
+        summed = {}
+        for c, col in zip(w, cols):
+            for j, p in col:
+                summed[abs(j)] = summed.get(abs(j), Poly("t")) + p.scale(c)
+        A, B = PolyFraction.const("t", 0), PolyFraction.const("t", 0)
+        for j, p in summed.items():
+            A, B = A + p * reps[j][0], B + p * reps[j][1]
+        got = kernel._laurent_pair(low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)), D)
+        assert got == (A, B), (k, T)
+
+
+def test_a_zero_node_is_refused_by_both_tables():
+    for T in range(1, 5):
+        for k in range(-2 * T, 0):
+            for table in (kernel._tail_matrix, kernel._basis_matrix):
+                with pytest.raises(ZeroNode):
+                    table(k, T)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(-8, 8), st.integers(0, 4), st.data())
 def test_basis_matrix_times_weights_is_the_reduced_combination(k, T, data):
@@ -569,10 +646,9 @@ def test_basis_matrix_times_weights_is_the_reduced_combination(k, T, data):
     # its own terms, and summed from the basis table built upwards
     assume(not -2 * T <= k <= -1)           # a tail node k + eps + 2i is zero
     w = data.draw(st.lists(st.integers(-50, 50), min_size=2 * T + 1, max_size=2 * T + 1))
-    low, rows0, rows1 = kernel._basis_matrix(k, T)
-    got = kernel._laurent_pair(low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)),
-                               kernel._tail_matrix(k, T)[2])
-    cols = [((k, Poly.const("t", 1)),)] + [kernel._tail(k + eps, i, T) for eps in (1, 2) for i in range(T)]
+    low, rows0, rows1, D = kernel._basis_matrix(k, T)
+    got = kernel._laurent_pair(low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)), D)
+    cols = table_columns(k, T)
     combo = [(j, p.scale(c)) for c, col in zip(w, cols) for j, p in col]
     assert got == kernel._laurent_pair(*kernel._reduced_rows(combo))
     reps = basis_table(max([abs(j) for j, _ in combo] + [1]))
@@ -605,11 +681,16 @@ def test_pde_certificates_build_no_term_polys(monkeypatch, capsys):
     counted = cached_property(lambda f: builds.append(f) or build(f))
     counted.__set_name__(kernel.KernelFormula, "terms")
     monkeypatch.setattr(kernel.KernelFormula, "terms", counted)
-    kernel._assemble.cache_clear()
+    # nor the tail matrix or L: the band values come from tau and the wave numerators
+    for cache in (kernel._assemble, kernel._band_at, kernel._tail_matrix, kernel._basis_matrix,
+                  operator_build):
+        cache.cache_clear()
     assert cli.main(["verify", "--mode", "pde", "--R", "2", "--S", "2",
                      "--r", "1/3,1/7,2/5,1/11", "--range", "2"]) == 0
     assert "PASS\n  pairs = 25\n  failures = 0" in capsys.readouterr().out
     assert builds == []
+    assert operator_build.cache_info().misses == 0 and kernel._tail_matrix.cache_info().misses == 0
+    assert kernel._basis_matrix.cache_info().misses > 0
     f, g = (assemble_kernel(PARAMS[(2, 2)], 1, -1) for _ in range(2))
     assert f is g and f.terms == g.terms
     assert len(builds) == 1         # one build per memo entry
@@ -634,17 +715,26 @@ def test_assembled_kernel_terms_survive_a_memo_clear():
 
 
 def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
-    # a tail column of degree 2T trips the guard when its (k, T) matrix is built
-    def corrupt(first, i, T):
-        return ((first + 2 * i - 1, Poly("t", [0] * (2 * T) + [1])),)
+    # one piece of degree 2T in the primitive behind both (k, T) tables trips
+    # the guard of each: on reading a kernel's terms and on its certificate
+    power_sum = kernel._power_sum
 
-    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix)
+    def corrupt(n, k):
+        rows, _, D = power_sum(n, k)
+        j = next(iter(rows))
+        rows = {**rows, j: (*rows[j], *[0] * (2 * T - len(rows[j])), 1)}
+        return rows, kernel._fold(rows.items()), D
+
+    params, T = PARAMS[(1, 1)], 1
+    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._power_sum)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(kernel, "_tail", corrupt)
+    monkeypatch.setattr(kernel, "_power_sum", corrupt)
     try:
         with pytest.raises(InternalInconsistency):
-            assemble_kernel(PARAMS[(1, 1)], 2, 0)
+            assemble_kernel(params, 2, 0).terms
+        with pytest.raises(InternalInconsistency):
+            pde_residual(assemble_kernel(params, 2, 0))
     finally:
         for cache in caches:
             cache.cache_clear()
