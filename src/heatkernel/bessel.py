@@ -134,7 +134,7 @@ class AlphaTable:
     def get(self, n: int, j: int) -> Poly:
         if n < 0 or n > self.depth:
             raise KeyError(f"depth {n} outside table (max {self.depth})")
-        return self.entries.get((n, abs(j)), Poly(T))
+        return self.entries.get((n, abs(j))) or Poly(T)     # a stored entry is never zero
 
 
 def _op_diag(p: Poly) -> Poly:

@@ -345,8 +345,9 @@ def cmd_verify(args) -> int:
             raise UsageError(f"--k must lie outside [-2T, -1] = [{-2 * args.T}, -1], got {args.k}")
         tol = args.tol if args.tol is not None else 1e-10
         checks = [_decomposition_check(args.k, args.T, t) for t in ts]
-        floor, t = max(zip((f for _, f in checks), ts))
-        if not floor <= tol:
+        failed = [(floor, t) for (err, floor), t in zip(checks, ts) if not err <= tol]
+        if failed and min(failed)[0] > tol:     # every miss lies under its float floor
+            floor, t = max(failed)
             raise UsageError(f"verify --mode decomp cannot resolve --tol {tol:g} at k={args.k}, T={args.T}, "
                              f"t={t:g}: its float floor 2^-53 sum|terms| is {floor:.1e}")
         worst = worst_of(e for e, _ in checks)

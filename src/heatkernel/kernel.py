@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .bessel import alpha_table, bessel_row, series_orders, worst_of
+from .bessel import bessel_row, series_orders, tail_resum, worst_of
 from .exactcore import Poly, PolyFraction, eval_homogeneous, eval_int
 from .taudarboux import (
     ParamVector,
@@ -304,51 +304,52 @@ def _poly_latex(p: Poly) -> str:
 
 
 def _check_degrees(terms: dict, T: int):
-    """InternalInconsistency unless every beta_j of terms {j: Poly, or its
-    integer coefficients} has degree at most 2T - 1."""
+    """InternalInconsistency unless every beta_j of terms {j: integer
+    coefficients in t} has degree at most 2T - 1."""
     bound = max(2 * T - 1, 0)
-    for j, p in terms.items():
-        cs = p.num if isinstance(p, Poly) else p
+    for j, cs in terms.items():
         if any(cs[bound + 1:]):
             raise InternalInconsistency(
                 f"beta_{j} has degree {max(e for e, c in enumerate(cs) if c)} above the bound {bound}")
 
 
+def _forms(rows: dict) -> tuple:
+    """(rows, fold): sum_j P_j(t) I_j(2t) for rows {order j: integer
+    coefficients of P_j}, and its `_fold` as {exponent e: the numerators of
+    t^e on (I_0(2t), I_1(2t))}, exponents where both are zero left out."""
+    low, row0, row1 = _fold(rows.items())
+    return rows, {e: pair for e, pair in enumerate(zip(row0, row1), low) if any(pair)}
+
+
 @lru_cache(maxsize=1024)
 def _power_sum(n: int, k: int) -> tuple:
-    """S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t), the one primitive
-    of both (k, T) tables, as (rows, fold, D) over one denominator D.
-
-    rows maps each order to the integer coefficients of its polynomial in t:
-    the depth-n alpha-table entries shifted by k, restated at theta = 2t, in
-    the order tail_resum reaches them; fold is _fold(rows.items()).  D depends
-    on n only.
-    """
-    entries = alpha_table(n).entries
-    pieces = [(abs(s), a) for s in range(k - 2 * n, k + 2 * n + 1) if (a := entries.get((n, abs(s - k))))]
-    D = math.lcm(*(a.den for _, a in pieces))
-    rows: dict = {}
-    for j, a in pieces:
-        row, f = rows.setdefault(j, [0] * (2 * n + 2)), D // a.den
-        for e, x in enumerate(a.num):
-            row[e] += x * f << e
-    rows = {j: tuple(row) for j, row in rows.items()}
-    return rows, _fold(rows.items()), D
+    """(rows, fold, D): S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t),
+    the one primitive of both (k, T) tables, in `_forms` over one denominator
+    D: tail_resum of the monomial j^{2n+1}, orders in tail_resum's sequence.
+    Its degree guard (at most 2n + 1) covers every table built from it, as
+    neither a weighted sum nor the fold raises a degree."""
+    terms = tail_resum(Poly.from_ints(J_VAR, [0] * (2 * n + 1) + [1]), k)
+    D = math.lcm(*(p.den for p in terms.values()))
+    rows = {j: [c * (D // p.den) for c in p.num] for j, p in terms.items()}
+    _check_degrees(rows, n + 1)
+    return (*_forms(rows), D)
 
 
-def _weighted_sums(k: int, T: int) -> tuple:
-    """(sums, D): tail column (eps, i) of both (k, T) tables is
-    sum f S_n(node - 1) / D over its (f, S_n) in sums, node = k + eps + 2i.
+def _table_columns(k: int, T: int, form: int) -> tuple:
+    """(cols, D): the 2T+1 columns of the (k, T) tables, each over the least
+    common denominator D, in `_forms`' form 0 (rows) or 1 (fold).
 
-    f holds S_n's own D and the cardinal weight node_poly(k + eps, i, T) on
-    integers: j prod_{l != i} (j^2 - o_l^2) = sum_n c[n] j^{2n+1} over
-    delta = node prod_{l != i} (node^2 - o_l^2), for the nodes o_l of the
-    grid.  Raises ZeroNode for k in [-2T, -1], where some node is 0.
+    Column 0 is I_k(2t); then come the tails of branch eps = 1, slots i < T,
+    then those of eps = 2.  Tail column (eps, i) is sum_n c_n S_n(node - 1)
+    for node = k + eps + 2i: node_poly(k + eps, i, T) on integers is
+    j prod_{l != i} (j^2 - o_l^2) = sum_n c_n j^{2n+1} over node prod_{l != i}
+    (node^2 - o_l^2), o_l the other nodes of the grid.  The fold is linear, so
+    the fold form is the rows form folded.  Raises ZeroNode for k in
+    [-2T, -1], where some node is 0.
     """
     if -2 * T <= k <= -1:
         raise ZeroNode(f"a node k+eps+2i is 0 for k={k}, T={T}")
-    M = math.lcm(*(_power_sum(n, k)[2] for n in range(T)))
-    cols = []
+    cols = [(1, _forms({k: [1]})[form])]
     for eps in (1, 2):
         grid = range(k + eps, k + eps + 2 * T, 2)
         for node in grid:
@@ -357,10 +358,19 @@ def _weighted_sums(k: int, T: int) -> tuple:
                 if other != node:       # times j^2 - other^2, a polynomial in j^2
                     c = [b - other * other * a for a, b in zip(c + [0], [0] + c)]
                     delta *= node * node - other * other
-            sums = [_power_sum(n, node - 1) for n in range(T)]
-            cols.append((delta, [(cn * (M // S[2]), S) for cn, S in zip(c, sums) if cn]))
-    Delta = math.lcm(*(delta for delta, _ in cols))
-    return [[(f * (Delta // delta), S) for f, S in col] for delta, col in cols], M * Delta
+            sums = [(cn, _power_sum(n, node - 1)) for n, cn in enumerate(c) if cn]
+            M = math.lcm(*(S[2] for _, S in sums))
+            acc: dict = {}
+            for cn, S in sums:
+                f = cn * (M // S[2])
+                for key, row in S[form].items():
+                    have = acc.get(key) or acc.setdefault(key, [0] * (2 * T, 2)[form])
+                    for e, x in enumerate(row):
+                        have[e] += f * x
+            cols.append((delta * M, {key: row for key, row in acc.items() if any(row)}))
+    D = math.lcm(*(d for d, _ in cols))
+    g = math.gcd(D, *(x * (D // d) for d, col in cols for row in col.values() for x in row))
+    return [{key: [x * (D // d) // g for x in row] for key, row in col.items()} for d, col in cols], D // g
 
 
 @lru_cache(maxsize=256)
@@ -368,31 +378,17 @@ def _tail_matrix(k: int, T: int) -> tuple:
     """(orders, rows, D): the kernel at offset k, linear in its 2T+1 weights,
     as integer numerators over one denominator D, the least one.
 
-    Column 0 is I_k(2t); then come the tails of branch eps = 1, slots i < T,
-    then those of eps = 2, each the node-weighted sum of the primitive's rows
-    (`_weighted_sums`).  orders[c] lists the orders column c reaches, in the
-    order tail_resum gives them; rows[j][e][c] is column c's numerator of the
-    t^e coefficient in order j.  Parameter-free, so shared by every draw.
+    The columns are `_table_columns`' rows form.  orders[c] lists the orders
+    column c reaches, in the order tail_resum gives them; rows[j][e][c] is
+    column c's numerator of the t^e coefficient in order j.  Parameter-free,
+    so shared by every draw.
     """
-    sums, D = _weighted_sums(k, T)
-    cols = [{k: [D]}]
-    for col in sums:
-        acc: dict = {}
-        for f, (rows, _, _) in col:
-            for j, row in rows.items():
-                have = acc.setdefault(j, [])
-                have.extend([0] * (len(row) - len(have)))
-                for e, x in enumerate(row):
-                    have[e] += f * x
-        cols.append({j: row for j, row in acc.items() if any(row)})
-    for col in cols:                # no weighted sum of the columns has a higher degree
-        _check_degrees(col, T)
-    g = math.gcd(D, *(x for col in cols for row in col.values() for x in row))
+    cols, D = _table_columns(k, T, 0)
     width = max(len(row) for col in cols for row in col.values())
-    cells = [{j: [x // g for x in row] + [0] * (width - len(row)) for j, row in col.items()} for col in cols]
-    zero = [0] * width
-    rows = {j: tuple(zip(*(col.get(j, zero) for col in cells))) for j in dict.fromkeys(j for col in cols for j in col)}
-    return tuple(tuple(col) for col in cols), rows, D // g
+    zero = (0,) * width
+    rows = {j: tuple(zip(*((*col[j], *zero[len(col[j]):]) if j in col else zero for col in cols)))
+            for j in dict.fromkeys(j for col in cols for j in col)}
+    return tuple(tuple(col) for col in cols), rows, D
 
 
 def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
@@ -521,37 +517,14 @@ def _reduced_rows(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
 @lru_cache(maxsize=256)
 def _basis_matrix(k: int, T: int) -> tuple:
     """(low, rows0, rows1, D): the columns of _tail_matrix(k, T) on (I_0, I_1),
-    over their own least denominator D, without building that matrix.
-
-    Column 0 is I_k's fold, and tail column (eps, i) is the same node-weighted
-    sum of the primitive's folds as the tail matrix's of its rows; the fold is
-    linear, so this is the tail matrix folded.  rows0[x][c] (rows1[x][c]) is
-    column c's numerator of t^(low+x) on I_0(2t) (I_1(2t)).  The leading and
-    trailing exponents at which every column is zero in both halves (the fold's
-    padding) are dropped: they are zero for any weights.  The fold never raises
-    an exponent, so one above 2T - 1 trips the degree guard.
-    """
-    sums, D = _weighted_sums(k, T)
-    cols = [[(D, _fold([(k, (1,))]))]] + [[(f, fold) for f, (_, fold, _) in col] for col in sums]
-    lo = min(low for col in cols for _, (low, _, _) in col)
-    size = max(low + len(row) for col in cols for _, (low, row, _) in col) - lo
-    halves = []
-    for col in cols:
-        h0, h1 = [0] * size, [0] * size
-        for f, (low, row0, row1) in col:
-            for x, (a, b) in enumerate(zip(row0, row1), low - lo):
-                h0[x] += f * a
-                h1[x] += f * b
-        halves.append((h0, h1))
-    rows0, rows1 = (list(zip(*(h[i] for h in halves))) for i in (0, 1))
-    live = [x for x, (r0, r1) in enumerate(zip(rows0, rows1)) if any(r0) or any(r1)]
-    first, last = live[0], live[-1]
-    if lo + last > max(2 * T - 1, 0):
-        raise InternalInconsistency(
-            f"the ({k}, {T}) basis matrix reaches t^{lo + last}, above the bound {max(2 * T - 1, 0)}")
-    g = math.gcd(D, *(x for r in rows0[first:last + 1] + rows1[first:last + 1] for x in r))
-    return (lo + first, *(tuple(tuple(x // g for x in r) for r in rows[first:last + 1])
-                          for rows in (rows0, rows1)), D // g)
+    `_table_columns`' fold form, over their own least denominator D, without
+    building that matrix.  rows0[x][c] (rows1[x][c]) is column c's numerator
+    of t^(low+x) on I_0(2t) (I_1(2t)).  The leading and trailing exponents at
+    which every column is zero in both halves (the fold's padding) are left
+    out: they are zero for any weights."""
+    cols, D = _table_columns(k, T, 1)
+    exps = range(min(e for col in cols for e in col), max(e for col in cols for e in col) + 1)
+    return (exps[0], *(tuple(tuple(col.get(e, (0, 0))[h] for col in cols) for e in exps) for h in (0, 1)), D)
 
 
 def _laurent_pair(low: int, row0, row1, D: int) -> tuple[PolyFraction, PolyFraction]:

@@ -124,13 +124,15 @@ def test_verify_decomp(capsys):
 
 
 def test_verify_decomp_under_its_float_floor_is_a_usage_error(capsys):
-    # where the cancelling float terms put the floor above --tol the check
-    # cannot decide, so it names the floor instead of reporting FAIL
+    # where the cancelling float terms put the error and the floor above --tol
+    # the check cannot decide, so it names the floor instead of reporting FAIL;
+    # an error within --tol passes, also above a floor of 1.2e-10 at (1, 3, 50)
     for k, T, t in (("1", "4", "300"), ("1", "5", "50")):
         assert main(["verify", "--mode", "decomp", "--k", k, "--T", T, "--t", t]) == 64
         assert "float floor" in capsys.readouterr().err, (k, T, t)
-    code, out = run_cli(capsys, ["verify", "--mode", "decomp", "--k", "1", "--T", "2", "--t", "300"])
-    assert code == 0 and "PASS" in out
+    for T, t in (("2", "300"), ("3", "50")):
+        code, out = run_cli(capsys, ["verify", "--mode", "decomp", "--k", "1", "--T", T, "--t", t])
+        assert code == 0 and "PASS" in out, (T, t)
 
 
 def test_verify_identities_json(capsys):

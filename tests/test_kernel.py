@@ -348,7 +348,7 @@ def test_kernel_quadratures_at_random_admissible_draws(R, S, r, n, m):
 
 def test_degree_guard_trips_on_corrupt_formula():
     with pytest.raises(InternalInconsistency):
-        _check_degrees({0: Poly("t", [0, 0, 0, 1])}, 1)
+        _check_degrees({0: [0, 0, 0, 1]}, 1)
 
 
 def test_symmetry_transport_factor():
@@ -715,21 +715,21 @@ def test_assembled_kernel_terms_survive_a_memo_clear():
 
 
 def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
-    # one piece of degree 2T in the primitive behind both (k, T) tables trips
-    # the guard of each: on reading a kernel's terms and on its certificate
-    power_sum = kernel._power_sum
+    # a piece t^{2T} (I_j(2t) - I_{j+2}(2t)) in the primitive behind both (k, T)
+    # tables trips the guard of each, on reading a kernel's terms and on its
+    # certificate, though the fold lowers it to (j + 1) t^{2T-1} I_{j+1}(2t)
+    resum = kernel.tail_resum
 
-    def corrupt(n, k):
-        rows, _, D = power_sum(n, k)
-        j = next(iter(rows))
-        rows = {**rows, j: (*rows[j], *[0] * (2 * T - len(rows[j])), 1)}
-        return rows, kernel._fold(rows.items()), D
+    def corrupt(q, k):
+        terms = resum(q, k)
+        j, piece = next(iter(terms)), Poly.from_ints("t", [0] * 2 * T + [1])
+        return {**terms, j: terms[j] + piece, j + 2: terms.get(j + 2, Poly("t")) - piece}
 
     params, T = PARAMS[(1, 1)], 1
     caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._power_sum)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(kernel, "_power_sum", corrupt)
+    monkeypatch.setattr(kernel, "tail_resum", corrupt)
     try:
         with pytest.raises(InternalInconsistency):
             assemble_kernel(params, 2, 0).terms
