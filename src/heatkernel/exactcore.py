@@ -28,6 +28,8 @@ Rational = Fraction
 
 #: degree reported for the zero polynomial
 ZERO_DEGREE = -1
+#: the primes of integer_roots' no-zero scan, cheapest first
+_SCAN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -270,7 +272,9 @@ class Poly:
     __call__ = subs
 
     def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """str of each Fraction coefficient, from its numerator by one gcd."""
+        d = self.den
+        return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in self.num]
 
     def __repr__(self):
         if not self.num:
@@ -317,7 +321,10 @@ def integer_roots(coeffs: list[int]) -> list[int]:
     """Sorted distinct integer zeros of a nonzero integer polynomial
     (coefficients lowest degree first).
 
-    Every real zero lies strictly inside the Cauchy bound
+    Degree 1 is solved directly.  An integer zero x makes x mod q a zero of
+    the polynomial mod q, for every prime q; so when the primitive part has
+    no zero in F_q for some q in _SCAN_PRIMES, there is no integer zero.
+    Otherwise every real zero lies strictly inside the Cauchy bound
     B = 1 + max_i ceil(|a_i| / |a_d|).  Between consecutive points of
     _brackets the polynomial is monotone or the points are adjacent integers,
     so each integer zero is one of those points.
@@ -328,9 +335,20 @@ def integer_roots(coeffs: list[int]) -> list[int]:
         raise ValueError("the zero polynomial vanishes everywhere")
     if len(coeffs) == 1:
         return []
+    if len(coeffs) == 2:
+        return [] if coeffs[0] % coeffs[1] else [-coeffs[0] // coeffs[1]]
+    content = gcd(*coeffs)
+    if not all(_has_zero_mod([c // content for c in coeffs], q) for q in _SCAN_PRIMES):
+        return []
     lead = abs(coeffs[-1])
     bound = 1 + max(-(-abs(c) // lead) for c in coeffs[:-1])
     return [x for x in _brackets(coeffs, -bound, bound) if eval_int(coeffs, x) == 0]
+
+
+def _has_zero_mod(coeffs: list[int], q: int) -> bool:
+    """Whether the integer polynomial has a zero in F_q, tried at each residue."""
+    small = [c % q for c in coeffs]
+    return any(eval_int(small, x) % q == 0 for x in range(q))
 
 
 def _brackets(coeffs: list[int], lo: int, hi: int) -> list[int]:
@@ -474,19 +492,26 @@ class PolyFraction:
         num._check(den)
         if den.is_zero():
             raise ZeroDenominator(f"zero denominator in variable {num.var!r}")
-        if num.is_zero():
-            den = Poly.const(num.var, 1)
-        else:
+        if not num.is_zero():
             g = poly_gcd(num, den)
             if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead = den.leading
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+                num, den = num // g, den // g
+        self._set(num, den)
+
+    def _set(self, num: Poly, den: Poly) -> "PolyFraction":
+        if num.is_zero():
+            den = Poly.const(num.var, 1)
+        elif den.num[-1] != den.den:             # den not monic
+            num, den = num.scale(1 / den.leading), den.scale(1 / den.leading)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
+    def coprime(cls, num: Poly, den: Poly) -> "PolyFraction":
+        """num / den for a numerator and a nonzero denominator already known
+        coprime: the denominator made monic, 0 as 0/1, and no gcd run."""
+        return object.__new__(cls)._set(num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyFraction is immutable")

@@ -34,6 +34,7 @@ from .exactcore import (
     ZeroDenominator,
     eval_int,
     integer_roots,
+    poly_gcd,
     rat,
 )
 
@@ -467,12 +468,27 @@ def operator_build(params: ParamVector) -> BandOperator:
     L comes from L0 by Darboux transformations, so Q = sum_k q_k Lambda^k
     intertwines them: L Q = Q L0.  Its Lambda^K terms give the diagonal
     -2 - (q_{K-1}(n+1) - q_{K-1}(n)), read off _solution (-2 at K = 0).
+
+    Each coefficient is one fraction, as kernel._band_at forms it at a site:
+    with q_{K-1} = a/b reduced by gcd(a, b) (b divides det, a multiple of
+    tau), the diagonal is -2 - (a(n+1) b(n) - a(n) b(n+1)) / (b(n) b(n+1)).
+    Lemma: if gcd(tau(n), tau(n+1)) = 1, both fractions are reduced.  Then
+    b(n) and b(n+1) are coprime, so a prime factor of b(n) divides the
+    numerator only if it divides a(n) b(n+1), and likewise for b(n+1); and
+    tau(n) is coprime to tau(n+1) and tau(n-1).  Otherwise both fractions go
+    through the reducing PolyFraction constructor.
     """
     t0 = ensure_regular(params).polyn
-    det, *dq = (Poly.from_ints(N, c) for c in _solution(params, False))
-    q = PolyFraction(dq[-1] if dq else det, det)
-    diag = PolyFraction.const(N, -2) - q.shift(1) + q
-    sub = PolyFraction(t0.shift(-1) * t0.shift(1), t0 * t0)
+    b, *dq = (Poly.from_ints(N, c) for c in _solution(params, False))
+    a = dq[-1] if dq else b
+    g = poly_gcd(a, b)
+    if g.degree > 0:
+        a, b = a // g, b // g
+    a1, b1 = a.shift(1), b.shift(1)
+    bb = b * b1
+    make = PolyFraction.coprime if poly_gcd(t0, t0.shift(1)).degree == 0 else PolyFraction
+    diag = make(a * b1 - a1 * b - 2 * bb, bb)
+    sub = make(t0.shift(-1) * t0.shift(1), t0 * t0)
     return BandOperator({1: 1, 0: diag, -1: sub})
 
 
@@ -516,11 +532,18 @@ def wave_numerator(params: ParamVector, site: int, starred: bool = False) -> Pol
 
 def _wave(params: ParamVector, site: int, starred: bool, exp: int) -> PolyFraction:
     """x^exp A(x) / ((x-1)^R (x+1)^S) in x for the wave numerator A at the
-    site: x^|exp| by zero-padding, in the denominator when exp < 0."""
-    den = Poly("x", [-1, 1]) ** params.R * Poly("x", [1, 1]) ** params.S
-    num, den = (Poly.from_ints("x", (0,) * max(e, 0) + p.num, p.den)
-                for p, e in ((wave_numerator(params, site, starred), exp), (den, -exp)))
-    return PolyFraction(num, den)
+    site: x^|exp| by zero-padding, in the denominator when exp < 0.  The
+    denominator's factors x, x - 1, x + 1 are divided out of the numerator
+    (synthetic division) while both hold them, leaving it reduced, no gcd."""
+    A = wave_numerator(params, site, starred)
+    num, den = [0] * max(exp, 0) + list(A.num), Poly.const("x", 1)
+    for root, power in ((0, max(-exp, 0)), (1, params.R), (-1, params.S)):
+        while power and eval_int(num, root) == 0:
+            for k in range(len(num) - 2, 0, -1):
+                num[k] += root * num[k + 1]
+            num, power = num[1:], power - 1
+        den = den * Poly.from_ints("x", [-root, 1]) ** power
+    return PolyFraction.coprime(Poly.from_ints("x", num, A.den), den)
 
 
 def wave_p(params: ParamVector, n: int) -> PolyFraction:

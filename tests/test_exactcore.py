@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SEED, solve_exact, two_step_gamma, two_step_tau, two_step_wave
 from heatkernel import exactcore
@@ -558,3 +558,43 @@ def test_integer_roots_match_scan():
         coeffs = _planted(roots, extra)
         scan = [x for x in range(-40, 41) if eval_int(coeffs, x) == 0]
         assert integer_roots(coeffs) == scan, coeffs
+
+
+def test_integer_roots_scan_reads_every_residue():
+    # (x - rho)(q x - 1) has a zero mod every prime, but mod q only at rho:
+    # a scan that skipped the residue rho mod q would call it zero-free
+    for q in exactcore._SCAN_PRIMES:
+        for rho in range(-q, q):
+            assert integer_roots(_planted([rho], (-1, q))) == [rho], (q, rho)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 60), max_size=2), st.lists(st.integers(-30, 30), max_size=3))
+def test_integer_roots_with_a_zero_mod_every_scan_prime(ks, roots):
+    # (x^2 + 1)(2x - 1) has a zero mod 2 (x = 1) and mod every odd prime
+    # (x = 1/2) but none in Z, nor has k x - 1 for k >= 2: no scan prime
+    # certifies, and the bracket finder decides
+    extra = Poly("x", [1, 0, 1]) * Poly("x", [-1, 2])
+    for k in ks:
+        extra = extra * Poly("x", [-1, k])
+    coeffs = _planted(roots, extra.num)
+    assert all(exactcore._has_zero_mod(coeffs, q) for q in exactcore._SCAN_PRIMES)
+    assert integer_roots(coeffs) == sorted(set(roots))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                          st.builds(F, st.integers(-99, 99), st.integers(1, 60))), max_size=7))
+def test_to_strings_matches_fraction_str(cs):
+    p = Poly("x", cs)
+    assert p.to_strings() == [str(c) for c in p.coeffs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_poly, _poly, _coeff)
+def test_coprime_constructor_matches_the_reducing_one(u, v, c):
+    assume(not v.is_zero())
+    g = poly_gcd(u, v)
+    num, den = (u // g).scale(c), v // g
+    f, ref = PolyFraction.coprime(num, den), PolyFraction(num, den)
+    assert (f.num, f.den) == (ref.num, ref.den)

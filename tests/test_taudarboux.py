@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import PARAMS, SEED, two_step_tau, two_step_wave
 from heatkernel.exactcore import (
@@ -27,6 +28,7 @@ from heatkernel.taudarboux import (
     tau_build,
     wave_p,
     wave_p_star,
+    wave_numerator,
     wave_p_star_via_adjoint,
 )
 
@@ -224,6 +226,58 @@ def test_operator_singular_parameters():
         operator_build(ParamVector(1, 0, [F(3)]))
 
 
+def _reducing_operator(params):
+    """operator_build's formula through the reducing PolyFraction arithmetic
+    (eight generic gcds): the reference for its coprime construction."""
+    t0 = ensure_regular(params).polyn
+    det, *dq = (Poly.from_ints("n", c) for c in taudarboux._solution(params, False))
+    q = PolyFraction(dq[-1] if dq else det, det)
+    diag = PolyFraction.const("n", -2) - q.shift(1) + q
+    sub = PolyFraction(t0.shift(-1) * t0.shift(1), t0 * t0)
+    return BandOperator({1: 1, 0: diag, -1: sub})
+
+
+# (1,1) draws with deg gcd(tau(n), tau(n+1)) = 1 and deg gcd(a, b) = 2 for
+# q_{K-1} = a/b: tau is 2(n + 1/2)(n + 3/2) and 2(n - 2/3)(n + 1/3)
+_SHARED_SHIFT = (ParamVector(1, 1, [F(1, 2), F(1, 4)]), ParamVector(1, 1, [F(-2, 3), F(-1, 3)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.lists(_small_r, min_size=1, max_size=6))
+@example(1, 1, [F(1, 2), F(1, 4)])
+@example(1, 1, [F(-2, 3), F(-1, 3)])
+def test_operator_build_matches_the_reducing_formula(R, S, r):
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    L, ref = operator_build(params), _reducing_operator(params)
+    assert L == ref and L.to_json() == ref.to_json()
+
+
+def test_operator_build_reduces_where_tau_shares_a_factor_with_its_shift(monkeypatch):
+    reduced = []
+
+    class Spy(PolyFraction):
+        def __init__(self, num, den=None):
+            if den is not None:
+                reduced.append(den)
+            super().__init__(num, den)
+
+    monkeypatch.setattr(taudarboux, "PolyFraction", Spy)
+    for params in _SHARED_SHIFT:
+        tau = tau_build(params).polyn
+        assert taudarboux.poly_gcd(tau, tau.shift(1)).degree == 1
+        det, _, a = (Poly.from_ints("n", c) for c in taudarboux._solution(params, False))
+        assert taudarboux.poly_gcd(a, det).degree == 2
+        del reduced[:]
+        L = operator_build.__wrapped__(params)
+        assert len(reduced) == 2, params        # the diagonal and the subdiagonal
+        ref = _reducing_operator(params)
+        assert L == ref and L.to_json() == ref.to_json()
+    del reduced[:]
+    operator_build.__wrapped__(PARAMS[(2, 2)])
+    assert reduced == []
+
+
 def test_qp_trivial():
     Q, P = qp_build(PARAMS[(0, 0)])
     assert Q == BandOperator.identity() and P == BandOperator.identity()
@@ -343,6 +397,33 @@ def test_duality_between_routes():
             ps = wave_p_star_via_adjoint(params, n + 1)
             rhs = ps * X * tau.value(n + 1)
             assert lhs == rhs, (key, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.lists(_small_r, min_size=1, max_size=6),
+       st.integers(-6, 6))
+def test_wave_functions_match_the_reducing_constructor(R, S, r, n):
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    pole = (X - 1) ** R * (X + 1) ** S
+    for got, A, exp in ((wave_p(params, n), wave_numerator(params, n), n),
+                        (wave_p_star_via_adjoint(params, n), wave_numerator(params, n - 1, True), -n)):
+        ref = PolyFraction(A * X ** max(exp, 0), pole * X ** max(-exp, 0))
+        assert (got.num, got.den) == (ref.num, ref.den), (params, n, exp)
+
+
+def test_wave_reduction_divides_out_planted_factors(monkeypatch):
+    # numerators holding x, x - 1 and x + 1 to powers below, at and above
+    # the denominator's reduce as the generic gcd reduces them
+    params = ParamVector(2, 1, [F(1, 3), F(1, 7)])
+    core = Poly("x", [F(3, 5), 2, -1])              # no zero at 0, 1 or -1
+    for i, j, k in itertools.product(range(4), range(3), range(3)):
+        A = core * (X - 1) ** i * (X + 1) ** j * X ** k
+        monkeypatch.setattr(taudarboux, "wave_numerator", lambda *_, A=A: A)
+        for exp in (-3, 0, 2):
+            got = taudarboux._wave(params, 0, False, exp)
+            ref = PolyFraction(A * X ** max(exp, 0), (X - 1) ** 2 * (X + 1) * X ** max(-exp, 0))
+            assert (got.num, got.den) == (ref.num, ref.den), (i, j, k, exp)
 
 
 def test_wave_p_star_equals_adjoint_route():
