@@ -20,13 +20,14 @@ A_n(x) = sum_k q_k(n) x^k, so
 
 gamma_d is therefore a bilinear form in the (integer-scaled) coefficients at
 n and m: a truncated product of two polynomials of degree K and the fixed
-integer power series of the denominator.  The resummed tails depend only on
-k = n - m and T, and both cached (k, T) tables are node-weighted sums of one
-integer primitive, S_n(k') = sum_{j > k', j = k'+1 mod 2} j^{2n+1} I_j(2t):
-the tail matrix holds I_k(2t) and the 2T tails over one denominator, the
-basis matrix the same columns folded onto (I_0, I_1).  A kernel is the
-site's 2T+1 integer weights gamma_d tau(m) (over tau(m+1)) times either
-table, all on integers.  An assembled kernel is one shared, read-only memo
+integer power series of the denominator, up to gamma_{2T}.  The resummed
+tails depend only on k = n - m and T, and both cached (k, T) tables are
+node-weighted sums of one integer primitive, S_n(k') = sum_{j > k',
+j = k'+1 mod 2} j^{2n+1} I_j(2t), built once per node grid: the tail matrix
+holds I_k(2t) and the 2T tails over one denominator, the basis matrix the
+same columns folded onto (I_0, I_1).  A kernel is the site's 2T+1 integer
+weights gamma_d tau(m) (over tau(m+1)), divided by their content, times
+either table, all on integers.  An assembled kernel is one shared, read-only memo
 entry that keeps its weights: its beta_j Polys are built from the tail
 matrix on first read, its (I_0, I_1) form from the basis matrix on first
 certificate.  A certificate builds neither the tail matrix nor L: the band
@@ -93,7 +94,7 @@ def _tau_at(params: ParamVector, n: int) -> int:
 
 def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     """Series coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x), for
-    n - m >= 0.
+    n - m >= 0.  A kernel reads gamma_0..gamma_{2T}, so it asks for J = 2T.
 
     With a = D_n A_n and b = D_m B_m the integer numerators of A_n and B_m
     over their denominators D_n, D_m (B_m is A_m reversed; see the module
@@ -168,10 +169,10 @@ class KernelFormula:
     """u(n,m,t) = e^{-2t} sum_j beta_j(t) I_j(2t), finitely many j >= 0.
 
     An assembled kernel is one memo entry, shared by every caller: its `terms`
-    and `provenance` are read-only, it keeps its weights (k, T, w, den), and it
-    builds `terms` on first read (the tail matrix's D multiplied into den) and
-    its (I_0, I_1) form on first certificate (the basis matrix's D).  A kernel
-    built by hand, or by `replace`, has no weights."""
+    and `provenance` are read-only, it keeps its reduced weights (k, T, w, den),
+    and it builds `terms` on first read (the tail matrix's D multiplied into
+    den) and its (I_0, I_1) form on first certificate (the basis matrix's D).
+    A kernel built by hand, or by `replace`, has no weights."""
 
     params: ParamVector
     n: int
@@ -232,9 +233,14 @@ class KernelFormula:
 def _assembled(params: ParamVector, n: int, m: int, provenance: dict, weights: tuple) -> KernelFormula:
     """The read-only kernel whose (k, T) tables times the integer weights w,
     over den times the table's own D, give its terms and its (I_0, I_1) form,
-    for weights = (k, T, w, den)."""
+    for weights = (k, T, w, den), kept divided by gcd(den, *w): about half
+    den's bits, more on transported kernels, that every certificate product
+    would carry.  `terms` are normalised Polys, so they do not change."""
+    k, T, w, den = weights
+    g = math.gcd(den, *w)
     f = object.__new__(KernelFormula)
-    vars(f).update(params=params, n=n, m=m, provenance=_ReadOnly(provenance), _weights=weights)
+    vars(f).update(params=params, n=n, m=m, provenance=_ReadOnly(provenance),
+                   _weights=(k, T, tuple(c // g for c in w), den // g))
     return f
 
 
@@ -313,61 +319,92 @@ def _check_degrees(terms: dict, T: int):
                 f"beta_{j} has degree {max(e for e, c in enumerate(cs) if c)} above the bound {bound}")
 
 
-def _forms(rows: dict) -> tuple:
-    """(rows, fold): sum_j P_j(t) I_j(2t) for rows {order j: integer
-    coefficients of P_j}, and its `_fold` as {exponent e: the numerators of
-    t^e on (I_0(2t), I_1(2t))}, exponents where both are zero left out."""
+def _folded(rows: dict) -> dict:
+    """`_fold` of sum_j P_j(t) I_j(2t), for rows {order j: integer coefficients
+    of P_j}, as {exponent e: the numerators of t^e on (I_0(2t), I_1(2t))},
+    exponents where both are zero left out."""
     low, row0, row1 = _fold(rows.items())
-    return rows, {e: pair for e, pair in enumerate(zip(row0, row1), low) if any(pair)}
+    return {e: pair for e, pair in enumerate(zip(row0, row1), low) if any(pair)}
 
 
 @lru_cache(maxsize=1024)
 def _power_sum(n: int, k: int) -> tuple:
-    """(rows, fold, D): S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t),
-    the one primitive of both (k, T) tables, in `_forms` over one denominator
-    D: tail_resum of the monomial j^{2n+1}, orders in tail_resum's sequence.
-    Its degree guard (at most 2n + 1) covers every table built from it, as
-    neither a weighted sum nor the fold raises a degree."""
+    """(rows, D): S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t), the
+    one primitive of both (k, T) tables, as integer rows per order over D:
+    tail_resum of the monomial j^{2n+1}, orders in its sequence.  Its degree
+    guard (at most 2n + 1) covers both tables, as no weighted sum, fold or
+    telescoping step raises a degree."""
     terms = tail_resum(Poly.from_ints(J_VAR, [0] * (2 * n + 1) + [1]), k)
     D = math.lcm(*(p.den for p in terms.values()))
     rows = {j: [c * (D // p.den) for c in p.num] for j, p in terms.items()}
     _check_degrees(rows, n + 1)
-    return (*_forms(rows), D)
+    return rows, D
+
+
+@lru_cache(maxsize=1024)
+def _power_fold(n: int, k: int) -> tuple:
+    """(fold, D): S_n(k) on (I_0, I_1), `_folded` entries over D.  Below k = 2
+    and at every k = 0, 1 mod 32 (so recursion stays shallow) it is the fold
+    of `_power_sum(n, k)`, which runs the degree guard; between these bases
+    it telescopes, S_n(k) = S_n(k - 2) - (k - 1)^{2n+1} I_{k-1}(2t), one
+    folded Bessel function per step, exact as (I_0, I_1) are independent."""
+    if k < 2 or k % 32 < 2:
+        rows, D = _power_sum(n, k)
+        return _folded(rows), D
+    fold, D = _power_fold(n, k - 2)
+    out = dict(fold)
+    for e, (a, b) in _folded({k - 1: [-(k - 1) ** (2 * n + 1) * D]}).items():
+        x, y = out.get(e, (0, 0))
+        out[e] = (x + a, y + b)
+    return {e: pair for e, pair in out.items() if any(pair)}, D
+
+
+@lru_cache(maxsize=512)
+def _grid_columns(f: int, T: int, form: int) -> tuple:
+    """((den, col), ...): the T tail columns of the node grid {f + 2i : i < T},
+    integer rows per order (form 0) or the fold (form 1) over each den; the
+    second grid of (k, T) is the first of (k + 1, T).  Column i is
+    sum_n c_n S_n(node - 1) / delta, node = f + 2i: node_poly(f, i, T) on
+    integers is j prod_{l != i} (j^2 - o_l^2) = sum_n c_n j^{2n+1} over
+    delta = node prod_{l != i} (node^2 - o_l^2), o_l the other nodes.  It
+    vanishes there, so by `_power_fold`'s telescoping S_n(f - 1) gives the
+    same function: the fold, unique on (I_0, I_1), reads those T primitives
+    for every column; the rows keep tail_resum's orders at each node."""
+    grid = range(f, f + 2 * T, 2)
+    out = []
+    for node in grid:
+        c, delta = [1], node
+        for other in grid:
+            if other != node:           # times j^2 - other^2, a polynomial in j^2
+                c = [b - other * other * a for a, b in zip(c + [0], [0] + c)]
+                delta *= node * node - other * other
+        sums = [(cn, _power_fold(n, f - 1) if form else _power_sum(n, node - 1))
+                for n, cn in enumerate(c) if cn]
+        M = math.lcm(*(D for _, (_, D) in sums))
+        acc: dict = {}
+        for cn, (S, D) in sums:
+            w = cn * (M // D)
+            for key, row in S.items():
+                have = acc.get(key) or acc.setdefault(key, [0] * (2 * T, 2)[form])
+                for e, x in enumerate(row):
+                    have[e] += w * x
+        out.append((delta * M, {key: tuple(row) for key, row in acc.items() if any(row)}))
+    return tuple(out)
 
 
 def _table_columns(k: int, T: int, form: int) -> tuple:
     """(cols, D): the 2T+1 columns of the (k, T) tables, each over the least
-    common denominator D, in `_forms`' form 0 (rows) or 1 (fold).
+    common denominator D, as rows (form 0) or the fold (form 1).
 
     Column 0 is I_k(2t); then come the tails of branch eps = 1, slots i < T,
-    then those of eps = 2.  Tail column (eps, i) is sum_n c_n S_n(node - 1)
-    for node = k + eps + 2i: node_poly(k + eps, i, T) on integers is
-    j prod_{l != i} (j^2 - o_l^2) = sum_n c_n j^{2n+1} over node prod_{l != i}
-    (node^2 - o_l^2), o_l the other nodes of the grid.  The fold is linear, so
-    the fold form is the rows form folded.  Raises ZeroNode for k in
+    then those of eps = 2: the cached `_grid_columns` of the grids from k + 1
+    and k + 2, so a table only joins and normalises.  Raises ZeroNode for k in
     [-2T, -1], where some node is 0.
     """
     if -2 * T <= k <= -1:
         raise ZeroNode(f"a node k+eps+2i is 0 for k={k}, T={T}")
-    cols = [(1, _forms({k: [1]})[form])]
-    for eps in (1, 2):
-        grid = range(k + eps, k + eps + 2 * T, 2)
-        for node in grid:
-            c, delta = [1], node
-            for other in grid:
-                if other != node:       # times j^2 - other^2, a polynomial in j^2
-                    c = [b - other * other * a for a, b in zip(c + [0], [0] + c)]
-                    delta *= node * node - other * other
-            sums = [(cn, _power_sum(n, node - 1)) for n, cn in enumerate(c) if cn]
-            M = math.lcm(*(S[2] for _, S in sums))
-            acc: dict = {}
-            for cn, S in sums:
-                f = cn * (M // S[2])
-                for key, row in S[form].items():
-                    have = acc.get(key) or acc.setdefault(key, [0] * (2 * T, 2)[form])
-                    for e, x in enumerate(row):
-                        have[e] += f * x
-            cols.append((delta * M, {key: row for key, row in acc.items() if any(row)}))
+    ik = {k: [1]}
+    cols = [(1, _folded(ik) if form else ik), *_grid_columns(k + 1, T, form), *_grid_columns(k + 2, T, form)]
     D = math.lcm(*(d for d, _ in cols))
     g = math.gcd(D, *(x * (D // d) for d, col in cols for row in col.values() for x in row))
     return [{key: [x * (D // d) // g for x in row] for key, row in col.items()} for d, col in cols], D // g
@@ -408,7 +445,7 @@ def _assemble(params: ParamVector, n: int, m: int) -> KernelFormula:
     k = n - m
     T = max(params.R, params.S)
     eps_branches = (1, 2) if T else ()
-    J = k + 2 * T + 2 if T else 0
+    J = 2 * T
     gs = gamma_series(params, n, m, J)      # decides admissibility
     # the weight of the column of I_k (d = 0) or of tail (eps, i) (d = eps + 2i)
     # is gamma_d tau(m); all are over gs.den tau(m+1)

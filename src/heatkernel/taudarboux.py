@@ -168,14 +168,17 @@ def _columns(params: ParamVector) -> tuple:
 
 
 def _degree_bound(params: ParamVector) -> int:
-    """Bound on the degree in n of tau and of det q_k.
+    """Bound on the degree in n of tau and of det q_k: the column degrees'
+    sum less R(R-1)/2 and S(S-1)/2, which tau attains.
 
-    With difference rows Delta^i, row i of a phi column has degree at most
-    deg phi - i, and the phi columns of each term of a K x K minor sit in
-    distinct rows; det q_k are integer combinations of those minors.
-    """
-    R = params.R
-    return sum(len(f) - 1 for _, f, _ in _columns(params)) - R * (R - 1) // 2
+    Lemma: p_c(n + i) = sum_a i^a g_{c,a}(n), deg g_{c,a} <= deg p_c - a, so
+    m columns with one base lambda^n (1 for phi, -1 for psi) are a matrix in
+    i alone times G = (g_{c,a}); by Cauchy-Binet a minor on any rows sums
+    minors of G on m distinct powers a, of degree <= sum deg p_c - m(m-1)/2.
+    Laplace expansion of det and each det q_k over the phi and psi groups
+    pairs one minor of each, so the two bounds add."""
+    R, S = params.R, params.S
+    return sum(len(f) - 1 for _, f, _ in _columns(params)) - R * (R - 1) // 2 - S * (S - 1) // 2
 
 
 def _wronskians(params: ParamVector, first: int, count: int, starred: bool) -> list:

@@ -534,7 +534,7 @@ def test_kernel_json_and_text():
 def test_provenance_recorded():
     f = assemble_kernel(PARAMS[(1, 1)], 2, 0)
     assert f.provenance["T"] == 1
-    assert f.provenance["J"] == 2 + 2 * 1 + 2
+    assert f.provenance["J"] == 2 * 1
     g = assemble_kernel(PARAMS[(1, 1)], 0, 2)
     assert g.provenance.get("transported")
 
@@ -638,6 +638,57 @@ def test_a_zero_node_is_refused_by_both_tables():
                     table(k, T)
 
 
+def test_a_grids_columns_serve_both_tables_that_read_it():
+    # the eps = 2 columns at offset k are the eps = 1 columns at k + 1, the
+    # node grid from k + 2 read twice, in the rows form and in the fold
+    def over(D, col):
+        return {key: tuple(F(x, D) for x in row) for key, row in col.items()}
+
+    for k, T in TABLE_OFFSETS:
+        if T and (k + 1, T) in TABLE_OFFSETS:
+            for form in (0, 1):
+                (cols, D), (nxt, Dn) = kernel._table_columns(k, T, form), kernel._table_columns(k + 1, T, form)
+                assert [over(D, c) for c in cols[T + 1:]] == [over(Dn, c) for c in nxt[1:T + 1]], (k, T, form)
+
+
+def test_telescoped_power_sums_are_the_folded_resummations():
+    # between its bases (k < 2, k = 0, 1 mod 32) the fold form of S_n(k) is
+    # telescoped, one Bessel function per step; it equals the fold of the
+    # resummed primitive at every k, across two runs of bases
+    for n in range(4):
+        for k in range(-6, 70):
+            (fold, D), (rows, Dr) = kernel._power_fold(n, k), kernel._power_sum(n, k)
+            assert {e: (F(a, D), F(b, D)) for e, (a, b) in fold.items()} == \
+                {e: (F(a, Dr), F(b, Dr)) for e, (a, b) in kernel._folded(rows).items()}, (n, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.lists(_small_r, min_size=1, max_size=6),
+       st.integers(-5, 5), st.integers(-5, 5))
+def test_kernel_weights_are_divided_by_their_content(R, S, r, n, m):
+    # an assembled or transported kernel keeps weights coprime to their
+    # denominator; they are the unreduced ones, gamma_d tau(m) over
+    # den(gamma) tau(m+1) (times the transport's tau pair), divided by their
+    # gcd, and give the same terms
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    f = assemble_kernel(params, n, m)
+    k, T, w, den = f._weights
+    assert math.gcd(den, *w) == 1, (n, m)
+    hi, lo = max(n, m), min(n, m)
+    gs, tau = gamma_series(params, hi, lo, 2 * T), lambda x: kernel._tau_at(params, x)
+    raw = [gs.num[d] * tau(lo) for d in (0, *range(1, 2 * T, 2), *range(2, 2 * T + 1, 2))]
+    raw_den = gs.den * tau(lo + 1)
+    if n < m:
+        a, b = tau(m) * tau(n + 1), tau(m + 1) * tau(n)
+        raw, raw_den = [c * a for c in raw], raw_den * b
+    assert [F(c, raw_den) for c in raw] == [F(c, den) for c in w], (n, m)
+    orders, rows, D = kernel._tail_matrix(k, T)
+    expect = {j: p for j in rows
+              if (p := Poly.from_ints("t", [sum(map(mul, cell, raw)) for cell in rows[j]], raw_den * D))}
+    assert f.terms == expect, (n, m)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(-8, 8), st.integers(0, 4), st.data())
 def test_basis_matrix_times_weights_is_the_reduced_combination(k, T, data):
@@ -726,7 +777,8 @@ def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
         return {**terms, j: terms[j] + piece, j + 2: terms.get(j + 2, Poly("t")) - piece}
 
     params, T = PARAMS[(1, 1)], 1
-    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._power_sum)
+    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._grid_columns,
+              kernel._power_fold, kernel._power_sum)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(kernel, "tail_resum", corrupt)
