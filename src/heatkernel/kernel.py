@@ -332,8 +332,8 @@ def _power_sum(n: int, k: int) -> tuple:
     """(rows, D): S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t), the
     one primitive of both (k, T) tables, as integer rows per order over D:
     tail_resum of the monomial j^{2n+1}, orders in its sequence.  Its degree
-    guard (at most 2n + 1) covers both tables, as no weighted sum, fold or
-    telescoping step raises a degree."""
+    guard (at most 2n + 1) covers both tables, as neither a weighted sum nor
+    the fold raises a degree."""
     terms = tail_resum(Poly.from_ints(J_VAR, [0] * (2 * n + 1) + [1]), k)
     D = math.lcm(*(p.den for p in terms.values()))
     rows = {j: [c * (D // p.den) for c in p.num] for j, p in terms.items()}
@@ -341,35 +341,16 @@ def _power_sum(n: int, k: int) -> tuple:
     return rows, D
 
 
-@lru_cache(maxsize=1024)
-def _power_fold(n: int, k: int) -> tuple:
-    """(fold, D): S_n(k) on (I_0, I_1), `_folded` entries over D.  Below k = 2
-    and at every k = 0, 1 mod 32 (so recursion stays shallow) it is the fold
-    of `_power_sum(n, k)`, which runs the degree guard; between these bases
-    it telescopes, S_n(k) = S_n(k - 2) - (k - 1)^{2n+1} I_{k-1}(2t), one
-    folded Bessel function per step, exact as (I_0, I_1) are independent."""
-    if k < 2 or k % 32 < 2:
-        rows, D = _power_sum(n, k)
-        return _folded(rows), D
-    fold, D = _power_fold(n, k - 2)
-    out = dict(fold)
-    for e, (a, b) in _folded({k - 1: [-(k - 1) ** (2 * n + 1) * D]}).items():
-        x, y = out.get(e, (0, 0))
-        out[e] = (x + a, y + b)
-    return {e: pair for e, pair in out.items() if any(pair)}, D
-
-
 @lru_cache(maxsize=512)
 def _grid_columns(f: int, T: int, form: int) -> tuple:
     """((den, col), ...): the T tail columns of the node grid {f + 2i : i < T},
-    integer rows per order (form 0) or the fold (form 1) over each den; the
-    second grid of (k, T) is the first of (k + 1, T).  Column i is
+    integer rows per order (form 0) or those rows folded (form 1) over each
+    den; the second grid of (k, T) is the first of (k + 1, T).  Column i is
     sum_n c_n S_n(node - 1) / delta, node = f + 2i: node_poly(f, i, T) on
     integers is j prod_{l != i} (j^2 - o_l^2) = sum_n c_n j^{2n+1} over
-    delta = node prod_{l != i} (node^2 - o_l^2), o_l the other nodes.  It
-    vanishes there, so by `_power_fold`'s telescoping S_n(f - 1) gives the
-    same function: the fold, unique on (I_0, I_1), reads those T primitives
-    for every column; the rows keep tail_resum's orders at each node."""
+    delta = node prod_{l != i} (node^2 - o_l^2), o_l the other nodes."""
+    if form:
+        return tuple((den, _folded(col)) for den, col in _grid_columns(f, T, 0))
     grid = range(f, f + 2 * T, 2)
     out = []
     for node in grid:
@@ -378,17 +359,16 @@ def _grid_columns(f: int, T: int, form: int) -> tuple:
             if other != node:           # times j^2 - other^2, a polynomial in j^2
                 c = [b - other * other * a for a, b in zip(c + [0], [0] + c)]
                 delta *= node * node - other * other
-        sums = [(cn, _power_fold(n, f - 1) if form else _power_sum(n, node - 1))
-                for n, cn in enumerate(c) if cn]
+        sums = [(cn, _power_sum(n, node - 1)) for n, cn in enumerate(c) if cn]
         M = math.lcm(*(D for _, (_, D) in sums))
         acc: dict = {}
         for cn, (S, D) in sums:
             w = cn * (M // D)
-            for key, row in S.items():
-                have = acc.get(key) or acc.setdefault(key, [0] * (2 * T, 2)[form])
+            for j, row in S.items():
+                have = acc.get(j) or acc.setdefault(j, [0] * 2 * T)
                 for e, x in enumerate(row):
                     have[e] += w * x
-        out.append((delta * M, {key: tuple(row) for key, row in acc.items() if any(row)}))
+        out.append((delta * M, {j: tuple(row) for j, row in acc.items() if any(row)}))
     return tuple(out)
 
 

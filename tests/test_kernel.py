@@ -646,20 +646,41 @@ def test_a_grids_columns_serve_both_tables_that_read_it():
 
     for k, T in TABLE_OFFSETS:
         if T and (k + 1, T) in TABLE_OFFSETS:
+            kernel._grid_columns.cache_clear()
             for form in (0, 1):
                 (cols, D), (nxt, Dn) = kernel._table_columns(k, T, form), kernel._table_columns(k + 1, T, form)
                 assert [over(D, c) for c in cols[T + 1:]] == [over(Dn, c) for c in nxt[1:T + 1]], (k, T, form)
+            # three grids, each built once on rows and folded once; the fold
+            # reads the rows' cached columns, the grid from k + 2 is shared
+            info = kernel._grid_columns.cache_info()
+            assert (info.misses, info.hits) == (6, 2 + 3), (k, T)
 
 
-def test_telescoped_power_sums_are_the_folded_resummations():
-    # between its bases (k < 2, k = 0, 1 mod 32) the fold form of S_n(k) is
-    # telescoped, one Bessel function per step; it equals the fold of the
-    # resummed primitive at every k, across two runs of bases
-    for n in range(4):
-        for k in range(-6, 70):
-            (fold, D), (rows, Dr) = kernel._power_fold(n, k), kernel._power_sum(n, k)
-            assert {e: (F(a, D), F(b, D)) for e, (a, b) in fold.items()} == \
-                {e: (F(a, Dr), F(b, Dr)) for e, (a, b) in kernel._folded(rows).items()}, (n, k)
+def test_the_certificate_reads_the_resummed_tails_of_every_node(monkeypatch):
+    # a resummation made wrong at one node, its degrees kept, fails the
+    # certificate of a kernel whose tables read that node: the fold form is
+    # the fold of the rows the printed beta_j come from
+    resum = kernel.tail_resum
+
+    def corrupt(q, k):
+        terms = resum(q, k)
+        if k != bad:
+            return terms
+        j = next(iter(terms))
+        return {**terms, j: terms[j].scale(2)}
+
+    params, bad = PARAMS[(1, 1)], 8
+    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._grid_columns,
+              kernel._power_sum)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(kernel, "tail_resum", corrupt)
+    try:
+        assert pde_residual(assemble_kernel(params, 1, 0)).passed      # nodes 2, 3
+        assert not pde_residual(assemble_kernel(params, 7, 0)).passed  # nodes 8, 9
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -778,7 +799,7 @@ def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
 
     params, T = PARAMS[(1, 1)], 1
     caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._grid_columns,
-              kernel._power_fold, kernel._power_sum)
+              kernel._power_sum)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(kernel, "tail_resum", corrupt)
