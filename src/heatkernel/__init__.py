@@ -32,7 +32,6 @@ from .kernel import (
     GammaSeries,
     KernelFormula,
     assemble_kernel,
-    decomposition_residual,
     gamma_series,
     kernel_eval,
     node_poly,
@@ -70,8 +69,7 @@ __all__ = [
     "AlphaTable", "BesselRow", "alpha_table", "bessel_row", "tail_resum",
     "Poly", "PolyFraction", "Rational", "rat", "series_at_zero",
     "ExactZeroReport", "GammaSeries", "KernelFormula", "assemble_kernel",
-    "decomposition_residual", "gamma_series", "kernel_eval", "node_poly", "pde_residual",
-    "symmetry_transport",
+    "gamma_series", "kernel_eval", "node_poly", "pde_residual", "symmetry_transport",
     "BandOperator", "ParamVector", "SingularTau", "TauFunction", "darboux_one_step",
     "operator_build", "qp_build", "schur_component", "tau_build", "wave_p", "wave_p_star",
     *_LAZY,

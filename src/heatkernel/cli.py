@@ -25,7 +25,7 @@ from .bessel import bessel_row, identity_residuals, worst_of
 from .exactcore import rat
 from .kernel import (
     InternalInconsistency,
-    _decomposition_check,
+    _certify_power_sums,
     assemble_kernel,
     pde_residual,
 )
@@ -45,9 +45,9 @@ EXIT_USAGE = 64
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-#: largest --t per self-check: identities' rows grow like t (0.09 s at 1e4,
-#: 2 s at 1e5), decomp's error grows with t (1.7e-9 at 3000, --tol is 1e-10)
-VERIFY_T_MAX = {"decomp": 354.5, "identities": 1e4}
+#: verify --mode identities' --t range: below, its ODE finite differences fail
+#: correct rows (2.9e-5 at 1e-8); above, its rows grow (0.09 s at 1e4, 2 s at 1e5)
+IDENTITIES_T_RANGE = (1e-5, 1e4)
 
 
 class UsageError(Exception):
@@ -190,10 +190,9 @@ def make_parser() -> _Parser:
     v.add_argument("--m", type=int, default=0)
     v.add_argument("--range", type=int, help="grid half-width (pde/oracle) or size (orth)")
     v.add_argument("--t", help="comma list of times", default="0.5,1,2")
-    v.add_argument("--tol", type=float, help="tolerance override (oracle, orth, decomp)")
+    v.add_argument("--tol", type=float, help="tolerance override (oracle, orth)")
     v.add_argument("--W", type=int, default=200, help="lattice window half-width")
-    v.add_argument("--k", type=int, default=0, help="offset k for decomp mode")
-    v.add_argument("--T", type=int, default=1, help="interpolation size for decomp mode")
+    v.add_argument("--T", type=int, default=1, help="decomp mode: certify the power sums S_n, n < T")
     v.add_argument("--format", choices=["json", "text"], default="text")
     return top
 
@@ -271,19 +270,19 @@ def _verify_report(args, passed: bool, detail: dict) -> int:
 
 def cmd_verify(args) -> int:
     params = build_params(args)
-    if args.tol is not None and args.mode in ("pde", "identities"):
-        why = "its certificate is exact" if args.mode == "pde" else "its limits are fixed"
+    if args.tol is not None and args.mode in ("pde", "decomp", "identities"):
+        why = "its limits are fixed" if args.mode == "identities" else "its certificate is exact"
         raise UsageError(f"--tol does not apply to verify --mode {args.mode}: {why}")
     ts = [_parse_time(piece.strip(), positive=args.mode != "oracle")
           for piece in args.t.split(",") if piece.strip()]
     if not ts:
         raise UsageError("--t must name at least one time")
-    top = VERIFY_T_MAX.get(args.mode, math.inf)
-    if max(ts) > top:
-        why = ("its reconstruction error grows with t toward the 1e-10 default --tol"
-               if args.mode == "decomp" else
+    low, top = IDENTITIES_T_RANGE
+    if args.mode == "identities" and not low <= min(ts) <= max(ts) <= top:
+        why = ("its finite differences miss the fixed ODE limit on correct Bessel rows below it"
+               if min(ts) < low else
                "its Bessel rows, t + 12 sqrt(t) + 20 orders long, grow with t")
-        raise UsageError(f"verify --mode {args.mode} supports --t <= {top:g}: {why}")
+        raise UsageError(f"verify --mode identities supports {low:g} <= --t <= {top:g}: {why}")
 
     if args.mode == "pde":
         if args.range is not None:
@@ -341,18 +340,13 @@ def cmd_verify(args) -> int:
         return _verify_report(args, passed, detail)
 
     if args.mode == "decomp":
-        if -2 * args.T <= args.k <= -1:
-            raise UsageError(f"--k must lie outside [-2T, -1] = [{-2 * args.T}, -1], got {args.k}")
-        tol = args.tol if args.tol is not None else 1e-10
-        checks = [_decomposition_check(args.k, args.T, t) for t in ts]
-        failed = [(floor, t) for (err, floor), t in zip(checks, ts) if not err <= tol]
-        if failed and min(failed)[0] > tol:     # every miss lies under its float floor
-            floor, t = max(failed)
-            raise UsageError(f"verify --mode decomp cannot resolve --tol {tol:g} at k={args.k}, T={args.T}, "
-                             f"t={t:g}: its float floor 2^-53 sum|terms| is {floor:.1e}")
-        worst = worst_of(e for e, _ in checks)
-        detail = {"k": args.k, "T": args.T, "max_err": worst, "tolerance": tol}
-        return _verify_report(args, worst <= tol, detail)
+        checks, failures = _certify_power_sums(args.T)
+        detail = {"claim": f"S_n(k') = sum_(j > k', j = k'+1 mod 2) j^(2n+1) I_j(2t) "
+                           f"for n <= {args.T - 1} and every integer k'",
+                  "checks": checks, "failures": len(failures)}
+        if failures:
+            detail["first_failure"] = "(n={}, k'={})".format(*failures[0])
+        return _verify_report(args, not failures, detail)
 
     if args.mode == "identities":
         residuals = [identity_residuals(t) for t in ts]

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .bessel import bessel_row, series_orders, tail_resum, worst_of
+from .bessel import bessel_row, tail_resum
 from .exactcore import Poly, PolyFraction, eval_homogeneous, eval_int
 from .taudarboux import (
     ParamVector,
@@ -561,62 +561,33 @@ def combo_to_basis(pairs) -> tuple[PolyFraction, PolyFraction]:
     return _laurent_pair(*_reduced_rows(pairs))
 
 
-def decomposition_residual(k: int, T: int, t: float) -> float:
-    """Numeric self-check of the tail decomposition bookkeeping.
+def _certify_power_sums(T: int) -> tuple[int, list[tuple[int, int]]]:
+    """(checks, failures): certify on integers that `_power_sum(n, k)` is
+    S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t) for n < T and every
+    integer k; failures are the (n, k) that fail, in the order checked.
 
-    Reassembles e^{t(x + 1/x) - 2t} at two points of the unit circle from
-    its three pieces on the scaled e^{-2t} I_j(2t): the untouched orders
-    j >= 1-k plus I_k(2t) x^{-k}, the ring-member brackets for j > k+2T (up
-    to series_orders(2t)), and the resummed parity tails, the columns of
-    _tail_matrix(k, T).  Returns the maximum absolute reconstruction error
-    over the two angles.
+    A check folds S_n(k) - S_n(k+2) - (k+1)^{2n+1} I_{k+1}(2t) onto (I_0, I_1)
+    (`_fold`) and needs zero, which is zero on (I_k, I_{k+1}) as well: the
+    change of basis is invertible over rational functions of t.  The 4T^2 + T
+    sites k in [-4n-3, 4n+1] prove every k.  Premise: tail_resum reads alpha
+    by s - k only.  For k >= 2n no order k-2n .. k+2n+2 folds through 0, so on
+    (I_k, I_{k+1}) (at most 2n+1 recurrence steps, each a factor of degree one
+    in k) every coefficient is a polynomial in k of degree <= 2n+1; one that
+    vanishes at the 2n+2 integers 2n .. 4n+1 vanishes identically.  k <= -2n-2
+    mirrors this by I_{-j} = I_j (sites -4n-3 .. -2n-2); the sites in between
+    are checked one by one.  Summed upward, S_n(k) = sum_{i < M} (k+1+2i)^{2n+1}
+    I_{k+1+2i}(2t) + S_n(k+2M), whose last term tends to 0, so the primitive is
+    the Bessel tail at every k, as is each (k, T) table built on it.
     """
-    return _decomposition_check(k, T, t)[0]
-
-
-def _decomposition_check(k: int, T: int, t: float) -> tuple[float, float]:
-    """(error, floor): decomposition_residual's error and its float floor
-    2^-53 sum |term| over both angles' sums, each term the reconstruction adds
-    or subtracts counted (each tail's pieces P_j(t) e^{-2t} I_j(2t), each
-    bracket's node weights and the target included).  The terms cancel, so
-    the error grows with this sum, not with the result."""
-    if T < 1:
-        raise ValueError("decomposition needs T >= 1")
-    terms = series_orders(2.0 * t)
-    row = bessel_row(2.0 * t, terms + 2 * T + abs(k) + 4)
-    orders, rows, D = _tail_matrix(k, T)
-    tx, ty = Fraction(t).as_integer_ratio()
-    tails, mass = {}, 0.0
-    for c, d in enumerate((*range(1, 2 * T, 2), *range(2, 2 * T + 1, 2)), 1):   # P_j(t) rounded once
-        parts = [eval_homogeneous([cell[c] for cell in rows[j]], tx, ty) / (D * ty ** (len(rows[j]) - 1))
-                 * row.scaled(j) for j in orders[c]]
-        tails[d] = sum(parts)
-        mass += sum(map(abs, parts))
-    mass += sum(row.scaled(j) for j in range(1 - k, terms + 1)) + row.scaled(k)
-    brackets = {}
-    for j in range(k + 2 * T + 1, terms + 1):   # the cardinal weights of node_poly, on integers
-        grid = range(k + 2 - (j - k) % 2, k + 2 * T + 1, 2)
-        brackets[j] = [(node, j * math.prod(j * j - o * o for o in grid if o != node)
-                        / (node * math.prod(node * node - o * o for o in grid if o != node))) for node in grid]
-        mass += row.scaled(j) * (1 + sum(abs(q) for _, q in brackets[j]))
-    errors, floor = [], 0.0
-    for theta in (math.pi / 7, math.pi / 3):
-        x = complex(math.cos(theta), math.sin(theta))
-        total = 0j
-        for j in range(1 - k, terms + 1):
-            total += row.scaled(j) * x ** j
-        total += row.scaled(k) * x ** (-k)
-        for j, weighted in brackets.items():
-            bracket = x ** (-j)
-            for node, q in weighted:
-                bracket -= q * x ** (-node)
-            total += row.scaled(j) * bracket
-        for d, value in tails.items():
-            total += value * x ** (-(k + d))
-        target = complex(math.e) ** (t * (x + 1 / x) - 2 * t)
-        errors.append(abs(total - target))
-        floor += 2.0 ** -53 * (mass + abs(target))
-    return worst_of(errors), floor
+    failures, sites = [], [(n, k) for n in range(T) for k in range(-4 * n - 3, 4 * n + 2)]
+    for n, k in sites:
+        (S, D), (U, E) = _power_sum(n, k), _power_sum(n, k + 2)
+        _, row0, row1 = _fold([*((j, [c * E for c in cs]) for j, cs in S.items()),
+                               *((j, [-c * D for c in cs]) for j, cs in U.items()),
+                               (k + 1, [-(k + 1) ** (2 * n + 1) * D * E])])
+        if any(row0) or any(row1):
+            failures.append((n, k))
+    return len(sites), failures
 
 
 @dataclass(frozen=True)

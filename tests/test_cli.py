@@ -118,21 +118,21 @@ def test_verify_orth(capsys):
 
 
 def test_verify_decomp(capsys):
-    code, out = run_cli(capsys, ["verify", "--mode", "decomp",
-                                 "--k", "1", "--T", "2", "--t", "1"])
-    assert code == 0 and "PASS" in out
+    code, out = run_cli(capsys, ["verify", "--mode", "decomp", "--T", "2"])
+    assert code == 0 and "verify mode=decomp: PASS" in out
+    assert ("claim = S_n(k') = sum_(j > k', j = k'+1 mod 2) j^(2n+1) I_j(2t) "
+            "for n <= 1 and every integer k'") in out
+    assert "checks = 18" in out and "failures = 0" in out
 
 
-def test_verify_decomp_under_its_float_floor_is_a_usage_error(capsys):
-    # where the cancelling float terms put the error and the floor above --tol
-    # the check cannot decide, so it names the floor instead of reporting FAIL;
-    # an error within --tol passes, also above a floor of 1.2e-10 at (1, 3, 50)
-    for k, T, t in (("1", "4", "300"), ("1", "5", "50")):
-        assert main(["verify", "--mode", "decomp", "--k", k, "--T", T, "--t", t]) == 64
-        assert "float floor" in capsys.readouterr().err, (k, T, t)
-    for T, t in (("2", "300"), ("3", "50")):
-        code, out = run_cli(capsys, ["verify", "--mode", "decomp", "--k", "1", "--T", T, "--t", t])
+def test_verify_decomp_is_exact_at_any_t_and_takes_no_tol(capsys):
+    # the certificate reads no time: the runs the float reconstruction could
+    # not decide (error and floor above --tol) pass, and --tol is a usage error
+    for T, t in (("4", "300"), ("5", "50"), ("2", "300"), ("3", "50")):
+        code, out = run_cli(capsys, ["verify", "--mode", "decomp", "--T", T, "--t", t])
         assert code == 0 and "PASS" in out, (T, t)
+    assert main(["verify", "--mode", "decomp", "--T", "4", "--tol", "1e-3"]) == 64
+    assert "--tol does not apply" in capsys.readouterr().err
 
 
 def test_verify_identities_json(capsys):
@@ -200,12 +200,13 @@ def test_usage_exit_codes():
         [sys.executable, "-m", "heatkernel.cli", "frobnicate"],
         capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 64
-    # times too large for the window or for the unscaled self-checks, and no time at all
+    # times too large for the window, outside the identities' range, and no time at all
     for argv, message in (
             (["--mode", "oracle", "--R", "1", "--r", "1/2", "--range", "1", "--t", "400"],
              "too small at t = 400.0"),
-            (["--mode", "decomp", "--k", "1", "--T", "2", "--t", "400"], "--t <= 354.5"),
             (["--mode", "identities", "--t", "20000"], "--t <= 10000"),
+            (["--mode", "identities", "--t", "1e-8"], "1e-05 <= --t"),
+            (["--mode", "identities", "--t", "1e-30"], "1e-05 <= --t"),
             (["--mode", "identities", "--t", ","], "at least one time")):
         proc = subprocess.run([sys.executable, "-m", "heatkernel.cli", "verify", *argv],
                               capture_output=True, text=True, env=SUBPROCESS_ENV)
@@ -297,7 +298,7 @@ BAD_VALUES = [
     (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--t", "-1"], "--t"),
     (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--W", "-3"], "--W"),
     (["verify", "--mode", "decomp", "--T", "0"], "--T"),
-    (["verify", "--mode", "decomp", "--k", "-3", "--T", "2"], "--k"),
+    (["verify", "--mode", "decomp", "--tol", "1e-3"], "--tol"),
     # an exact certificate and fixed limits have no tolerance to override
     (["verify", "--mode", "pde", *ONE_STEP, "--tol", "1e-3"], "--tol"),
     (["verify", "--mode", "identities", "--t", "1", "--tol", "1e-300"], "--tol"),
@@ -321,17 +322,18 @@ def test_bad_values_exit_without_traceback():
 
 
 def test_identities_at_tiny_t_report_without_traceback():
-    # the derivative step shrinks to t/2 and the k = 0 ODE point below zero
-    # is taken by reflection, so no Bessel row is asked for at t <= 0
+    # at the lower end of the range the derivative step shrinks to t/2 and the
+    # k = 0 ODE point below zero is taken by reflection, so no Bessel row is
+    # asked for at t <= 0
     proc = subprocess.run([sys.executable, "-m", "heatkernel.cli", "verify", "--mode",
-                           "identities", "--t", "0.000001"],
+                           "identities", "--t", "0.00001"],
                           capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert "Traceback" not in proc.stderr and proc.returncode == 0
     assert proc.stdout.startswith("# heatkernel ")
     assert "verify mode=identities: PASS" in proc.stdout and "derivative = " in proc.stdout
 
 
-@pytest.mark.parametrize("t", ["1e-6", "1e-5", "1e-4", "1e-3", "0.01", "0.05", "0.1"])
+@pytest.mark.parametrize("t", ["1e-5", "1e-4", "1e-3", "0.01", "0.05", "0.1"])
 def test_identities_pass_below_t_one(capsys, t):
     code, out = run_cli(capsys, ["verify", "--mode", "identities", "--t", t, "--format", "json"])
     report = json.loads(out)

@@ -27,7 +27,6 @@ from heatkernel.kernel import (
     ZeroNode,
     assemble_kernel,
     combo_to_basis,
-    decomposition_residual,
     gamma_series,
     kernel_eval,
     node_poly,
@@ -490,22 +489,61 @@ def test_combo_to_basis_recurrence():
 
 
 def test_decomposition_residual_small():
-    # scaled values and a series that grows with t keep the residual small
-    # where e^{2t} is large (t = 300) as well as at t = 1
-    for t in (1.0, 10.0, 50.0, 300.0):
-        for k in (0, 1, 2):
-            for T in (1, 2):
-                assert decomposition_residual(k, T, t) < 1e-10, (t, k, T)
+    # the tail decomposition's residual is exactly zero: every telescoping
+    # identity S_n(k) - S_n(k+2) = (k+1)^{2n+1} I_{k+1}(2t), n < T, over the
+    # 4T^2 + T offsets that prove every k, folds to zero on (I_0, I_1)
+    for T in range(1, 7):
+        assert kernel._certify_power_sums(T) == (4 * T * T + T, []), T
 
 
-def test_decomposition_float_floor_bounds_the_observed_error():
-    # the cancelling float terms set the error; 2^-53 sum|terms| over both
-    # angles is at least what the check observes, up to float range of T
-    for T in range(1, 6):
-        for t in (10.0, 50.0, 300.0):
-            err, floor = kernel._decomposition_check(1, T, t)
-            assert err == decomposition_residual(1, T, t)
-            assert err <= floor, (T, t, err, floor)
+def test_power_sums_read_alpha_by_offset_only():
+    # the premise of the certificate's degree lemma: where no order folds
+    # through 0 (k >= 2n), or all do (k <= -2n-2), S_n(k) is S_n(2n) moved
+    # to offset k, its order k + s given by s alone
+    for n in range(4):
+        q = Poly.from_ints("t", [0] * (2 * n + 1) + [1])
+        base = {j - 2 * n: p for j, p in tail_resum(q, 2 * n).items()}
+        for k in (2 * n + 1, 2 * n + 6, 41):
+            assert tail_resum(q, k) == {k + s: p for s, p in base.items()}, (n, k)
+        for k in (-2 * n - 2, -2 * n - 7, -40):
+            assert tail_resum(q, k) == {-(k + s): p for s, p in base.items()}, (n, k)
+
+
+def test_a_corrupted_alpha_entry_fails_the_power_sum_certificate(monkeypatch, capsys):
+    # t^3 added to one resummation polynomial of depth 3 breaks S_3's
+    # telescoping identity: the certificate and verify --mode decomp fail
+    entries = alpha_table(3).entries
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(entries, (3, 2), entries[(3, 2)] + Poly.from_ints("t", [0, 0, 0, 1]))
+            kernel._power_sum.cache_clear()
+            checks, failures = kernel._certify_power_sums(4)
+            code = cli.main(["verify", "--mode", "decomp", "--T", "4"])
+    finally:
+        kernel._power_sum.cache_clear()
+    assert checks == 68 and len(failures) == 28 and {n for n, _ in failures} == {3}
+    out = capsys.readouterr().out
+    assert code == 1 and "verify mode=decomp: FAIL" in out
+    assert "first_failure = (n=3, k'=-15)" in out
+    assert kernel._certify_power_sums(4) == (68, [])
+
+
+def test_a_primitive_wrong_between_the_polynomial_regions_fails(monkeypatch):
+    # S_1(0) off by I_1(2t): offset 0 lies between the regions k >= 2n and
+    # k <= -2n-2 where the identity is polynomial in k, so only its own
+    # site-by-site checks, at k = -2 and 0, can see it
+    power_sum = kernel._power_sum
+
+    def corrupt(n, k):
+        rows, D = power_sum(n, k)
+        if (n, k) != (1, 0):
+            return rows, D
+        bumped = [*rows.get(1, [0])]
+        bumped[0] += D
+        return {**rows, 1: bumped}, D
+
+    monkeypatch.setattr(kernel, "_power_sum", corrupt)
+    assert kernel._certify_power_sums(2) == (18, [(1, -2), (1, 0)])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
