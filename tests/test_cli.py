@@ -298,8 +298,8 @@ BAD_VALUES = [
     (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--t", "-1"], "--t"),
     (["verify", "--mode", "oracle", *ONE_STEP, "--range", "1", "--W", "-3"], "--W"),
     (["verify", "--mode", "decomp", "--T", "0"], "--T"),
-    (["verify", "--mode", "decomp", "--tol", "1e-3"], "--tol"),
     # an exact certificate and fixed limits have no tolerance to override
+    (["verify", "--mode", "decomp", "--tol", "1e-3"], "--tol"),
     (["verify", "--mode", "pde", *ONE_STEP, "--tol", "1e-3"], "--tol"),
     (["verify", "--mode", "identities", "--t", "1", "--tol", "1e-300"], "--tol"),
 ]

@@ -501,7 +501,7 @@ def test_power_sums_read_alpha_by_offset_only():
     # through 0 (k >= 2n), or all do (k <= -2n-2), S_n(k) is S_n(2n) moved
     # to offset k, its order k + s given by s alone
     for n in range(4):
-        q = Poly.from_ints("t", [0] * (2 * n + 1) + [1])
+        q = Poly.from_ints("j", [0] * (2 * n + 1) + [1])
         base = {j - 2 * n: p for j, p in tail_resum(q, 2 * n).items()}
         for k in (2 * n + 1, 2 * n + 6, 41):
             assert tail_resum(q, k) == {k + s: p for s, p in base.items()}, (n, k)
@@ -538,7 +538,7 @@ def test_a_primitive_wrong_between_the_polynomial_regions_fails(monkeypatch):
         rows, D = power_sum(n, k)
         if (n, k) != (1, 0):
             return rows, D
-        bumped = [*rows.get(1, [0])]
+        bumped = list(rows[1])
         bumped[0] += D
         return {**rows, 1: bumped}, D
 
