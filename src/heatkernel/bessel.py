@@ -172,6 +172,11 @@ def alpha_table(N: int) -> AlphaTable:
     return AlphaTable(depth=N, entries=entries)
 
 
+#: identity_residuals' smallest t: below, its ODE finite differences miss their
+#: limit on correct rows (2.9e-5 at t = 1e-8, 4.6e-3 at 1e-12; 1/0 at 1e-15)
+IDENTITIES_T_MIN = 1e-5
+
+
 def identity_residuals(t: float) -> dict:
     """Max residuals over the orders k <= 20 of the three-term relation, the
     derivative relation and the modified Bessel ODE (derivatives by central
@@ -180,7 +185,10 @@ def identity_residuals(t: float) -> dict:
 
     All values are scaled by e^{-t} (at t + h: e^h e^{-(t+h)} I_k(t+h)), and
     all residuals are absolute but the ODE one, relative to (t^2 + k^2) I_k(t).
-    """
+    ValueError below IDENTITIES_T_MIN."""
+    if not t >= IDENTITIES_T_MIN:
+        raise ValueError(f"identity residuals need t >= {IDENTITIES_T_MIN:g}, got {t!r}: below, "
+                         "the ODE finite differences miss their limit on correct Bessel rows")
     K, h_deriv, h_ode = 20, min(1e-5, t / 2), 4.4e-4
     row = bessel_row(t, K + 2)
     rec = worst_of(abs(k * row.scaled(k) - (t / 2.0) * (row.scaled(k - 1) - row.scaled(k + 1)))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
-from .bessel import bessel_row, identity_residuals, worst_of
+from .bessel import IDENTITIES_T_MIN, bessel_row, identity_residuals, worst_of
 from .exactcore import rat
 from .kernel import (
     InternalInconsistency,
@@ -45,9 +45,8 @@ EXIT_USAGE = 64
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-#: verify --mode identities' --t range: below, its ODE finite differences fail
-#: correct rows (2.9e-5 at 1e-8); above, its rows grow (0.09 s at 1e4, 2 s at 1e5)
-IDENTITIES_T_RANGE = (1e-5, 1e4)
+#: verify --mode identities' --t range: bessel's floor; above, rows grow (0.09 s at 1e4, 2 s at 1e5)
+IDENTITIES_T_RANGE = (IDENTITIES_T_MIN, 1e4)
 
 
 class UsageError(Exception):

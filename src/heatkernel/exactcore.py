@@ -623,10 +623,11 @@ class PolyFraction:
 
     def inverse_var(self) -> "PolyFraction":
         """Substitute var -> 1/var: num and den reversed, the shorter one
-        first padded to the longer, so var^(deg den - deg num) moves over."""
+        first padded to the longer, so var^(deg den - deg num) moves over.
+        Reversal keeps a reduced pair coprime, so no gcd runs."""
         size = max(len(self.num.num), len(self.den.num))
-        return PolyFraction(*(Poly.from_ints(p.var, (p.num + (0,) * (size - len(p.num)))[::-1],
-                                             p.den) for p in (self.num, self.den)))
+        return PolyFraction.coprime(*(Poly.from_ints(p.var, (p.num + (0,) * (size - len(p.num)))[::-1],
+                                                     p.den) for p in (self.num, self.den)))
 
     def subs(self, value: Fraction) -> Fraction:
         """Exact value at a rational point, by integer Horner.

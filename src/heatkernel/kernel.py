@@ -187,6 +187,8 @@ class KernelFormula:
         low, *rows, D = _basis_matrix(k, T)
         return (low, *(tuple(sum(map(mul, cell, w)) for cell in r) for r in rows), den * D)
 
+    _plan = cached_property(lambda self: _eval_plan(self.terms))    # assembled kernels: read-only terms
+
     def beta(self, j: int) -> Poly:
         return self.terms.get(abs(j), Poly(T_VAR))
 
@@ -463,6 +465,11 @@ def _bessel_values(x: float, K: int) -> tuple[float, ...]:
     return bessel_row(x, K).values
 
 
+def _eval_plan(terms: dict) -> tuple:
+    """(K, ((j, num, den, degree), ...)): what kernel_eval reads of the terms."""
+    return max(terms), tuple((j, p.num, p.den, p.degree) for j, p in terms.items())
+
+
 def kernel_eval(f: KernelFormula, t: float) -> float:
     """Numeric value e^{-2t} sum_j beta_j(t) I_j(2t).
 
@@ -483,14 +490,15 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
         return 1.0 if f.n == f.m else 0.0
     if not (terms := f.terms):
         return 0.0
+    K, plan = f._plan if f._weights is not None else _eval_plan(terms)
     x, y = float(t).as_integer_ratio()
-    scaled = _bessel_values(2.0 * t, max(terms))
+    scaled = _bessel_values(2.0 * t, K)
     try:
-        return math.fsum(eval_homogeneous(p.num, x, y) / (p.den * y ** p.degree) * scaled[j]
-                         for j, p in terms.items())
+        return math.fsum(eval_homogeneous(num, x, y) / (den * y ** degree) * scaled[j]
+                         for j, num, den, degree in plan)
     except OverflowError:
-        exact = sum(Fraction(eval_homogeneous(p.num, x, y), p.den * y ** p.degree)
-                    * Fraction(scaled[j]) for j, p in terms.items())
+        exact = sum(Fraction(eval_homogeneous(num, x, y), den * y ** degree)
+                    * Fraction(scaled[j]) for j, num, den, degree in plan)
     try:
         return float(exact)
     except OverflowError:

@@ -21,8 +21,9 @@ vanish), on which the trapezoid rule converges geometrically.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -66,15 +67,6 @@ def _slices(j: int, size: int) -> tuple[slice, slice]:
     return (slice(0, size - k), slice(k, size))[::1 if j >= 0 else -1]
 
 
-def _band_apply(bands: dict, X: np.ndarray) -> np.ndarray:
-    """The band matrix times the columns X."""
-    out = np.zeros_like(X)
-    for j, b in bands.items():
-        rows, src = _slices(j, len(X))
-        out[rows] += b[rows, None] * X[src]
-    return out
-
-
 @dataclass(frozen=True)
 class LatticeWindow:
     """Restriction of a band operator to the sites [-W, W], held as bands:
@@ -96,12 +88,12 @@ class LatticeWindow:
         mu = float(A[0].mean())
         A[0] = A[0] - mu
         power, d = {0: np.ones_like(A[0])}, [0.0]
-        for p in range(1, 10):
-            previous, power, column_sums = power, {}, np.zeros_like(A[0])
+        for p in range(1, 10):      # a band of A^p is allocated where it first appears
+            previous, power, column_sums = power, defaultdict(partial(np.zeros_like, A[0])), np.zeros_like(A[0])
             for j, a in previous.items():       # (A^(p-1) A)_{j+k}[i] = a_j[i] A_k[i + j]
                 rows, src = _slices(j, len(a))
                 for k, b in A.items():
-                    power.setdefault(j + k, np.zeros_like(a))[rows] += a[rows] * b[src]
+                    power[j + k][rows] += a[rows] * b[src]
             for j, a in power.items():
                 rows, src = _slices(j, len(a))
                 column_sums[src] += np.abs(a[rows])
@@ -133,7 +125,9 @@ def expm(window: LatticeWindow, columns: np.ndarray, t: float) -> np.ndarray:
     """exp(t L_W) columns by Al-Mohy & Higham's algorithm 3.2: s steps of a
     degree-m* Taylor polynomial of t (L_W - mu) / s, (m*, s) from code
     fragment 3.1 (m_max = 55, p_max = 8, ell = 2), each step cut short once
-    two successive terms fall below 2^-53 of the sum."""
+    two successive terms fall below 2^-53 of the sum.  Each term is computed
+    on the rows the columns' nonzero rows reach, [lo, hi), widened by the band
+    half-width per term; the rest hold exact zeros, as in the full loop."""
     mu, A, d = window.shifted
     if t * d[1] <= 2 * 2 * 8 * 11 * _THETA[55] / (columns.shape[1] * 55):   # (3.13)
         plans = [(m, math.ceil(t * d[1] / theta)) for m, theta in _THETA.items()]
@@ -143,17 +137,29 @@ def expm(window: LatticeWindow, columns: np.ndarray, t: float) -> np.ndarray:
     m_star, s = min(plans, key=lambda plan: plan[0] * plan[1])
     s = max(s, 1)
     eta = math.exp(t * mu / s)
-    F = B = columns
+    size, half, live = len(columns), max(map(abs, A)), columns.any(axis=1)
+    lo, hi = live.argmax(), size - live[::-1].argmax()      # every row when none is live
+    F = B = columns.astype(float)
+    bands = [(k, np.repeat(a[:, None], F.shape[1], axis=1)) for k, a in A.items()]
+    terms = np.zeros_like(F), np.zeros_like(F)              # B and the next B, in turn
     for _ in range(s):
-        c1 = np.abs(B).sum(axis=1).max()
+        c1 = bound = np.abs(B[lo:hi]).sum(axis=1).max()
         for j in range(m_star):
-            B = t / (s * (j + 1)) * _band_apply(A, B)
-            c2 = np.abs(B).sum(axis=1).max()
-            F = F + B
-            if c1 + c2 <= 2.0 ** -53 * np.abs(F).sum(axis=1).max():
+            lo, hi = max(lo - half, 0), min(hi + half, size)
+            out = terms[j % 2][lo:hi]
+            out.fill(0.0)
+            for k, a in bands:
+                r0, r1 = max(lo, -k), min(hi, size - k)
+                out[r0 - lo:r1 - lo] += a[r0:r1] * B[r0 + k:r1 + k]
+            out *= t / (s * (j + 1))
+            B, c2 = terms[j % 2], np.abs(out).sum(axis=1).max()
+            F[lo:hi] += out
+            bound += c2     # ||F|| <= 2 bound through rounding: its norm waits until a break can pass
+            if c1 + c2 <= 2.0 ** -52 * bound and c1 + c2 <= 2.0 ** -53 * np.abs(F[lo:hi]).sum(axis=1).max():
                 break
             c1 = c2
-        F = B = eta * F
+        F[lo:hi] *= eta
+        B = F
     return F
 
 
@@ -216,11 +222,26 @@ class QuadratureSpec:
             raise ValueError(f"radius must be finite with |radius| not 0 or 1: {self.radius!r}")
 
 
-def _numpy_eval(f) -> callable:
-    """z -> f(z) on arrays, for a PolyFraction f: np.polyval on the
-    correctly rounded float coefficients of its numerator and denominator."""
-    num, den = ([c / p.den for c in reversed(p.num)] for p in (f.num, f.den))
-    return lambda z: np.polyval(num, z) / np.polyval(den, z)
+@lru_cache(maxsize=256)
+def _evaluator(params: ParamVector, site: int, kind: str) -> tuple[np.ndarray, ...]:
+    """Float coefficients, highest degree first, of the numerator and the
+    denominator of p_site(x) ("p"), p_site(1/x) ("p_inv") or, by the adjoint
+    route, p*_site(x) ("p_star"), read-only."""
+    f = wave_p_star_via_adjoint(params, site) if kind == "p_star" else wave_p(params, site)
+    if kind == "p_inv":
+        f = f.inverse_var()
+    num, den = (np.array([c / p.den for c in reversed(p.num)]) for p in (f.num, f.den))
+    num.flags.writeable = den.flags.writeable = False
+    return num, den
+
+
+@lru_cache(maxsize=32)
+def _nodes(N: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The N midpoint nodes z on the circle, and z + 1/z, read-only."""
+    z = radius * np.exp(1j * (2.0 * np.pi * (np.arange(N) + 0.5) / N))
+    z_sum = z + 1.0 / z
+    z.flags.writeable = z_sum.flags.writeable = False
+    return z, z_sum
 
 
 def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
@@ -229,29 +250,25 @@ def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
 
     Doubles the node count until two successive values differ by less than
     spec.tol; the imaginary part must sit below 1e-12 and is discarded.
+    Coefficients are cached per site and kind, nodes per (N, radius).
     """
     tau = ensure_regular(params)
-    pn = _numpy_eval(wave_p(params, n))
-    if spec.integrand == "kernel_adjoint":
-        ps = _numpy_eval(wave_p_star_via_adjoint(params, m + 1))
-    else:
-        pm_inv = _numpy_eval(wave_p(params, m).inverse_var())
+    pn = _evaluator(params, n, "p")
+    pm = _evaluator(params, m + 1, "p_star") if spec.integrand == "kernel_adjoint" else \
+        _evaluator(params, m, "p_inv")
 
     if spec.integrand in ("kernel", "kernel_adjoint") and t is None:
         raise ValueError("kernel integrands need a time value")
 
     def value(N: int) -> complex:
-        theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N
-        z = spec.radius * np.exp(1j * theta)
+        z, z_sum = _nodes(N, spec.radius)
+        pn_z, pm_z = (np.polyval(num, z) / np.polyval(den, z) for num, den in (pn, pm))
         if spec.integrand == "orthogonality":
-            h = pn(z) * pm_inv(z)
-        elif spec.integrand == "kernel":
-            weight = np.exp(t * (z + 1.0 / z) - 2.0 * t)
-            h = float(tau.ratio(m, m + 1)) * weight * pn(z) * pm_inv(z)
-        else:
-            weight = np.exp(t * (z + 1.0 / z) - 2.0 * t)
-            h = weight * pn(z) * ps(z) * z
-        return complex(np.mean(h))
+            return complex(np.mean(pn_z * pm_z))
+        weight = np.exp(t * z_sum - 2.0 * t)
+        if spec.integrand == "kernel":
+            return complex(np.mean(float(tau.ratio(m, m + 1)) * weight * pn_z * pm_z))
+        return complex(np.mean(weight * pn_z * pm_z * z))
 
     N = spec.n_start
     prev = value(N)
