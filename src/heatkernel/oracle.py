@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -140,7 +140,6 @@ def expm(window: LatticeWindow, columns: np.ndarray, t: float) -> np.ndarray:
     size, half, live = len(columns), max(map(abs, A)), columns.any(axis=1)
     lo, hi = live.argmax(), size - live[::-1].argmax()      # every row when none is live
     F = B = columns.astype(float)
-    bands = [(k, np.repeat(a[:, None], F.shape[1], axis=1)) for k, a in A.items()]
     terms = np.zeros_like(F), np.zeros_like(F)              # B and the next B, in turn
     for _ in range(s):
         c1 = bound = np.abs(B[lo:hi]).sum(axis=1).max()
@@ -148,9 +147,9 @@ def expm(window: LatticeWindow, columns: np.ndarray, t: float) -> np.ndarray:
             lo, hi = max(lo - half, 0), min(hi + half, size)
             out = terms[j % 2][lo:hi]
             out.fill(0.0)
-            for k, a in bands:
+            for k, a in A.items():
                 r0, r1 = max(lo, -k), min(hi, size - k)
-                out[r0 - lo:r1 - lo] += a[r0:r1] * B[r0 + k:r1 + k]
+                out[r0 - lo:r1 - lo] += a[r0:r1, None] * B[r0 + k:r1 + k]
             out *= t / (s * (j + 1))
             B, c2 = terms[j % 2], np.abs(out).sum(axis=1).max()
             F[lo:hi] += out
@@ -222,26 +221,11 @@ class QuadratureSpec:
             raise ValueError(f"radius must be finite with |radius| not 0 or 1: {self.radius!r}")
 
 
-@lru_cache(maxsize=256)
-def _evaluator(params: ParamVector, site: int, kind: str) -> tuple[np.ndarray, ...]:
-    """Float coefficients, highest degree first, of the numerator and the
-    denominator of p_site(x) ("p"), p_site(1/x) ("p_inv") or, by the adjoint
-    route, p*_site(x) ("p_star"), read-only."""
-    f = wave_p_star_via_adjoint(params, site) if kind == "p_star" else wave_p(params, site)
-    if kind == "p_inv":
-        f = f.inverse_var()
-    num, den = (np.array([c / p.den for c in reversed(p.num)]) for p in (f.num, f.den))
-    num.flags.writeable = den.flags.writeable = False
-    return num, den
-
-
-@lru_cache(maxsize=32)
-def _nodes(N: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The N midpoint nodes z on the circle, and z + 1/z, read-only."""
-    z = radius * np.exp(1j * (2.0 * np.pi * (np.arange(N) + 0.5) / N))
-    z_sum = z + 1.0 / z
-    z.flags.writeable = z_sum.flags.writeable = False
-    return z, z_sum
+def _numpy_eval(f) -> callable:
+    """z -> f(z) on arrays, for a PolyFraction f: np.polyval on the
+    correctly rounded float coefficients of its numerator and denominator."""
+    num, den = ([c / p.den for c in reversed(p.num)] for p in (f.num, f.den))
+    return lambda z: np.polyval(num, z) / np.polyval(den, z)
 
 
 def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
@@ -250,25 +234,29 @@ def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
 
     Doubles the node count until two successive values differ by less than
     spec.tol; the imaginary part must sit below 1e-12 and is discarded.
-    Coefficients are cached per site and kind, nodes per (N, radius).
     """
     tau = ensure_regular(params)
-    pn = _evaluator(params, n, "p")
-    pm = _evaluator(params, m + 1, "p_star") if spec.integrand == "kernel_adjoint" else \
-        _evaluator(params, m, "p_inv")
+    pn = _numpy_eval(wave_p(params, n))
+    if spec.integrand == "kernel_adjoint":
+        ps = _numpy_eval(wave_p_star_via_adjoint(params, m + 1))
+    else:
+        pm_inv = _numpy_eval(wave_p(params, m).inverse_var())
 
     if spec.integrand in ("kernel", "kernel_adjoint") and t is None:
         raise ValueError("kernel integrands need a time value")
 
     def value(N: int) -> complex:
-        z, z_sum = _nodes(N, spec.radius)
-        pn_z, pm_z = (np.polyval(num, z) / np.polyval(den, z) for num, den in (pn, pm))
+        theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N
+        z = spec.radius * np.exp(1j * theta)
         if spec.integrand == "orthogonality":
-            return complex(np.mean(pn_z * pm_z))
-        weight = np.exp(t * z_sum - 2.0 * t)
-        if spec.integrand == "kernel":
-            return complex(np.mean(float(tau.ratio(m, m + 1)) * weight * pn_z * pm_z))
-        return complex(np.mean(weight * pn_z * pm_z * z))
+            h = pn(z) * pm_inv(z)
+        elif spec.integrand == "kernel":
+            weight = np.exp(t * (z + 1.0 / z) - 2.0 * t)
+            h = float(tau.ratio(m, m + 1)) * weight * pn(z) * pm_inv(z)
+        else:
+            weight = np.exp(t * (z + 1.0 / z) - 2.0 * t)
+            h = weight * pn(z) * ps(z) * z
+        return complex(np.mean(h))
 
     N = spec.n_start
     prev = value(N)

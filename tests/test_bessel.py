@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SEED, bessel_i_series
 from heatkernel.bessel import (
+    IDENTITIES_T_MIN,
     NonpositiveArgument,
     NotOddPolynomial,
     alpha_table,
@@ -106,13 +107,21 @@ def test_nonpositive_argument():
 
 def test_identity_residual_suite():
     # t = 10 .. 300 put e^t far above the limits, so the residuals must be
-    # taken on scaled values
-    for t in (0.5, 1.0, 2.0, 4.0, 10.0, 50.0, 300.0):
+    # taken on scaled values; at the floor IDENTITIES_T_MIN they hold too
+    for t in (IDENTITIES_T_MIN, 0.5, 1.0, 2.0, 4.0, 10.0, 50.0, 300.0):
         res = identity_residuals(t)
         assert res["recurrence"] < 1e-12
         assert res["derivative"] < 1e-8
         assert res["ode"] < 1e-7
         assert res["generating"] < 1e-12
+
+
+def test_identity_residuals_refuse_t_below_floor():
+    # below the floor the ODE finite differences miss their limit on correct
+    # rows (4.6e-3 at 1e-12) or divide by an underflowed I_20 (1e-15)
+    for t in (1e-15, 1e-12, 0.5 * IDENTITIES_T_MIN):
+        with pytest.raises(ValueError, match="identity residuals need t"):
+            identity_residuals(t)
 
 
 def test_alpha_table_base_and_edges():

@@ -1,11 +1,9 @@
-"""The oracle's and kernel_eval's cached and live-row paths against the
-full-window loops they replace, bit for bit.
+"""The oracle's live-row paths and kernel_eval's per-kernel plan against the
+loops they replace, bit for bit.
 
-`_reference_expm`, `_reference_shifted` and `_numpy_eval` are the loops the
-package ran before: Taylor terms over every row of the window, a zero band
-allocated on every product of `shifted`, and the wave functions' float
-coefficients read from the PolyFractions that wave_p, inverse_var (then with
-a gcd) and wave_p_star_via_adjoint build on each call.
+`_reference_expm` and `_reference_shifted` are the loops the package ran
+before: Taylor terms over every row of the window, and a zero band allocated
+on every product of `shifted`.
 """
 
 import dataclasses
@@ -16,12 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import PARAMS
-from heatkernel import oracle
-from heatkernel.bessel import IDENTITIES_T_MIN, identity_residuals
-from heatkernel.exactcore import Poly, PolyFraction
+from heatkernel.exactcore import Poly
 from heatkernel.kernel import KernelFormula, assemble_kernel, kernel_eval
 from heatkernel.oracle import _THETA, _slices, expm, lattice_window
-from heatkernel.taudarboux import ParamVector, operator_build, wave_p, wave_p_star_via_adjoint
+from heatkernel.taudarboux import ParamVector, operator_build
 
 # the oracle_grid benchmark's (1,1) draws at seeds 1, 7 and 103 (103 is near a tau zero)
 DRAWS = {
@@ -83,18 +79,6 @@ def _reference_shifted(window):
             column_sums[src] += np.abs(a[rows])
         d.append(column_sums.max() ** (1.0 / p))
     return mu, d
-
-
-def _numpy_eval(f):
-    """The float coefficient arrays, highest degree first, of a PolyFraction's
-    numerator and denominator, as np.polyval reads them."""
-    return tuple(np.asarray([c / p.den for c in reversed(p.num)]) for p in (f.num, f.den))
-
-
-def _inverse_var_with_gcd(f):
-    """f(1/x) with the reversed pair reduced by their gcd, as inverse_var was."""
-    g = f.inverse_var()
-    return PolyFraction(g.num, g.den)
 
 
 def _same_bits(got, ref) -> bool:
@@ -176,19 +160,6 @@ def test_expm_all_zero_columns():
     assert not got.any() and got is not columns
 
 
-@pytest.mark.parametrize("params", [PARAMS[(1, 0)], PARAMS[(1, 1)], P33], ids=["1,0", "1,1", "3,3"])
-def test_evaluator_coefficients_match_polyfractions(params):
-    for site in range(-4, 5):
-        cases = {"p": wave_p(params, site),
-                 "p_inv": _inverse_var_with_gcd(wave_p(params, site)),
-                 "p_star": wave_p_star_via_adjoint(params, site)}
-        for kind, f in cases.items():
-            got = oracle._evaluator(params, site, kind)
-            ref = _numpy_eval(f)
-            assert len(got) == 2 and all(map(_same_bits, got, ref)), (site, kind)
-            assert not any(a.flags.writeable for a in got)
-
-
 def test_kernel_eval_reads_edited_terms_of_a_hand_built_kernel():
     params = PARAMS[(1, 0)]
     f = KernelFormula(params=params, n=0, m=0, terms={0: Poly("t", [1])}, provenance={})
@@ -207,12 +178,3 @@ def test_kernel_eval_plan_of_an_assembled_kernel():
         for t in (0.5, 3.0, 700.0, 1e6):
             assert kernel_eval(f, t) == kernel_eval(copy, t), (n, m, t)
 
-
-def test_identity_residuals_refuse_t_below_floor():
-    for t in (1e-15, 1e-12, 0.5 * IDENTITIES_T_MIN):
-        with pytest.raises(ValueError, match="identity residuals need t"):
-            identity_residuals(t)
-    # at the floor the suite's limits hold on correct rows
-    res = identity_residuals(IDENTITIES_T_MIN)
-    assert res["recurrence"] < 1e-12 and res["derivative"] < 1e-8
-    assert res["ode"] < 1e-7 and res["generating"] < 1e-12
