@@ -21,17 +21,18 @@ A_n(x) = sum_k q_k(n) x^k, so
 gamma_d is therefore a bilinear form in the (integer-scaled) coefficients at
 n and m: a truncated product of two polynomials of degree K and the fixed
 integer power series of the denominator, up to gamma_{2T}.  The resummed
-tails depend only on k = n - m and T, and both cached (k, T) tables are
-node-weighted sums of one integer primitive, S_n(k') = sum_{j > k',
-j = k'+1 mod 2} j^{2n+1} I_j(2t), built once per node grid: the tail matrix
-holds I_k(2t) and the 2T tails over one denominator, the basis matrix the
-same columns folded onto (I_0, I_1).  A kernel is the site's 2T+1 integer
-weights gamma_d tau(m) (over tau(m+1)), divided by their content, times
-either table, all on integers.  An assembled kernel is one shared, read-only memo
-entry that keeps its weights: its beta_j Polys are built from the tail
-matrix on first read, its (I_0, I_1) form from the basis matrix on first
-certificate.  A certificate builds neither the tail matrix nor L: the band
-values at a site come from tau and the wave numerators.
+tails depend only on k = n - m and T: the (k, T) table holds I_k(2t) and
+the 2T tails over one denominator, node-weighted sums of one integer
+primitive, S_n(k') = sum_{j > k', j = k'+1 mod 2} j^{2n+1} I_j(2t), built
+once per node grid.  A kernel is the site's 2T+1 integer weights
+gamma_d tau(m) (over tau(m+1)), divided by their content, times that table,
+all on integers.  An assembled kernel is one shared, read-only memo entry
+that keeps its weights; its beta_j Polys are built from the table's rows on
+first read.  Both consumers, pde_residual and kernel_eval, read one form,
+u = e^{-2t} (A(t) I_k(2t) + B(t) I_{k+1}(2t)) with k = |n - m|: the weights
+times the table folded onto (I_k, I_{k+1}) (`_basis_matrix`).  A
+certificate builds neither the beta_j nor L: the band values at a site come
+from tau and the wave numerators.
 
 beta_j are exact polynomials in t of degree <= 2T-1 (T = max(R,S)).
 """
@@ -170,9 +171,10 @@ class KernelFormula:
 
     An assembled kernel is one memo entry, shared by every caller: its `terms`
     and `provenance` are read-only, it keeps its reduced weights (k, T, w, den),
-    and it builds `terms` on first read (the tail matrix's D multiplied into
-    den) and its (I_0, I_1) form on first certificate (the basis matrix's D).
-    A kernel built by hand, or by `replace`, has no weights."""
+    and it builds `terms` on first read (the table's D multiplied into den)
+    and its form (low, A, B, D) on (I_k(2t), I_{k+1}(2t)) on first use (the
+    basis matrix's D).  A kernel built by hand, or by `replace`, has no
+    weights: its terms are folded on each call (`_form`)."""
 
     params: ParamVector
     n: int
@@ -186,8 +188,6 @@ class KernelFormula:
         k, T, w, den = self._weights
         low, *rows, D = _basis_matrix(k, T)
         return (low, *(tuple(sum(map(mul, cell, w)) for cell in r) for r in rows), den * D)
-
-    _plan = cached_property(lambda self: _eval_plan(self.terms))    # assembled kernels: read-only terms
 
     def beta(self, j: int) -> Poly:
         return self.terms.get(abs(j), Poly(T_VAR))
@@ -234,7 +234,7 @@ class KernelFormula:
 
 def _assembled(params: ParamVector, n: int, m: int, provenance: dict, weights: tuple) -> KernelFormula:
     """The read-only kernel whose (k, T) tables times the integer weights w,
-    over den times the table's own D, give its terms and its (I_0, I_1) form,
+    over den times the table's own D, give its terms and its (I_k, I_{k+1}) form,
     for weights = (k, T, w, den), kept divided by gcd(den, *w): about half
     den's bits, more on transported kernels, that every certificate product
     would carry.  `terms` are normalised Polys, so they do not change."""
@@ -246,12 +246,24 @@ def _assembled(params: ParamVector, n: int, m: int, provenance: dict, weights: t
     return f
 
 
+def _weighted_rows(pairs, width: int) -> dict:
+    """sum_c w_c col_c over (weight w_c, col_c) pairs, columns {order j:
+    integer row of at most width entries}, as {order j: list of width
+    entries}, orders as the columns first reach them, zero weights skipped."""
+    acc: dict = {}
+    for c, col in pairs:
+        for j, row in col.items() if c else ():
+            have = acc.setdefault(j, [0] * width)
+            for e, x in enumerate(row):
+                have[e] += c * x
+    return acc
+
+
 def _weighted_terms(f: KernelFormula) -> dict:
     k, T, w, den = f._weights
-    orders, rows, D = _tail_matrix(k, T)
-    # orders as the columns first reach them, skipping zero weights
-    return _ReadOnly({j: p for j in dict.fromkeys(j for c, js in enumerate(orders) if w[c] for j in js)
-                      if (p := Poly.from_ints(T_VAR, [sum(map(mul, cell, w)) for cell in rows[j]], den * D))})
+    cols, D = _table_columns(k, T, 0)
+    return _ReadOnly({j: p for j, row in _weighted_rows(zip(w, cols), 2 * T + 1).items()
+                      if (p := Poly.from_ints(T_VAR, row, den * D))})
 
 
 # an assembled kernel builds its terms on first read, into its __dict__
@@ -321,21 +333,21 @@ def _check_degrees(terms: dict, T: int):
                 f"beta_{j} has degree {max(e for e, c in enumerate(cs) if c)} above the bound {bound}")
 
 
-def _folded(rows: dict) -> dict:
+def _folded(rows: dict, base: int) -> dict:
     """`_fold` of sum_j P_j(t) I_j(2t), for rows {order j: integer coefficients
-    of P_j}, as {exponent e: the numerators of t^e on (I_0(2t), I_1(2t))},
-    exponents where both are zero left out."""
-    low, row0, row1 = _fold(rows.items())
+    of P_j}, as {exponent e: the numerators of t^e on (I_base(2t),
+    I_{base+1}(2t))}, exponents where both are zero left out."""
+    low, row0, row1 = _fold(rows.items(), base)
     return {e: pair for e, pair in enumerate(zip(row0, row1), low) if any(pair)}
 
 
 @lru_cache(maxsize=1024)
 def _power_sum(n: int, k: int) -> tuple:
     """(rows, D): S_n(k) = sum_{j > k, j = k+1 mod 2} j^{2n+1} I_j(2t), the
-    one primitive of both (k, T) tables, as integer rows per order over D:
+    one primitive of the (k, T) table, as integer rows per order over D:
     tail_resum of the monomial j^{2n+1}, orders in its sequence.  Its degree
-    guard (at most 2n + 1) covers both tables, as neither a weighted sum nor
-    the fold raises a degree."""
+    guard (at most 2n + 1) covers the table's rows and its fold, as neither a
+    weighted sum nor the fold raises a degree."""
     terms = tail_resum(Poly.from_ints(J_VAR, [0] * (2 * n + 1) + [1]), k)
     D = math.lcm(*(p.den for p in terms.values()))
     rows = {j: [c * (D // p.den) for c in p.num] for j, p in terms.items()}
@@ -344,15 +356,13 @@ def _power_sum(n: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=512)
-def _grid_columns(f: int, T: int, form: int) -> tuple:
+def _grid_columns(f: int, T: int) -> tuple:
     """((den, col), ...): the T tail columns of the node grid {f + 2i : i < T},
-    integer rows per order (form 0) or those rows folded (form 1) over each
-    den; the second grid of (k, T) is the first of (k + 1, T).  Column i is
-    sum_n c_n S_n(node - 1) / delta, node = f + 2i: node_poly(f, i, T) on
-    integers is j prod_{l != i} (j^2 - o_l^2) = sum_n c_n j^{2n+1} over
+    integer rows per order over each den; the second grid of (k, T) is the
+    first of (k + 1, T).  Column i is sum_n c_n S_n(node - 1) / delta,
+    node = f + 2i: node_poly(f, i, T) on integers is
+    j prod_{l != i} (j^2 - o_l^2) = sum_n c_n j^{2n+1} over
     delta = node prod_{l != i} (node^2 - o_l^2), o_l the other nodes."""
-    if form:
-        return tuple((den, _folded(col)) for den, col in _grid_columns(f, T, 0))
     grid = range(f, f + 2 * T, 2)
     out = []
     for node in grid:
@@ -363,51 +373,29 @@ def _grid_columns(f: int, T: int, form: int) -> tuple:
                 delta *= node * node - other * other
         sums = [(cn, _power_sum(n, node - 1)) for n, cn in enumerate(c) if cn]
         M = math.lcm(*(D for _, (_, D) in sums))
-        acc: dict = {}
-        for cn, (S, D) in sums:
-            w = cn * (M // D)
-            for j, row in S.items():
-                have = acc.get(j) or acc.setdefault(j, [0] * 2 * T)
-                for e, x in enumerate(row):
-                    have[e] += w * x
+        acc = _weighted_rows(((cn * (M // D), S) for cn, (S, D) in sums), 2 * T)
         out.append((delta * M, {j: tuple(row) for j, row in acc.items() if any(row)}))
     return tuple(out)
 
 
 def _table_columns(k: int, T: int, form: int) -> tuple:
-    """(cols, D): the 2T+1 columns of the (k, T) tables, each over the least
-    common denominator D, as rows (form 0) or the fold (form 1).
+    """(cols, D): the 2T+1 columns of the (k, T) table, each over the least
+    common denominator D, as rows per order (form 0) or folded onto
+    (I_k(2t), I_{k+1}(2t)) (form 1, `_folded`).
 
     Column 0 is I_k(2t); then come the tails of branch eps = 1, slots i < T,
     then those of eps = 2: the cached `_grid_columns` of the grids from k + 1
-    and k + 2, so a table only joins and normalises.  Raises ZeroNode for k in
-    [-2T, -1], where some node is 0.
+    and k + 2, so a table only joins, folds and normalises.  ZeroNode for k
+    in [-2T, -1], where some node is 0; the fold's ValueError for k < -2T.
     """
     if -2 * T <= k <= -1:
         raise ZeroNode(f"a node k+eps+2i is 0 for k={k}, T={T}")
-    ik = {k: [1]}
-    cols = [(1, _folded(ik) if form else ik), *_grid_columns(k + 1, T, form), *_grid_columns(k + 2, T, form)]
+    cols = [(1, {k: [1]}), *_grid_columns(k + 1, T), *_grid_columns(k + 2, T)]
+    if form:
+        cols = [(d, _folded(col, k)) for d, col in cols]
     D = math.lcm(*(d for d, _ in cols))
     g = math.gcd(D, *(x * (D // d) for d, col in cols for row in col.values() for x in row))
     return [{key: [x * (D // d) // g for x in row] for key, row in col.items()} for d, col in cols], D // g
-
-
-@lru_cache(maxsize=256)
-def _tail_matrix(k: int, T: int) -> tuple:
-    """(orders, rows, D): the kernel at offset k, linear in its 2T+1 weights,
-    as integer numerators over one denominator D, the least one.
-
-    The columns are `_table_columns`' rows form.  orders[c] lists the orders
-    column c reaches, in the order tail_resum gives them; rows[j][e][c] is
-    column c's numerator of the t^e coefficient in order j.  Parameter-free,
-    so shared by every draw.
-    """
-    cols, D = _table_columns(k, T, 0)
-    width = max(len(row) for col in cols for row in col.values())
-    zero = (0,) * width
-    rows = {j: tuple(zip(*((*col[j], *zero[len(col[j]):]) if j in col else zero for col in cols)))
-            for j in dict.fromkeys(j for col in cols for j in col)}
-    return tuple(tuple(col) for col in cols), rows, D
 
 
 def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
@@ -460,45 +448,37 @@ def symmetry_transport(params: ParamVector, n: int, m: int,
 
 @lru_cache(maxsize=1024)
 def _bessel_values(x: float, K: int) -> tuple[float, ...]:
-    """e^{-x} I_k(x), k = 0..K: one bessel_row, shared by every kernel of top
-    order K evaluated at t = x/2."""
+    """e^{-x} I_k(x), k = 0..K: one bessel_row, shared by every kernel at
+    offset K - 1 evaluated at t = x/2."""
     return bessel_row(x, K).values
 
 
-def _eval_plan(terms: dict) -> tuple:
-    """(K, ((j, num, den, degree), ...)): what kernel_eval reads of the terms."""
-    return max(terms), tuple((j, p.num, p.den, p.degree) for j, p in terms.items())
-
-
 def kernel_eval(f: KernelFormula, t: float) -> float:
-    """Numeric value e^{-2t} sum_j beta_j(t) I_j(2t).
+    """Numeric value u = e^{-2t} (A(t) I_k(2t) + B(t) I_{k+1}(2t)), k = |n - m|.
 
-    Each beta_j(t) is exact (integer Horner at t = x/y), rounded once to
-    float; the scaled Bessel values e^{-2t} I_j(2t) are one bessel_row at 2t
-    up to the kernel's top order (cached on both), so one value costs a few
-    polynomial evaluations and at most one row whatever t is.  Where a
-    beta_j(t) or the sum passes float range, the sum is taken again in exact
-    rationals (each Bessel float read exactly) and rounded once.  Each Bessel
-    value is within a few eps, so the relative error is about kappa eps for
-    kappa = sum_j |beta_j(t)| e^{-2t} I_j(2t) / |u|.  t = 0 returns the exact
-    delta limit.  ValueError for a t not finite and >= 0, or a u beyond
-    float range.
+    A(t) and B(t) of the kernel's form (`_form`) are exact (integer Horner at
+    t = x/y), each rounded once to float, times the last two values of one
+    bessel_row at 2t to order k + 1 (cached on both).  Where A(t) or B(t)
+    passes float range, the sum is taken again in exact rationals (each
+    Bessel float read exactly) and rounded once.  Each Bessel value is within
+    a few eps, so the relative error is about kappa_2 eps for kappa_2 =
+    (|A(t)| e^{-2t} I_k(2t) + |B(t)| e^{-2t} I_{k+1}(2t)) / |u|, often far
+    below the beta_j sum's at large t.  t = 0 returns the exact delta limit.
+    ValueError for a t not finite and >= 0, or a u beyond float range.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     if t == 0:
         return 1.0 if f.n == f.m else 0.0
-    if not (terms := f.terms):
-        return 0.0
-    K, plan = f._plan if f._weights is not None else _eval_plan(terms)
+    k, (low, A, B, D) = abs(f.n - f.m), _form(f)
     x, y = float(t).as_integer_ratio()
-    scaled = _bessel_values(2.0 * t, K)
+    den = D * x ** -low * y ** (low + len(A) - 1)      # t^e = x^e / y^e, e = low <= 0 .. top >= 0
+    a, b = eval_homogeneous(A, x, y), eval_homogeneous(B, x, y)
+    row = _bessel_values(2.0 * t, k + 1)
     try:
-        return math.fsum(eval_homogeneous(num, x, y) / (den * y ** degree) * scaled[j]
-                         for j, num, den, degree in plan)
+        return math.fsum((a / den * row[k], b / den * row[k + 1]))
     except OverflowError:
-        exact = sum(Fraction(eval_homogeneous(num, x, y), den * y ** degree)
-                    * Fraction(scaled[j]) for j, num, den, degree in plan)
+        exact = Fraction(a, den) * Fraction(row[k]) + Fraction(b, den) * Fraction(row[k + 1])
     try:
         return float(exact)
     except OverflowError:
@@ -506,47 +486,61 @@ def kernel_eval(f: KernelFormula, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symbolic certification: reduce Bessel combinations to the (I_0, I_1) basis
+# symbolic certification: fold Bessel combinations onto two adjacent orders
 # ---------------------------------------------------------------------------
 
 
-def _fold(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _fold(pairs, base: int = 0) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(low, row0, row1): sum_j P_j(t) I_j(2t) over (order j, integer
-    coefficients of P_j) pairs as dense rows on orders 0 and 1, entry i that
-    of t^(low+i); folded by I_{-j} = I_j and, from the top order down, by
-    I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t)."""
+    coefficients of P_j) pairs as dense rows on orders base and base + 1,
+    entry i that of t^(low+i); folded by I_{-j} = I_j, from the top order down
+    by I_j(2t) = I_{j-2}(2t) - ((j-1)/t) I_{j-1}(2t), and from the lowest up by
+    I_j(2t) = I_{j+2}(2t) + ((j+1)/t) I_{j+1}(2t).  ValueError for base < 0."""
+    if base < 0:
+        raise ValueError(f"the fold's base order must be >= 0, got {base}")
     pairs = [(abs(j), cs) for j, cs in pairs]
+    bottom = min((j for j, _ in pairs), default=base)
     top = max((j for j, _ in pairs), default=0)
-    off = max(top - 1, 0)            # each fold step lowers the exponent by one
+    off = max(top - base - 1, base - bottom, 0)     # each fold step lowers the exponent by one
     width = off + max((len(cs) for _, cs in pairs), default=0)
-    rows = [[0] * width for _ in range(max(top, 1) + 1)]
+    rows = {j: [0] * width for j in range(min(bottom, base), max(top, base + 1) + 1)}
     for j, cs in pairs:
         for x, c in enumerate(cs, off):
             rows[j][x] += c
-    for j in range(top, 1, -1):
-        lower, mid = rows[j - 2], rows[j - 1]
+    # (order, the order two steps towards the base, the one between, its factor times t)
+    steps = [*((j, j - 2, j - 1, 1 - j) for j in range(top, base + 1, -1)),
+             *((j, j + 2, j + 1, j + 1) for j in range(bottom, base))]
+    for j, far, near, by in steps:
         for x, c in enumerate(rows[j]):
             if c:
-                lower[x] += c
-                mid[x - 1] -= (j - 1) * c
-    return -off, tuple(rows[0]), tuple(rows[1])
+                rows[far][x] += c
+                rows[near][x - 1] += by * c
+    return -off, tuple(rows[base]), tuple(rows[base + 1])
 
 
-def _reduced_rows(pairs) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
-    """(low, row0, row1, D): `_fold` of (order j, Poly) pairs over D, the lcm of their dens."""
+def _reduced_rows(pairs, base: int = 0) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """(low, row0, row1, D): `_fold` of (order j, Poly) pairs onto (I_base,
+    I_{base+1}) over D, the lcm of their dens."""
     pairs = list(pairs)
     D = math.lcm(*(p.den for _, p in pairs))
-    return (*_fold((j, [c * (D // p.den) for c in p.num]) for j, p in pairs), D)
+    return (*_fold(((j, [c * (D // p.den) for c in p.num]) for j, p in pairs), base), D)
+
+
+def _form(f: KernelFormula) -> tuple:
+    """(low, A, B, D): u = e^{-2t} (A(t) I_k(2t) + B(t) I_{k+1}(2t)), k = |n - m|,
+    A and B integer rows from t^low, low <= 0 <= low + len(A) - 1, over D: an
+    assembled kernel's cached `_basis`, a hand-built kernel's terms folded."""
+    return f._basis if f._weights is not None else _reduced_rows(f.terms.items(), abs(f.n - f.m))
 
 
 @lru_cache(maxsize=256)
 def _basis_matrix(k: int, T: int) -> tuple:
-    """(low, rows0, rows1, D): the columns of _tail_matrix(k, T) on (I_0, I_1),
-    `_table_columns`' fold form, over their own least denominator D, without
-    building that matrix.  rows0[x][c] (rows1[x][c]) is column c's numerator
-    of t^(low+x) on I_0(2t) (I_1(2t)).  The leading and trailing exponents at
-    which every column is zero in both halves (the fold's padding) are left
-    out: they are zero for any weights."""
+    """(low, rows0, rows1, D): the (k, T) table on (I_k(2t), I_{k+1}(2t)),
+    `_table_columns`' fold form over its own least denominator D: rows0[x][c]
+    (rows1[x][c]) is column c's numerator of t^(low+x) on I_k (I_{k+1}).
+    Exponents at which every column is zero (the fold's padding) are left out.
+    Observed, not assumed: low >= 0 and low + len(rows0) - 1 <= T at every
+    (k, T) the tests cover.  ValueError for k < 0 (ZeroNode for k in [-2T, -1])."""
     cols, D = _table_columns(k, T, 1)
     exps = range(min(e for col in cols for e in col), max(e for col in cols for e in col) + 1)
     return (exps[0], *(tuple(tuple(col.get(e, (0, 0))[h] for col in cols) for e in exps) for h in (0, 1)), D)
@@ -628,40 +622,45 @@ def _band_at(params: ParamVector, n: int) -> tuple[Fraction, Fraction]:
 def pde_residual(f: KernelFormula) -> ExactZeroReport:
     """Certify d/dt u - (L u) = 0 symbolically for the assembled kernel.
 
-    The kernels at the band sites n-1, n, n+1 are taken in their basis form
-    u = e^{-2t} (A I_0 + B I_1), each I_j at 2t: an assembled kernel's weights times
-    `_basis_matrix`, cached on it, or a hand-built kernel's terms by `_reduced_rows`.  By
-    d/dt I_0 = 2 I_1, d/dt I_1 = 2 I_0 - I_1/t the residual is e^{-2t} (R_0 I_0 + R_1 I_1):
-      R_0 = A' + 2B - (2+c_0)A - A_{n+1} - c_{-1}A_{n-1},
-      R_1 = B' + 2A - B/t - (2+c_0)B - B_{n+1} - c_{-1}B_{n-1}.
-    I_0 and I_1 are independent over rational functions of t, so pass means
-    both Laurent polynomials vanish identically.  The integer rows span the
-    forms' live exponents, over one E; each form's factor to E is taken once.
+    The kernels at the band sites n-1, n, n+1 are read in their forms
+    (`_form`), u = e^{-2t} (A I_k + B I_{k+1}), each I_j at 2t, k = |n - m|.
+    By d/dt I_k = 2 I_{k+1} + (k/t) I_k and d/dt I_{k+1} = 2 I_k - ((k+1)/t) I_{k+1}
+    the residual is e^{-2t} (R_k I_k + R_{k+1} I_{k+1}) with
+      R_k = A' + (k/t)A + 2B - (2+c_0)A - (the I_k parts of u_{n+1} + c_{-1} u_{n-1}),
+      R_{k+1} = B' + 2A - ((k+1)/t)B - (2+c_0)B - (their I_{k+1} parts).
+    A neighbour at offset k+1 or k-1 comes over with its halves swapped and
+    one 1/t term, by I_{k+2} = I_k - ((k+1)/t) I_{k+1} or I_{k-1} = I_{k+1} + (k/t) I_k.
+    I_k and I_{k+1} are independent over rational functions of t, so pass
+    means both Laurent polynomials vanish identically.  The integer rows span
+    the forms' live exponents over one E, each form's factor to E taken once;
+    a residual that does not vanish is folded onto (I_0, I_1) for the report.
     """
     params, n, m = f.params, f.n, f.m
+    k = abs(n - m)
     s, cm = _band_at(params, n)
-    (low, A, B, D), (lu, Au, Bu, Du), (lm, Am, Bm, Dm) = (
-        g._basis if g._weights is not None else _reduced_rows(g.terms.items())
-        for g in (f, _assemble(params, n + 1, m), _assemble(params, n - 1, m)))
+    ups, downs = _assemble(params, n + 1, m), _assemble(params, n - 1, m)
+    (low, A, B, D), (lu, Au, Bu, Du), (lm, Am, Bm, Dm) = map(_form, (f, ups, downs))
     E = math.lcm(s.denominator * D, Du, cm.denominator * Dm)
     e = E // D
     twice, diag = 2 * e, s.numerator * (e // s.denominator)
     up, down = -(E // Du), -cm.numerator * (E // (cm.denominator * Dm))
-    lo = min(low - 1, lu, lm)
+    lo = min(low, lu, lm) - 1
     rows = [[0] * (max(low + len(A), lu + len(Au), lm + len(Am)) - lo) for _ in "01"]
-    for i, (X, Y, Xu, Xm) in enumerate(((A, B, Au, Am), (B, A, Bu, Bm))):
-        row = rows[i]
+    for row, X, Y, shift in ((rows[0], A, B, k), (rows[1], B, A, -k - 1)):
         for x, (c, y) in enumerate(zip(X, Y), low - lo):
-            if c:                       # A' - (2+c_0)A, or B' - B/t - (2+c_0)B
-                row[x - 1] += (x + lo - i) * c * e
-                row[x] += c * diag
-            if y:
-                row[x] += y * twice
-        for start, vec, a in ((lu, Xu, up), (lm, Xm, down)):
-            for x, c in enumerate(vec, start - lo):
-                if c:
-                    row[x] += c * a
+            row[x - 1] += (x + lo + shift) * c * e      # A' + (k/t)A, or B' - ((k+1)/t)B
+            row[x] += c * diag + y * twice
+    for g, start, X, Y, a in ((ups, lu, Au, Bu, up), (downs, lm, Am, Bm, down)):
+        # the 1/t term: -((k+1)/t) Y on I_{k+1} at offset k+1, (k/t) X on I_k at k-1
+        i, src, by = (1, Y, -k - 1) if abs(g.n - g.m) > k else (0, X, k)
+        for x, (c, y, z) in enumerate(zip(X, Y, src), start - lo):
+            rows[1][x] += c * a
+            rows[0][x] += y * a
+            rows[i][x - 1] += by * z * a
     passed = not any(rows[0]) and not any(rows[1])
-    R0, R1 = ("0", "0") if passed else map(repr, _laurent_pair(lo, *rows, E))
+    R0 = R1 = "0"
+    if not passed:                  # reported on (I_0, I_1); the rows start at t^lo
+        low0, *pair = _fold([(k, rows[0]), (k + 1, rows[1])])
+        R0, R1 = map(repr, _laurent_pair(low0 + lo, *pair, E))
     return ExactZeroReport(params=params, n=n, m=m, passed=passed,
                            residual_I0=R0, residual_I1=R1)

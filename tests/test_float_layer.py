@@ -12,15 +12,21 @@ from types import ModuleType
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import heatkernel
-from heatkernel import ParamVector, assemble_kernel, kernel_eval
+from heatkernel import ParamVector, assemble_kernel, kernel_eval, tau_build
 from test_cli import SUBPROCESS_ENV
 
 HIGH_ORDER = [ParamVector(R, R, [F(1, 3), F(1, 7), F(2, 5), F(1, 11)]) for R in (2, 3, 4)]
 # the one-step kernel too: its top orders are the lowest, so its rows switch to
 # Hankel's expansion at the smallest t
 PARAMS = [ParamVector(1, 0, [F(1, 2)]), *HIGH_ORDER]
+R8 = [F(1, 3), F(1, 7), F(2, 5), F(1, 11), F(3, 13), F(1, 17), F(2, 19), F(1, 23)]
+# |kernel_eval - u| <= 18 eps kappa_2 |u|: A(t) and B(t) are each rounded once
+# (eps/2), the Bessel values are within bessel_row's tested 16 eps, and the two
+# products and their sum are rounded once each (eps/2): (1 + eps/2)^3 (1 + 16 eps) - 1 < 18 eps
+TWO_TERM_EPS = 18 * sys.float_info.epsilon
 
 
 def _reference(f, t: float):
@@ -48,13 +54,76 @@ def test_kernel_eval_error_within_condition_number(params):
             assert err <= 4 * sys.float_info.epsilon * scale, (n, m, t, float(err), float(scale))
 
 
+def _mp(q: F):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _two_term(f, t: float) -> tuple[F, F]:
+    """(A(t), B(t)), exact, with u = e^{-2t} (A(t) I_k(2t) + B(t) I_{k+1}(2t)),
+    k = |n - m|: the exact beta_j(t) times I_j on (I_k, I_{k+1}) at this t,
+    by the three-term recurrence upwards and downwards from k."""
+    k, x = abs(f.n - f.m), F(t)
+    reps = {k: (F(1), F(0)), k + 1: (F(0), F(1))}
+    for j in range(k + 1, max([k + 1, *f.terms])):     # I_{j+1} = I_{j-1} - (j/t) I_j
+        reps[j + 1] = tuple(a - j / x * b for a, b in zip(reps[j - 1], reps[j]))
+    for j in range(k, 0, -1):                           # I_{j-1} = I_{j+1} + (j/t) I_j
+        reps[j - 1] = tuple(a + j / x * b for a, b in zip(reps[j + 1], reps[j]))
+    A = B = F(0)
+    for j, p in f.terms.items():
+        beta = p.subs(x)
+        A, B = A + beta * reps[j][0], B + beta * reps[j][1]
+    return A, B
+
+
+def _referenced(f, t: float):
+    """(u, kappa_beta, kappa_2 |u|): u = sum_j beta_j(t) e^{-2t} I_j(2t) at
+    log10 kappa_beta + 40 digits or more, for kappa_beta = sum_j |beta_j(t)|
+    e^{-2t} I_j(2t) / |u|, and kappa_2 |u| = |A(t)| e^{-2t} I_k(2t) +
+    |B(t)| e^{-2t} I_{k+1}(2t).  Too few digits leave a u of about kappa_beta
+    times 10^-dps, so the digits are raised until they suffice."""
+    k, x = abs(f.n - f.m), F(t)
+    betas = {j: p.subs(x) for j, p in f.terms.items()}
+    dps = 50
+    while True:
+        assert dps < 2000, (f.n, f.m, t)
+        with mpmath.workdps(dps):
+            tm = mpmath.mpf(t)
+            scaled = {j: mpmath.besseli(j, 2 * tm) * mpmath.exp(-2 * tm) for j in {*betas, k, k + 1}}
+            value = mpmath.fsum(_mp(b) * scaled[j] for j, b in betas.items())
+            scale = mpmath.fsum(abs(_mp(b)) * scaled[j] for j, b in betas.items())
+            need = 40 + (mpmath.log10(scale / abs(value)) if value else dps)
+            if dps >= need:
+                A, B = _two_term(f, t)
+                return value, scale / abs(value), abs(_mp(A)) * scaled[k] + abs(_mp(B)) * scaled[k + 1]
+        dps = int(need) + 10
+
+
 def test_kernel_eval_past_float_range_of_beta():
-    # at t = 1e103 the (2,2) beta_j(t) pass float range while u does not
-    f, t = assemble_kernel(HIGH_ORDER[0], 2, 0), 1e103
-    assert max(abs(p.subs(F(t))) for p in f.terms.values()) > sys.float_info.max
-    value, scale = _reference(f, t)
+    # at t = 1e80 the (4,4) A(t) passes float range while u does not, so the
+    # two-term sum is taken again in exact rationals
+    f, t = assemble_kernel(ParamVector(4, 4, R8), 2, 0), 1e80
+    assert abs(_two_term(f, t)[0]) > sys.float_info.max
+    value, _, scale = _referenced(f, t)
     err = abs(mpmath.mpf(kernel_eval(f, t)) - value)
-    assert err <= 4 * sys.float_info.epsilon * scale, (float(err), float(scale))
+    assert err <= TWO_TERM_EPS * scale, (float(err), float(scale))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(0, 4),
+       st.lists(st.builds(F, st.integers(-9, 9), st.integers(2, 13)), min_size=1, max_size=8),
+       st.integers(-4, 4), st.integers(-4, 4), st.lists(st.integers(-12, 100), min_size=1, max_size=3))
+@example(4, 4, R8, 2, 0, [8])           # t = 1e4, where the beta_j sum keeps about 5 digits
+def test_kernel_eval_within_the_two_term_bound(R, S, r, n, m, half_decades):
+    # log-spaced t from 1e-6 to 1e50: the error stays within 18 eps kappa_2 |u|
+    # against a reference with log10 kappa_beta + 40 digits, though kappa_beta
+    # reaches about 1e150 at t = 1e50
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    f = assemble_kernel(params, n, m)
+    for t in (10.0 ** (e / 2) for e in half_decades):
+        value, kappa, scale = _referenced(f, t)
+        err = abs(mpmath.mpf(kernel_eval(f, t)) - value)
+        assert err <= TWO_TERM_EPS * scale, (n, m, t, float(err / abs(value)), float(kappa))
 
 
 def test_kernel_eval_beyond_float_range_raises():

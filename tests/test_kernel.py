@@ -636,26 +636,44 @@ def table_columns(k, T):
 TABLE_OFFSETS = [(k, T) for T in range(6) for k in range(-12, 21) if not -2 * T <= k <= -1]
 
 
-def test_tail_matrix_is_the_resummed_tails():
-    # each column, orders in tail_resum's sequence, equals the Fraction reference
+def unit_kernel(k, T, c):
+    """A kernel whose weights select column c of the (k, T) table alone, at
+    sites (k, 0)."""
+    w = [0] * (2 * T + 1)
+    w[c] = 1
+    return kernel._assembled(PARAMS[(1, 0)], k, 0, {}, (k, T, tuple(w), 1))
+
+
+def carried_to_01(form, k, reps):
+    """A form (low, A, B, D) on (I_k(2t), I_{k+1}(2t)) as the Laurent pair on
+    (I_0(2t), I_1(2t)), by the reference table built upwards."""
+    A, B = kernel._laurent_pair(*form)
+    return tuple(A * reps[k][h] + B * reps[k + 1][h] for h in (0, 1))
+
+
+def test_table_columns_are_the_resummed_tails():
+    # a kernel that weights one column alone has that column as its terms,
+    # orders in tail_resum's sequence, equal to the Fraction reference
     for k, T in TABLE_OFFSETS:
-        orders, rows, D = kernel._tail_matrix(k, T)
         for c, col in enumerate(table_columns(k, T)):
-            assert orders[c] == tuple(j for j, _ in col), (k, T, c)
-            for j, p in col:
-                assert Poly.from_ints("t", [cell[c] for cell in rows[j]], D) == p, (k, T, c, j)
+            assert list(unit_kernel(k, T, c).terms.items()) == list(col), (k, T, c)
 
 
 def test_basis_matrix_is_the_folded_tail_columns():
-    # each column on (I_0, I_1) equals its tail column reduced by combo_to_basis,
-    # and the columns summed with weights 1..2T+1 equal the basis-table sum
+    # each column on (I_k, I_{k+1}), carried to (I_0, I_1), equals its tail
+    # column reduced by combo_to_basis, and the columns summed with weights
+    # 1..2T+1 equal the basis-table sum; each column is a polynomial in t of
+    # degree <= T, with no negative power
     reps = basis_table(40)
     for k, T in TABLE_OFFSETS:
+        if k < 0:
+            continue
         low, rows0, rows1, D = kernel._basis_matrix(k, T)
+        assert low >= 0 and low + len(rows0) - 1 <= T, (k, T)
         cols = table_columns(k, T)
         for c, col in enumerate(cols):
-            assert kernel._laurent_pair(low, [r[c] for r in rows0], [r[c] for r in rows1], D) \
-                == combo_to_basis(col), (k, T, c)
+            form = (low, [r[c] for r in rows0], [r[c] for r in rows1], D)
+            assert carried_to_01(form, k, reps) == combo_to_basis(col), (k, T, c)
         w = range(1, 2 * T + 2)
         summed = {}
         for c, col in zip(w, cols):
@@ -664,34 +682,60 @@ def test_basis_matrix_is_the_folded_tail_columns():
         A, B = PolyFraction.const("t", 0), PolyFraction.const("t", 0)
         for j, p in summed.items():
             A, B = A + p * reps[j][0], B + p * reps[j][1]
-        got = kernel._laurent_pair(low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)), D)
-        assert got == (A, B), (k, T)
+        form = (low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)), D)
+        assert carried_to_01(form, k, reps) == (A, B), (k, T)
 
 
 def test_a_zero_node_is_refused_by_both_tables():
+    # the rows a kernel's terms read and the fold its form reads
     for T in range(1, 5):
         for k in range(-2 * T, 0):
-            for table in (kernel._tail_matrix, kernel._basis_matrix):
+            for c in range(2 * T + 1):
                 with pytest.raises(ZeroNode):
-                    table(k, T)
+                    unit_kernel(k, T, c).terms
+                with pytest.raises(ZeroNode):
+                    kernel_eval(unit_kernel(k, T, c), 1.0)
+
+
+def test_a_negative_base_is_refused_by_the_fold():
+    # rows[base] would wrap round to the top orders; the fold and the basis
+    # matrix refuse it instead.  t I_3 = -2 I_0 + (t + 2/t) I_1 = t I_3 on
+    # (I_2, I_3), and I_0 = (1/t) I_1 + I_2 folded up
+    assert kernel._fold([(3, [0, 1])], 0) == (-2, (0, 0, -2, 0), (0, 2, 0, 1))
+    assert kernel._fold([(3, [0, 1])], 2) == (0, (0, 0), (0, 1))
+    assert kernel._fold([(0, [1])], 1) == (-1, (1, 0), (0, 1))
+    for base in (-1, -2, -7):
+        with pytest.raises(ValueError, match="base"):
+            kernel._fold([(3, [0, 1])], base)
+    for T in range(0, 4):
+        with pytest.raises(ValueError, match="base"):
+            kernel._basis_matrix(-2 * T - 1, T)
 
 
 def test_a_grids_columns_serve_both_tables_that_read_it():
     # the eps = 2 columns at offset k are the eps = 1 columns at k + 1, the
-    # node grid from k + 2 read twice, in the rows form and in the fold
+    # node grid from k + 2 read twice, as rows and, folded onto (I_k, I_{k+1})
+    # and onto (I_{k+1}, I_{k+2}), as the same functions
     def over(D, col):
         return {key: tuple(F(x, D) for x in row) for key, row in col.items()}
+
+    def refolded(col, k):           # a column on (I_k, I_{k+1}) folded onto (I_{k+1}, I_{k+2})
+        top = max(col) + 1
+        return kernel._folded({k: [col.get(e, (0, 0))[0] for e in range(top)],
+                               k + 1: [col.get(e, (0, 0))[1] for e in range(top)]}, k + 1)
 
     for k, T in TABLE_OFFSETS:
         if T and (k + 1, T) in TABLE_OFFSETS:
             kernel._grid_columns.cache_clear()
-            for form in (0, 1):
-                (cols, D), (nxt, Dn) = kernel._table_columns(k, T, form), kernel._table_columns(k + 1, T, form)
-                assert [over(D, c) for c in cols[T + 1:]] == [over(Dn, c) for c in nxt[1:T + 1]], (k, T, form)
-            # three grids, each built once on rows and folded once; the fold
-            # reads the rows' cached columns, the grid from k + 2 is shared
+            (cols, D), (nxt, Dn) = kernel._table_columns(k, T, 0), kernel._table_columns(k + 1, T, 0)
+            assert [over(D, c) for c in cols[T + 1:]] == [over(Dn, c) for c in nxt[1:T + 1]], (k, T)
+            if k >= 0:
+                (cols, D), (nxt, Dn) = kernel._table_columns(k, T, 1), kernel._table_columns(k + 1, T, 1)
+                assert [over(D, refolded(c, k)) for c in cols[T + 1:]] \
+                    == [over(Dn, c) for c in nxt[1:T + 1]], (k, T)
+            # three grids, each built once and read by both tables and forms
             info = kernel._grid_columns.cache_info()
-            assert (info.misses, info.hits) == (6, 2 + 3), (k, T)
+            assert (info.misses, info.hits) == (3, 1 + 4 * (k >= 0)), (k, T)
 
 
 def test_the_certificate_reads_the_resummed_tails_of_every_node(monkeypatch):
@@ -708,8 +752,7 @@ def test_the_certificate_reads_the_resummed_tails_of_every_node(monkeypatch):
         return {**terms, j: terms[j].scale(2)}
 
     params, bad = PARAMS[(1, 1)], 8
-    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._grid_columns,
-              kernel._power_sum)
+    caches = (kernel._assemble, kernel._basis_matrix, kernel._grid_columns, kernel._power_sum)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(kernel, "tail_resum", corrupt)
@@ -742,30 +785,51 @@ def test_kernel_weights_are_divided_by_their_content(R, S, r, n, m):
         a, b = tau(m) * tau(n + 1), tau(m + 1) * tau(n)
         raw, raw_den = [c * a for c in raw], raw_den * b
     assert [F(c, raw_den) for c in raw] == [F(c, den) for c in w], (n, m)
-    orders, rows, D = kernel._tail_matrix(k, T)
-    expect = {j: p for j in rows
-              if (p := Poly.from_ints("t", [sum(map(mul, cell, raw)) for cell in rows[j]], raw_den * D))}
-    assert f.terms == expect, (n, m)
+    expect = {}
+    for c, col in zip(raw, table_columns(k, T)):
+        for j, p in col:
+            expect[j] = expect.get(j, Poly("t")) + p.scale(F(c, raw_den))
+    assert f.terms == {j: p for j, p in expect.items() if not p.is_zero()}, (n, m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(-8, 8), st.integers(0, 4), st.data())
+@given(st.integers(0, 12), st.integers(0, 4), st.data())
 def test_basis_matrix_times_weights_is_the_reduced_combination(k, T, data):
     # the fold of the parameter-free matrix, times any weights, is the
-    # (I_0, I_1) form of the same combination of I_k and the tails: reduced on
-    # its own terms, and summed from the basis table built upwards
-    assume(not -2 * T <= k <= -1)           # a tail node k + eps + 2i is zero
+    # (I_k, I_{k+1}) form of the same combination of I_k and the tails:
+    # reduced on its own terms, and, carried to (I_0, I_1), summed from the
+    # basis table built upwards
     w = data.draw(st.lists(st.integers(-50, 50), min_size=2 * T + 1, max_size=2 * T + 1))
     low, rows0, rows1, D = kernel._basis_matrix(k, T)
-    got = kernel._laurent_pair(low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)), D)
+    form = (low, *([sum(map(mul, cell, w)) for cell in rows] for rows in (rows0, rows1)), D)
     cols = table_columns(k, T)
     combo = [(j, p.scale(c)) for c, col in zip(w, cols) for j, p in col]
-    assert got == kernel._laurent_pair(*kernel._reduced_rows(combo))
-    reps = basis_table(max([abs(j) for j, _ in combo] + [1]))
+    assert kernel._laurent_pair(*form) == kernel._laurent_pair(*kernel._reduced_rows(combo, k))
+    reps = basis_table(max([abs(j) for j, _ in combo] + [k + 1]))
     A, B = PolyFraction.const("t", 0), PolyFraction.const("t", 0)
     for j, p in combo:
         A, B = A + p * reps[abs(j)][0], B + p * reps[abs(j)][1]
-    assert got == (A, B)
+    assert carried_to_01(form, k, reps) == (A, B)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(0, 4), st.lists(_small_r, min_size=1, max_size=8),
+       st.integers(-6, 6), st.integers(-6, 6))
+def test_kernel_form_is_a_polynomial_pair_of_degree_at_most_T(R, S, r, n, m):
+    # u = e^{-2t} (A I_k(2t) + B I_{k+1}(2t)), k = |n - m|, with A and B
+    # polynomials in t of degree <= T = max(R, S) and no negative power, and
+    # A(0) = 1 at k = 0 (u(n, n, 0) = 1); a hand-built copy folds its terms
+    # to the same pair
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    f = assemble_kernel(params, n, m)
+    T, k = max(R, S), abs(n - m)
+    low, A, B, D = f._basis
+    assert low >= 0 and low + len(A) - 1 <= T, (n, m, low, len(A))
+    if k == 0:
+        assert low == 0 and A[0] == D, (n, m)
+    hand = replace(f, terms=dict(f.terms))
+    assert kernel._laurent_pair(*kernel._form(hand)) == kernel._laurent_pair(*f._basis), (n, m)
 
 
 def test_a_perturbed_weight_fails_the_certificate():
@@ -791,15 +855,14 @@ def test_pde_certificates_build_no_term_polys(monkeypatch, capsys):
     counted = cached_property(lambda f: builds.append(f) or build(f))
     counted.__set_name__(kernel.KernelFormula, "terms")
     monkeypatch.setattr(kernel.KernelFormula, "terms", counted)
-    # nor the tail matrix or L: the band values come from tau and the wave numerators
-    for cache in (kernel._assemble, kernel._band_at, kernel._tail_matrix, kernel._basis_matrix,
-                  operator_build):
+    # nor L: the band values come from tau and the wave numerators
+    for cache in (kernel._assemble, kernel._band_at, kernel._basis_matrix, operator_build):
         cache.cache_clear()
     assert cli.main(["verify", "--mode", "pde", "--R", "2", "--S", "2",
                      "--r", "1/3,1/7,2/5,1/11", "--range", "2"]) == 0
     assert "PASS\n  pairs = 25\n  failures = 0" in capsys.readouterr().out
     assert builds == []
-    assert operator_build.cache_info().misses == 0 and kernel._tail_matrix.cache_info().misses == 0
+    assert operator_build.cache_info().misses == 0
     assert kernel._basis_matrix.cache_info().misses > 0
     f, g = (assemble_kernel(PARAMS[(2, 2)], 1, -1) for _ in range(2))
     assert f is g and f.terms == g.terms
@@ -824,10 +887,10 @@ def test_assembled_kernel_terms_survive_a_memo_clear():
             assert items == list(expect.items()), (n, m)
 
 
-def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
-    # a piece t^{2T} (I_j(2t) - I_{j+2}(2t)) in the primitive behind both (k, T)
-    # tables trips the guard of each, on reading a kernel's terms and on its
-    # certificate, though the fold lowers it to (j + 1) t^{2T-1} I_{j+1}(2t)
+def test_degree_guard_reads_the_table_columns(monkeypatch):
+    # a piece t^{2T} (I_j(2t) - I_{j+2}(2t)) in the primitive behind the (k, T)
+    # table trips its guard on reading a kernel's terms, on its certificate
+    # and on its evaluation, though the fold lowers it to (j + 1) t^{2T-1} I_{j+1}(2t)
     resum = kernel.tail_resum
 
     def corrupt(q, k):
@@ -836,8 +899,7 @@ def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
         return {**terms, j: terms[j] + piece, j + 2: terms.get(j + 2, Poly("t")) - piece}
 
     params, T = PARAMS[(1, 1)], 1
-    caches = (kernel._assemble, kernel._tail_matrix, kernel._basis_matrix, kernel._grid_columns,
-              kernel._power_sum)
+    caches = (kernel._assemble, kernel._basis_matrix, kernel._grid_columns, kernel._power_sum)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(kernel, "tail_resum", corrupt)
@@ -846,6 +908,8 @@ def test_degree_guard_reads_the_tail_matrix_columns(monkeypatch):
             assemble_kernel(params, 2, 0).terms
         with pytest.raises(InternalInconsistency):
             pde_residual(assemble_kernel(params, 2, 0))
+        with pytest.raises(InternalInconsistency):
+            kernel_eval(assemble_kernel(params, 2, 0), 1.0)
     finally:
         for cache in caches:
             cache.cache_clear()

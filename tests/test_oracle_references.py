@@ -170,8 +170,9 @@ def test_kernel_eval_reads_edited_terms_of_a_hand_built_kernel():
     assert edited == kernel_eval(fresh, 1.5) != first
 
 
-def test_kernel_eval_plan_of_an_assembled_kernel():
-    # the kept plan gives the values a hand-built copy of the same terms gives
+def test_kernel_eval_form_of_an_assembled_kernel():
+    # the kept form (weights times the basis matrix) gives the values a
+    # hand-built copy, whose terms are folded at each call, gives
     for n, m in ((2, 0), (0, 2), (-3, 1)):
         f = assemble_kernel(P33, n, m)
         copy = dataclasses.replace(f, terms=dict(f.terms))
