@@ -58,8 +58,7 @@ __version__ = "0.1.0"
 #: needs it or the Chebyshev ring
 _LAZY = {
     **dict.fromkeys(["ComparisonReport", "QuadratureSpec", "circle_quadrature",
-                     "compare_kernel_to_lattice", "compare_report", "lattice_evolve",
-                     "orthogonality_gram"], "oracle"),
+                     "compare_kernel_to_lattice", "compare_report", "lattice_evolve"], "oracle"),
     **dict.fromkeys(["NodeSet", "NotMember", "WVCertificate", "av_membership", "chebyshev_U",
                      "F_build", "interp_Q", "lagrange_vanishing_sum", "reduce_to_wx"],
                     "chebring"),

@@ -25,6 +25,7 @@ from .bessel import IDENTITIES_T_MIN, bessel_row, identity_residuals, worst_of
 from .exactcore import rat
 from .kernel import (
     InternalInconsistency,
+    _certify_orthogonality,
     _certify_power_sums,
     assemble_kernel,
     pde_residual,
@@ -32,7 +33,6 @@ from .kernel import (
 from .taudarboux import (
     ParamVector,
     SingularTau,
-    ensure_regular,
     operator_build,
     tau_build,
 )
@@ -187,9 +187,9 @@ def make_parser() -> _Parser:
                    required=True)
     v.add_argument("--n", type=int, default=0)
     v.add_argument("--m", type=int, default=0)
-    v.add_argument("--range", type=int, help="grid half-width (pde/oracle) or size (orth)")
+    v.add_argument("--range", type=int, help="grid half-width (pde/oracle/orth)")
     v.add_argument("--t", help="comma list of times", default="0.5,1,2")
-    v.add_argument("--tol", type=float, help="tolerance override (oracle, orth)")
+    v.add_argument("--tol", type=float, help="tolerance override (oracle only)")
     v.add_argument("--W", type=int, default=200, help="lattice window half-width")
     v.add_argument("--T", type=int, default=1, help="decomp mode: certify the power sums S_n, n < T")
     v.add_argument("--format", choices=["json", "text"], default="text")
@@ -269,7 +269,7 @@ def _verify_report(args, passed: bool, detail: dict) -> int:
 
 def cmd_verify(args) -> int:
     params = build_params(args)
-    if args.tol is not None and args.mode in ("pde", "decomp", "identities"):
+    if args.tol is not None and args.mode != "oracle":
         why = "its limits are fixed" if args.mode == "identities" else "its certificate is exact"
         raise UsageError(f"--tol does not apply to verify --mode {args.mode}: {why}")
     ts = [_parse_time(piece.strip(), positive=args.mode != "oracle")
@@ -318,25 +318,14 @@ def cmd_verify(args) -> int:
         return _verify_report(args, report.passed, detail)
 
     if args.mode == "orth":
-        from .oracle import orthogonality_gram
-
-        size = (args.range if args.range is not None else 5) + 1
-        tol = args.tol if args.tol is not None else 1e-10
-        tau = ensure_regular(params)
-        G = orthogonality_gram(params, size)
-        worst, first = 0.0, None
-        for i in range(size):
-            for j in range(size):
-                value = float(G[i, j])
-                expect = float(tau.ratio(i + 1, i)) if i == j else 0.0
-                err = abs(value - expect)
-                if err > worst:
-                    worst, first = err, (i, j, value, expect)
-        passed = worst <= tol
-        detail = {"size": size, "max_err": worst, "tolerance": tol}
-        if not passed:
-            detail["first_failure"] = f"(n={first[0]}, m={first[1]}) value={first[2]!r} expect={first[3]!r}"
-        return _verify_report(args, passed, detail)
+        half = args.range if args.range is not None else 5
+        pairs, failures = _certify_orthogonality(params, half)
+        detail = {"claim": f"res_(z=0) p_n(z) p_m(1/z)/z = delta_nm tau(n+1)/tau(n) "
+                           f"for n, m in [{-half}, {half}]",
+                  "pairs": pairs, "failures": len(failures)}
+        if failures:
+            detail["first_failure"] = "(n={}, m={}) residue={} expect={}".format(*failures[0])
+        return _verify_report(args, not failures, detail)
 
     if args.mode == "decomp":
         checks, failures = _certify_power_sums(args.T)

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import index, mul
 
 from .bessel import bessel_row, tail_resum
 from .exactcore import Poly, PolyFraction, eval_homogeneous, eval_int
@@ -94,8 +94,8 @@ def _tau_at(params: ParamVector, n: int) -> int:
 
 
 def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
-    """Series coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x), for
-    n - m >= 0.  A kernel reads gamma_0..gamma_{2T}, so it asks for J = 2T.
+    """Series coefficients gamma_0..gamma_J of x^{m-n} p_n(x) p_m(1/x), at
+    any sites n, m.  A kernel reads gamma_0..gamma_{2T}, so it asks for J = 2T.
 
     With a = D_n A_n and b = D_m B_m the integer numerators of A_n and B_m
     over their denominators D_n, D_m (B_m is A_m reversed; see the module
@@ -103,13 +103,19 @@ def gamma_series(params: ParamVector, n: int, m: int, J: int) -> GammaSeries:
     of a(x) b(x) / ((1-x)^{2R} (1+x)^{2S}).  The truncated product a b is
     divided by each factor 1 -+ x in turn, one running sum per factor.
 
-    The result keeps the numerators over (-1)^R D_n D_m.  gamma_0 always
-    equals tau(n+1)/tau(n); that identity is asserted, cross-multiplied on
-    integers, as a construction guard.  Raises SingularTau for inadmissible
-    parameters.
+    The result keeps the numerators over (-1)^R D_n D_m.  gamma_0 =
+    (-1)^R q_0(n), as A_m is monic, and it equals tau(n+1)/tau(n) at every
+    m; that identity is asserted, cross-multiplied on integers, as a
+    construction guard.  Raises SingularTau for inadmissible parameters,
+    ValueError for J < 0.
+
+    For m >= n, gamma_{m-n} is the residue at 0 of p_n(z) p_m(1/z)/z (the
+    orthogonality integral on |z| = 1/2).  For m < n that residue is 0, as
+    p_n(x) p_m(1/x) is x^{n-m} times a power series; premise: A_n is a
+    polynomial, p_n(x) (x-1)^R (x+1)^S / x^n = A_n(x), at every n.
     """
-    if n - m < 0:
-        raise ValueError("gamma_series expects n - m >= 0; transport the kernel instead")
+    if J < 0:
+        raise ValueError(f"gamma_series needs J >= 0, got J = {J}: it returns gamma_0..gamma_J")
     ensure_regular(params)
     count = J + 1
     An, Am = wave_numerator(params, n), wave_numerator(params, m)
@@ -403,9 +409,10 @@ def assemble_kernel(params: ParamVector, n: int, m: int) -> KernelFormula:
 
     For n - m < 0 the kernel is assembled at the swapped pair and carried
     back by the tau-ratio symmetry.  Kernels are memoised: every call at
-    (params, n, m) returns the same read-only kernel.
+    (params, n, m) returns the same read-only kernel, its sites plain ints
+    (True or a numpy integer would key the same entry).
     """
-    return _assemble(params, n, m)
+    return _assemble(params, index(n), index(m))
 
 
 @lru_cache(maxsize=1024)
@@ -530,7 +537,9 @@ def _form(f: KernelFormula) -> tuple:
     """(low, A, B, D): u = e^{-2t} (A(t) I_k(2t) + B(t) I_{k+1}(2t)), k = |n - m|,
     A and B integer rows from t^low, low <= 0 <= low + len(A) - 1, over D: an
     assembled kernel's cached `_basis`, a hand-built kernel's terms folded."""
-    return f._basis if f._weights is not None else _reduced_rows(f.terms.items(), abs(f.n - f.m))
+    if f._weights is not None:
+        return f._basis
+    return _reduced_rows(f.terms.items(), abs(index(f.n) - index(f.m)))
 
 
 @lru_cache(maxsize=256)
@@ -592,6 +601,20 @@ def _certify_power_sums(T: int) -> tuple[int, list[tuple[int, int]]]:
     return len(sites), failures
 
 
+def _certify_orthogonality(params: ParamVector, half: int) -> tuple[int, list[tuple]]:
+    """(pairs, failures): res_{z=0} p_n(z) p_m(1/z)/z = delta_nm tau(n+1)/tau(n),
+    exactly, on [-half, half]^2; failures (n, m, residue, expected), in order.
+    The residue is gamma_{m-n}(n, m) for m >= n, 0 for m < n (gamma_series)."""
+    tau, failures = ensure_regular(params), []
+    for n in range(-half, half + 1):
+        for m in range(n, half + 1):
+            residue = gamma_series(params, n, m, m - n).gamma(m - n)
+            expect = tau.ratio(n + 1, n) if m == n else 0
+            if residue != expect:
+                failures.append((n, m, residue, expect))
+    return (2 * half + 1) ** 2, failures
+
+
 @dataclass(frozen=True)
 class ExactZeroReport:
     """Outcome of the symbolic heat-equation check at one site pair."""
@@ -635,7 +658,7 @@ def pde_residual(f: KernelFormula) -> ExactZeroReport:
     the forms' live exponents over one E, each form's factor to E taken once;
     a residual that does not vanish is folded onto (I_0, I_1) for the report.
     """
-    params, n, m = f.params, f.n, f.m
+    params, n, m = f.params, index(f.n), index(f.m)
     k = abs(n - m)
     s, cm = _band_at(params, n)
     ups, downs = _assemble(params, n + 1, m), _assemble(params, n - 1, m)

@@ -9,8 +9,8 @@ Two unrelated routes are provided:
     & Higham, SIAM J. Sci. Comput. 33, 2011, algorithm 3.2);
 
   * contour quadrature on a circle around the origin for the spectral
-    representation of the kernel and the wave-function orthogonality
-    relation.
+    representation of the kernel (the orthogonality relation is a residue
+    at 0, read exactly from gamma_series by `verify --mode orth`).
 
 The quadrature contour must avoid x = +/-1, where the wave-function
 products genuinely blow up; a circle of radius 1/2 is used (any radius
@@ -208,14 +208,14 @@ class QuadratureSpec:
     crossings at theta = 0, pi.
     """
 
-    integrand: str                 # 'orthogonality' | 'kernel' | 'kernel_adjoint'
+    integrand: str                 # 'kernel' | 'kernel_adjoint'
     radius: float = 0.5
     n_start: int = 64
     n_max: int = 2 ** 16
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.integrand not in ("orthogonality", "kernel", "kernel_adjoint"):
+        if self.integrand not in ("kernel", "kernel_adjoint"):
             raise ValueError(f"unknown integrand {self.integrand!r}")
         if not math.isfinite(self.radius) or abs(self.radius) in (0.0, 1.0):
             raise ValueError(f"radius must be finite with |radius| not 0 or 1: {self.radius!r}")
@@ -230,7 +230,7 @@ def _numpy_eval(f) -> callable:
 
 def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
                       n: int, m: int, t: float | None = None) -> float:
-    """Midpoint trapezoid value of the requested contour integral.
+    """Midpoint trapezoid value of the requested contour integral at time t.
 
     Doubles the node count until two successive values differ by less than
     spec.tol; the imaginary part must sit below 1e-12 and is discarded.
@@ -242,19 +242,16 @@ def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
     else:
         pm_inv = _numpy_eval(wave_p(params, m).inverse_var())
 
-    if spec.integrand in ("kernel", "kernel_adjoint") and t is None:
+    if t is None:
         raise ValueError("kernel integrands need a time value")
 
     def value(N: int) -> complex:
         theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N
         z = spec.radius * np.exp(1j * theta)
-        if spec.integrand == "orthogonality":
-            h = pn(z) * pm_inv(z)
-        elif spec.integrand == "kernel":
-            weight = np.exp(t * (z + 1.0 / z) - 2.0 * t)
+        weight = np.exp(t * (z + 1.0 / z) - 2.0 * t)
+        if spec.integrand == "kernel":
             h = float(tau.ratio(m, m + 1)) * weight * pn(z) * pm_inv(z)
         else:
-            weight = np.exp(t * (z + 1.0 / z) - 2.0 * t)
             h = weight * pn(z) * ps(z) * z
         return complex(np.mean(h))
 
@@ -269,16 +266,6 @@ def circle_quadrature(spec: QuadratureSpec, params: ParamVector,
             return cur.real
         prev = cur
     raise NoConvergence(f"no convergence up to N = {spec.n_max}")
-
-
-def orthogonality_gram(params: ParamVector, size: int) -> np.ndarray:
-    """Gram matrix of the wave functions over n, m in [0, size-1]."""
-    spec = QuadratureSpec(integrand="orthogonality")
-    G = np.zeros((size, size))
-    for i in range(size):
-        for j in range(size):
-            G[i, j] = circle_quadrature(spec, params, i, j)
-    return G
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,19 @@ from heatkernel.chebring import (
 )
 from heatkernel.exactcore import Poly
 from heatkernel.kernel import (
+    _certify_orthogonality,
     _certify_power_sums,
     assemble_kernel,
     combo_to_basis,
     kernel_eval,
     pde_residual,
 )
-from heatkernel.oracle import compare_kernel_to_lattice, orthogonality_gram
+from heatkernel.oracle import compare_kernel_to_lattice
 from heatkernel.taudarboux import (
     ParamVector,
     factorization_target,
     operator_build,
     qp_build,
-    tau_build,
 )
 
 PDE_CONFIGS = [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3), (4, 4)]
@@ -203,17 +203,11 @@ def test_criterion_08_oracle_agreement():
 def test_criterion_09_orthogonality_gram():
     ok = True
     detail = []
+    # res_{z=0} p_n(z) p_m(1/z)/z = delta_nm tau(n+1)/tau(n), exactly, on [-5, 5]^2
     for key in [(1, 0), (1, 1), (2, 2)]:
-        params = PARAMS[key]
-        tau = tau_build(params)
-        G = orthogonality_gram(params, 6)
-        worst = 0.0
-        for i in range(6):
-            for j in range(6):
-                expect = float(tau.ratio(i + 1, i)) if i == j else 0.0
-                worst = max(worst, abs(G[i, j] - expect))
-        ok = ok and worst < 1e-10
-        detail.append(f"{key}: {worst:.1e}")
+        pairs, failures = _certify_orthogonality(PARAMS[key], 5)
+        ok = ok and pairs == 121 and not failures
+        detail.append(f"{key}: {pairs - len(failures)}/{pairs} exact")
     report(9, "orthogonality relation", ok, "; ".join(detail))
 
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import heatkernel
+from heatkernel import kernel
 from heatkernel.cli import main
+from heatkernel.exactcore import Poly
 
 # subprocesses import the same heatkernel as this test process
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -115,6 +117,26 @@ def test_verify_orth(capsys):
     code, out = run_cli(capsys, ["verify", "--mode", "orth", "--R", "1", "--S", "0",
                                  "--r", "1/2", "--range", "3"])
     assert code == 0 and "PASS" in out
+    assert ("claim = res_(z=0) p_n(z) p_m(1/z)/z = delta_nm tau(n+1)/tau(n) "
+            "for n, m in [-3, 3]\n  pairs = 49\n  failures = 0\n") in out
+
+
+def test_verify_orth_fails_on_a_corrupt_wave_numerator(monkeypatch, capsys):
+    # one coefficient of index 1 of A_0 (not q_0 or the monic top, which the
+    # gamma_0 guard reads) off by one breaks the residues of pairs through site 0
+    argv = ["verify", "--mode", "orth", "--R", "2", "--S", "2", "--r", "1/3,1/7,2/5,1/11",
+            "--range", "3"]
+    assert main(argv) == 0 and "PASS" in capsys.readouterr().out
+    wave_numerator = kernel.wave_numerator
+
+    def corrupt(params, site, starred=False):
+        p = wave_numerator(params, site, starred)
+        return Poly.from_ints("x", [p.num[0], p.num[1] + 1, *p.num[2:]], p.den) if site == 0 else p
+
+    monkeypatch.setattr(kernel, "wave_numerator", corrupt)
+    code, out = run_cli(capsys, argv)
+    assert code == 1 and "verify mode=orth: FAIL" in out
+    assert "failures = 4" in out and "first_failure = (n=-3, m=0) residue=" in out
 
 
 def test_verify_decomp(capsys):
@@ -265,9 +287,9 @@ def test_verify_output_ignores_thread_env(monkeypatch, capsys):
     # environment must not change a byte of its output
     pde = ["verify", "--mode", "pde", "--R", "1", "--S", "1", "--alpha", "1/4",
            "--beta", "1", "--range", "2"]
-    orth = ["verify", "--mode", "orth", "--R", "1", "--S", "0", "--r", "1/2",
-            "--range", "3", "--tol", "1e-30"]
-    runs = [argv + ["--format", fmt] for argv in (pde, orth) for fmt in ("text", "json")]
+    oracle = ["verify", "--mode", "oracle", "--R", "1", "--S", "0", "--r", "1/2",
+              "--range", "1", "--tol", "1e-30"]
+    runs = [argv + ["--format", fmt] for argv in (pde, oracle) for fmt in ("text", "json")]
     outputs = []
     for threads in (None, "1", "4"):
         if threads is None:
@@ -302,6 +324,7 @@ BAD_VALUES = [
     (["verify", "--mode", "decomp", "--tol", "1e-3"], "--tol"),
     (["verify", "--mode", "pde", *ONE_STEP, "--tol", "1e-3"], "--tol"),
     (["verify", "--mode", "identities", "--t", "1", "--tol", "1e-300"], "--tol"),
+    (["verify", "--mode", "orth", *ONE_STEP, "--tol", "1e-3"], "--tol"),
 ]
 
 

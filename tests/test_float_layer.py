@@ -183,8 +183,7 @@ def test_runtime_paths_run_with_scipy_blocked():
 
 
 ORACLE_NAMES = ["ComparisonReport", "QuadratureSpec", "circle_quadrature",
-                "compare_kernel_to_lattice", "compare_report", "lattice_evolve",
-                "orthogonality_gram"]
+                "compare_kernel_to_lattice", "compare_report", "lattice_evolve"]
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -199,14 +198,14 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_exact_paths_run_with_numpy_blocked():
-    # every README command but verify --mode oracle|orth, and kernel_eval,
-    # run with each numpy import made to fail, and no numpy module loads
+    # every README command but verify --mode oracle (orth included), and
+    # kernel_eval, run with each numpy import made to fail, and no numpy module loads
     commands = [shlex.split(line)[1:] for line in README.read_text().splitlines()
                 if line.startswith("heatkernel ")]
-    exact = [argv for argv in commands if argv[:3] not in (["verify", "--mode", "oracle"],
-                                                         ["verify", "--mode", "orth"])]
+    exact = [argv for argv in commands if argv[:3] != ["verify", "--mode", "oracle"]]
     assert {argv[0] for argv in exact} == {"kernel", "tau", "operator", "bessel", "verify"}
-    assert len(exact) == len(commands) - 2
+    assert ["verify", "--mode", "orth"] in [argv[:3] for argv in exact]
+    assert len(exact) == len(commands) - 1
     code = ("import sys\n"
             "sys.modules['numpy'] = None\n"
             "from fractions import Fraction\n"
@@ -229,6 +228,7 @@ def test_public_names():
             if not name.startswith("_") and not isinstance(value, ModuleType)} \
         <= set(heatkernel.__all__)
     assert set(ORACLE_NAMES) <= set(heatkernel.__all__) <= set(dir(heatkernel))
+    assert "orthogonality_gram" not in dir(heatkernel)     # verify --mode orth is exact
     namespace = {}
     exec("from heatkernel import *", namespace)
     assert set(heatkernel.__all__) <= namespace.keys()

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import json
 import math
 import pickle
 import pkgutil
@@ -8,6 +9,7 @@ from fractions import Fraction as F
 from functools import cached_property, lru_cache
 from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -99,20 +101,22 @@ def wave_product_gammas(params, n, m, J):
     """gamma_0..gamma_J through the wave functions: the series at x = 0 of
     x^{m-n} p_n(x) p_m(1/x), built as a rational function of x."""
     prod = wave_p(params, n) * wave_p(params, m).inverse_var()
-    first, coeffs = series_at_zero(prod / Poly.variable("x") ** (n - m), J + 1)
+    first, coeffs = series_at_zero(prod * PolyFraction.laurent("x", {m - n: 1}), J + 1)
     assert first == 0
     return coeffs
 
 
 def test_gamma_series_matches_wave_product_series():
+    # n < m as well: the same truncated product, whose gamma_{m-n} is the
+    # orthogonality residue
     for key, params in PARAMS.items():
         T = max(params.R, params.S)
         if T < 1:
             continue
         for m in (-2, 0, 1):
-            for k in range(2 * T + 5):
+            for k in range(-2 * T - 4, 2 * T + 5):
                 n = m + k
-                J = k + 2 * T + 2
+                J = abs(k) + 2 * T + 2
                 got = gamma_series(params, n, m, J).gammas
                 assert got == wave_product_gammas(params, n, m, J), (key, n, m)
 
@@ -122,7 +126,7 @@ _rational = st.builds(F, st.integers(-9, 9), st.integers(2, 13))
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2), st.integers(0, 2), st.lists(_rational, min_size=4, max_size=4),
-       st.integers(-3, 3), st.integers(0, 8))
+       st.integers(-3, 3), st.integers(-8, 8))
 def test_gamma_series_matches_wave_product_series_random(R, S, r, m, k):
     assume(R + S >= 1)
     params = ParamVector(R, S, r)
@@ -130,7 +134,7 @@ def test_gamma_series_matches_wave_product_series_random(R, S, r, m, k):
         ensure_regular(params)
     except SingularTau:
         assume(False)
-    J = k + 2 * max(R, S) + 2
+    J = abs(k) + 2 * max(R, S) + 2
     got = gamma_series(params, m + k, m, J).gammas
     assert got == wave_product_gammas(params, m + k, m, J)
 
@@ -151,9 +155,27 @@ def test_gamma_series_guard_trips_on_a_corrupt_wave_numerator(monkeypatch):
         gamma_series(params, 2, 0, 8)
 
 
-def test_gamma_series_requires_ordered_sites():
-    with pytest.raises(ValueError):
-        gamma_series(PARAMS[(1, 0)], 0, 2, 4)
+def test_gamma_series_rejects_negative_J():
+    # gamma_0..gamma_J is empty for J < 0; the reason, not an IndexError
+    for n, m in ((0, 0), (2, 0), (0, 2)):
+        with pytest.raises(ValueError, match="J >= 0"):
+            gamma_series(PARAMS[(1, 0)], n, m, -1)
+    assert gamma_series(PARAMS[(1, 0)], 0, 2, 0).gammas == (F(3),)
+
+
+_premise_r = st.lists(st.builds(F, st.integers(-9, 9), st.integers(2, 13)), min_size=6, max_size=6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), _premise_r, st.integers(-6, 6))
+def test_wave_numerator_is_the_wave_function_times_its_poles(R, S, r, n):
+    # the premise of the orthogonality lemma in gamma_series' docstring: A_n is
+    # a polynomial, so p_n(x) p_m(1/x) is x^{n-m} times a power series
+    params = ParamVector(R, S, r)
+    assume(tau_build(params).zeros == ())
+    x = Poly.variable("x")
+    scaled = wave_p(params, n) * (x - 1) ** R * (x + 1) ** S * PolyFraction.laurent("x", {-n: 1})
+    assert scaled == PolyFraction(taudarboux.wave_numerator(params, n))
 
 
 def test_node_poly_linear_cases():
@@ -885,6 +907,25 @@ def test_assembled_kernel_terms_survive_a_memo_clear():
         for items in (read_early, list(late.terms.items()),
                       list(assemble_kernel(params, n, m).terms.items())):
             assert items == list(expect.items()), (n, m)
+
+
+def test_memo_entries_hold_plain_int_sites():
+    # True == 1 and np.int64(2) == 2 key the same memo entry as the ints, so
+    # the first caller's sites would reach every later caller's output
+    params = PARAMS[(2, 2)]
+    for first in (np.int64(2), True):
+        kernel._assemble.cache_clear()
+        f = assemble_kernel(params, first, 0)
+        g = assemble_kernel(params, int(first), 0)
+        assert g is f and type(g.n) is int and type(g.m) is int
+        assert f'"n": {int(first)}, "m": 0,' in json.dumps(g.to_json())
+    # a hand-built kernel at numpy sites memoises its neighbours at ints
+    h = replace(assemble_kernel(params, 1, 0), n=np.int64(1), m=np.int64(0))
+    kernel._assemble.cache_clear()
+    assert pde_residual(h).passed
+    for n in (0, 2):
+        g = kernel._assemble(params, n, 0)
+        assert type(g.n) is int and type(g.m) is int, n
 
 
 def test_degree_guard_reads_the_table_columns(monkeypatch):

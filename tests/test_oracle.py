@@ -9,7 +9,8 @@ from scipy.linalg import expm as dense_expm
 
 from conftest import PARAMS
 from heatkernel.bessel import UNSCALED_T_MAX, bessel_row
-from heatkernel.kernel import assemble_kernel, kernel_eval
+from heatkernel.exactcore import series_at_zero
+from heatkernel.kernel import _certify_orthogonality, assemble_kernel, gamma_series, kernel_eval
 from heatkernel.oracle import (
     TAIL_TOL,
     GridMismatch,
@@ -23,7 +24,6 @@ from heatkernel.oracle import (
     expm,
     lattice_evolve,
     lattice_window,
-    orthogonality_gram,
 )
 from heatkernel.taudarboux import (
     ParamVector,
@@ -120,25 +120,40 @@ def test_source_near_boundary_rejected():
         lattice_evolve(free_operator(), 20, 15, 0.5)
 
 
+def wave_product_residue(params, n, m):
+    """res_{z=0} p_n(z) p_m(1/z)/z, the z^0 coefficient of the wave functions'
+    product, from its Laurent series at 0 (series_at_zero), not gamma_series."""
+    first, coeffs = series_at_zero(wave_p(params, n) * wave_p(params, m).inverse_var(),
+                                   abs(n - m) + 1)
+    return coeffs[-first] if first <= 0 else 0
+
+
 def test_orthogonality_diagonal():
+    # the orthogonality integral on |z| = 1/2 is a residue at 0: gamma_0 on
+    # the diagonal, gamma_{m-n} above it, and below it 0, as the product's
+    # series starts at x^{n-m}
     params = ParamVector(1, 0, [F(1, 2)])
     tau = tau_build(params)
-    spec = QuadratureSpec(integrand="orthogonality")
     for n in range(0, 4):
-        value = circle_quadrature(spec, params, n, n)
-        assert abs(value - float(tau.ratio(n + 1, n))) < 1e-10
-    assert abs(circle_quadrature(spec, params, 2, 0)) < 1e-10
-    assert abs(circle_quadrature(spec, params, 0, 3)) < 1e-10
+        assert gamma_series(params, n, n, 0).gamma(0) == tau.ratio(n + 1, n)
+    assert series_at_zero(wave_p(params, 2) * wave_p(params, 0).inverse_var(), 1)[0] == 2
+    assert gamma_series(params, 0, 3, 3).gamma(3) == 0
+    with pytest.raises(ValueError, match="unknown integrand"):
+        QuadratureSpec(integrand="orthogonality")
 
 
 def test_gram_matrix():
+    # every residue on [0, 3]^2, exactly, by gamma_series and by the series of
+    # the wave functions' product; and the same check on [-3, 3]^2 passes
     params = PARAMS[(1, 1)]
     tau = tau_build(params)
-    G = orthogonality_gram(params, 4)
     for i in range(4):
         for j in range(4):
-            expect = float(tau.ratio(i + 1, i)) if i == j else 0.0
-            assert abs(G[i, j] - expect) < 1e-10
+            expect = tau.ratio(i + 1, i) if i == j else 0
+            assert wave_product_residue(params, i, j) == expect, (i, j)
+            if j >= i:
+                assert gamma_series(params, i, j, j - i).gamma(j - i) == expect, (i, j)
+    assert _certify_orthogonality(params, 3) == (49, [])
 
 
 def test_kernel_quadrature_free():
@@ -204,9 +219,9 @@ def test_quadrature_geometric_convergence():
 
 
 def test_no_convergence_guard():
-    spec = QuadratureSpec(integrand="orthogonality", n_start=2, n_max=4, tol=1e-30)
+    spec = QuadratureSpec(integrand="kernel", n_start=2, n_max=4, tol=1e-30)
     with pytest.raises(NoConvergence):
-        circle_quadrature(spec, PARAMS[(1, 0)], 1, 1)
+        circle_quadrature(spec, PARAMS[(1, 0)], 1, 1, t=1.0)
 
 
 def test_compare_report_identical():
